@@ -17,7 +17,7 @@ from .dataset import (
 )
 from .dtree import DtConfig, DtModel, dt_predict
 from .errors import ConfigError, DataError, EcnnError, NumericError
-from .gmdh import GmdhConfig, GmdhModel, gmdh_predict
+from .gmdh import GmdhConfig, GmdhModel
 from .harness import CvReport, RestartReport, chi_sweep, kfold, multi_restart
 from .projection import FitResult, TrainConfig, fit_neuron, sigmoid
 
@@ -52,7 +52,6 @@ __all__ = [
     "fit_neuron",
     "fit_normalize",
     "gmdh",
-    "gmdh_predict",
     "harness",
     "kfold",
     "load_csv",

@@ -11,19 +11,16 @@ is the output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset, NormParams, fit_normalize, split
 from .errors import ConfigError, DataError
+from .model import FORMAT_VERSION, Model, require
 from .projection import FitResult, TrainConfig, fit_neuron, sigmoid
-from .util import atomic_write_text, derive_rng, derive_seed
-
-FORMAT_VERSION = 1
+from .util import derive_rng, derive_seed
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,6 @@ class GrowthConfig:
     """Growth policy wrapped around the single-neuron trainer config."""
 
     trainer: TrainConfig = field(default_factory=TrainConfig)
-    advance_on_accept: bool = True
     max_failed_attempts: int | None = None
     restarts_per_candidate: int = 1
 
@@ -99,14 +95,13 @@ class GrowthConfig:
     def to_dict(self) -> dict:
         return {
             "trainer": self.trainer.to_dict(),
-            "advance_on_accept": self.advance_on_accept,
             "max_failed_attempts": self.max_failed_attempts,
             "restarts_per_candidate": self.restarts_per_candidate,
         }
 
 
 @dataclass
-class CascadeModel:
+class CascadeModel(Model):
     """A trained cascade: the base feature, the accepted neurons in layer
     order, and the normalization fitted on the training data."""
 
@@ -118,8 +113,11 @@ class CascadeModel:
     threshold: float = 0.5
 
     @property
-    def m(self) -> int:
+    def n_features(self) -> int:
         return len(self.feature_names)
+
+    def size(self) -> int:
+        return len(self.neurons)
 
     def used_features(self) -> frozenset[int]:
         used = set()
@@ -156,18 +154,9 @@ class CascadeModel:
 
     def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Probabilities and classes for raw rows ``x`` (normalized internally)."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.m:
-            raise DataError(f"expected {self.m} features, got {x.shape[1]}")
-        if not np.all(np.isfinite(x)):
-            raise DataError("inputs must be finite")
+        prob = self.forward(self.norm.apply(self.check_rows(x)))
         thr = self.threshold if threshold is None else threshold
-        prob = self.forward(self.norm.apply(x))
         return prob, (prob >= thr).astype(np.int64)
-
-    def predict(self, x: np.ndarray, threshold: float | None = None) -> tuple[float, int]:
-        prob, cls = self.predict_batch(np.asarray(x)[None, :], threshold)
-        return float(prob[0]), int(cls[0])
 
     # -- serialization ----------------------------------------------------
 
@@ -191,11 +180,9 @@ class CascadeModel:
             "threshold": self.threshold,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     @classmethod
-    def from_json_dict(cls, d: dict) -> "CascadeModel":
+    def _decode(cls, d: dict) -> "CascadeModel":
+        names = list(d["feature_names"])
         neurons = [
             CascadeNeuron(
                 layer=int(nd["layer"]),
@@ -205,24 +192,21 @@ class CascadeModel:
             )
             for nd in d["neurons"]
         ]
+        # a neuron reads features in range and only the neurons before it
+        for r, neuron in enumerate(neurons):
+            for src in neuron.inputs:
+                limit = len(names) if src.kind == "feature" else r
+                require(0 <= src.index < limit, f"neuron {r + 1} reads {src.kind} {src.index}")
+        base_feature = int(d["base_feature"])
+        require(0 <= base_feature < len(names), f"base feature {base_feature} out of range")
         return cls(
-            base_feature=int(d["base_feature"]),
+            base_feature=base_feature,
             neurons=neurons,
             c0=float(d["c0"]),
-            norm=NormParams.from_dict(d["norm"]),
-            feature_names=list(d["feature_names"]),
+            norm=NormParams.from_dict(d["norm"], len(names)),
+            feature_names=names,
             threshold=float(d["threshold"]),
         )
-
-    def save(self, path: str | Path) -> None:
-        atomic_write_text(path, self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CascadeModel":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"model file not found: {path}")
-        return cls.from_json_dict(json.loads(path.read_text()))
 
 
 def rank_features(
@@ -325,16 +309,10 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int | None = None) -> CascadeMode
     xa, ya = d_a.x, d_a.y.astype(np.float64)
     xb, yb = d_b.x, d_b.y.astype(np.float64)
 
-    used = {base_feature}
     prev_criterion = c0
     failures = 0
     fallback: tuple[float, CascadeNeuron] | None = None
-    pos = 1
-    while pos < len(ranking):
-        feature_j, score_j = ranking[pos]
-        if feature_j in used:
-            pos += 1
-            continue
+    for feature_j, score_j in ranking[1:]:
         if not math.isfinite(score_j):
             break  # degenerate features sort last; nothing usable remains
         layer = len(model.neurons) + 1
@@ -354,15 +332,11 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int | None = None) -> CascadeMode
         )
         if best.criterion < prev_criterion:
             model.neurons.append(neuron)
-            used.add(feature_j)
             prev_criterion = best.criterion
             failures = 0
-            if cfg.advance_on_accept:
-                pos += 1
         else:
             if not model.neurons and (fallback is None or best.criterion < fallback[0]):
                 fallback = (best.criterion, neuron)
-            pos += 1
             failures += 1
             if cfg.max_failed_attempts is not None and failures >= cfg.max_failed_attempts:
                 break
@@ -372,16 +346,3 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int | None = None) -> CascadeMode
             raise DataError("no candidate neuron could be formed")
         model.neurons.append(fallback[1])
     return model
-
-
-def predict(model: CascadeModel, x: np.ndarray, threshold: float | None = None) -> tuple[float, int]:
-    """Probability and class for one raw input vector."""
-    return model.predict(x, threshold)
-
-
-def evaluate(model: CascadeModel, d: Dataset, threshold: float | None = None) -> float:
-    """Fraction of rows of ``d`` the model misclassifies."""
-    if d.n == 0:
-        raise DataError("cannot evaluate on an empty dataset")
-    _, cls = model.predict_batch(d.x, threshold)
-    return float(np.mean(cls != d.y))

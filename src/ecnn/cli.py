@@ -24,6 +24,7 @@ import numpy as np
 from . import cascade, dtree, gmdh, harness
 from .dataset import Dataset, load_csv, save_csv, synth_generate
 from .errors import ConfigError, DataError, NumericError
+from .model import read_model_doc
 from .projection import TrainConfig
 from .util import atomic_write_text, sha256_file
 
@@ -50,19 +51,31 @@ def _handles_errors(fn):
     return wrapper
 
 
+def _argv() -> list[str]:
+    """The command line that reruns the current command: every option
+    that has a value, except ``--jobs``, which never changes a result."""
+    ctx = click.get_current_context()
+    argv = [ctx.info_name]
+    for param in ctx.command.params:
+        value = ctx.params[param.name]
+        if value is not None and param.name != "jobs":
+            argv += [param.opts[0], str(value)]
+    return argv
+
+
 def _write_manifest(
     out_prefix: str,
-    command: str,
-    argv: list[str],
     config: dict,
     seeds: dict,
     input_paths: list[str | Path],
     artifacts: list[Path],
     started: float,
+    results: dict | None = None,
 ) -> Path:
+    argv = _argv()
     manifest = {
         "format_version": 1,
-        "command": command,
+        "command": argv[0],
         "argv": argv,
         "config": config,
         "seeds": seeds,
@@ -70,6 +83,8 @@ def _write_manifest(
         "artifacts": [str(p) for p in artifacts],
         "wall_clock_s": time.time() - started,
     }
+    if results is not None:
+        manifest["results"] = results
     path = Path(f"{out_prefix}.manifest.json")
     atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
     return path
@@ -83,25 +98,21 @@ def _resolve_target(target: str) -> str | int:
 
 
 def load_any_model(path: str | Path):
-    """Sniff a saved model's family from its structure and load it."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
-    doc = json.loads(path.read_text())
-    if "base_feature" in doc:
-        return "ecnn", cascade.CascadeModel.from_json_dict(doc)
-    if "output_id" in doc:
-        return "gmdh", gmdh.GmdhModel.from_json_dict(doc)
-    if "root" in doc:
-        return "dt", dtree.DtModel.from_json_dict(doc)
+    """Load a saved model, telling its family by a key only that family
+    writes; returns (kind, model)."""
+    doc = read_model_doc(path)
+    for key, kind, model_cls in (
+        ("base_feature", "ecnn", cascade.CascadeModel),
+        ("output_id", "gmdh", gmdh.GmdhModel),
+        ("root", "dt", dtree.DtModel),
+    ):
+        if key in doc:
+            return kind, model_cls.from_json_dict(doc)
     raise DataError(f"{path} is not a recognized model file")
 
 
-def _evaluate_any(kind: str, model, d: Dataset, threshold: float) -> dict:
-    if kind == "dt":
-        cls = np.fromiter((dtree.dt_predict(model, row) for row in d.x), dtype=np.int64, count=d.n)
-    else:
-        _, cls = model.predict_batch(d.x, threshold)
+def _metrics(model, d: Dataset, threshold: float) -> dict:
+    _, cls = model.predict_batch(d.x, threshold)
     tp = int(np.sum((cls == 1) & (d.y == 1)))
     tn = int(np.sum((cls == 0) & (d.y == 0)))
     fp = int(np.sum((cls == 1) & (d.y == 0)))
@@ -139,12 +150,8 @@ def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
     truth_path = Path(f"{out}.truth.json")
     save_csv(d, csv_path)
     truth.save(truth_path)
-    argv = [
-        "synth", "--n", str(n), "--m", str(m), "--relevant", relevant,
-        "--noise-std", repr(noise_std), "--flip", repr(flip), "--seed", str(seed), "--out", out,
-    ]
     _write_manifest(
-        out, "synth", argv,
+        out,
         {"n": n, "m": m, "relevant": relevant_idx, "noise_std": noise_std, "flip": flip},
         {"seed": seed}, [], [csv_path, truth_path], started,
     )
@@ -219,37 +226,14 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, **cfg_f
     best = report.best
 
     model_path = Path(f"{out}.model.json")
-    adapter.save(best.model, model_path)
+    best.model.save(model_path)
     artifacts = [model_path]
     if restarts > 1:
         paths = harness.write_restart_reports(
-            report, Path(out).parent or Path("."), d.feature_names, prefix=Path(out).name + "."
+            report, Path(out).parent, d.feature_names, prefix=Path(out).name + "."
         )
         artifacts.extend(paths.values())
 
-    argv = ["train", "--data", str(data_path), "--target", str(target), "--method", method,
-            "--restarts", str(restarts), "--out", out, "--seed", str(cfg_flags["seed"]),
-            "--chi", repr(cfg_flags["chi"]), "--delta", repr(cfg_flags["delta"]),
-            "--init-std", repr(cfg_flags["init_std"]), "--split-a", repr(cfg_flags["split_a"]),
-            "--max-steps", str(cfg_flags["max_steps"]),
-            "--candidate-restarts", str(cfg_flags["candidate_restarts"]),
-            "--offspring", str(cfg_flags["offspring"]), "--max-failures", str(cfg_flags["max_failures"]),
-            "--subsample", repr(cfg_flags["subsample"]), "--ns", str(cfg_flags["ns"]),
-            "--pmin", repr(cfg_flags["pmin"])]
-    if cfg_flags["epsilon"] is not None:
-        argv += ["--epsilon", repr(cfg_flags["epsilon"])]
-    if cfg_flags["max_failed_attempts"] is not None:
-        argv += ["--max-failed-attempts", str(cfg_flags["max_failed_attempts"])]
-    if test_data:
-        argv += ["--test-data", str(test_data)]
-
-    inputs = [data_path] + ([test_data] if test_data else [])
-    manifest_path = _write_manifest(
-        out, "train", argv,
-        {"method": method, "restarts": restarts, **cfg_dict},
-        {"seed": cfg_flags["seed"], "run_seeds": [r.seed for r in report.records]},
-        inputs, artifacts, started,
-    )
     results = {
         "best_run": report.best_run,
         "criterion": best.criterion,
@@ -258,9 +242,15 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, **cfg_f
         "model_size": best.model_size,
         "features": sorted(best.feature_set),
     }
-    doc = json.loads(manifest_path.read_text())
-    doc["results"] = results
-    atomic_write_text(manifest_path, json.dumps(doc, indent=2) + "\n")
+    _write_manifest(
+        out,
+        {"method": method, "restarts": restarts, **cfg_dict},
+        {"seed": cfg_flags["seed"], "run_seeds": [r.seed for r in report.records]},
+        [data_path] + ([test_data] if test_data else []),
+        artifacts,
+        started,
+        results,
+    )
     click.echo(f"wrote {model_path} (criterion {best.criterion:.6g}, train error {best.train_error:.4f})")
 
 
@@ -276,16 +266,14 @@ def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
     started = time.time()
     kind, model = load_any_model(model_path)
     d = load_csv(data_path, _resolve_target(target))
-    metrics = _evaluate_any(kind, model, d, threshold)
+    metrics = _metrics(model, d, threshold)
     metrics["method"] = kind
     text = json.dumps(metrics, indent=2)
     click.echo(text)
     if out:
         metrics_path = Path(f"{out}.metrics.json")
         atomic_write_text(metrics_path, text + "\n")
-        argv = ["evaluate", "--model", str(model_path), "--data", str(data_path),
-                "--target", str(target), "--threshold", repr(threshold), "--out", out]
-        _write_manifest(out, "evaluate", argv, {"threshold": threshold}, {},
+        _write_manifest(out, {"threshold": threshold}, {},
                         [model_path, data_path], [metrics_path], started)
 
 
@@ -306,23 +294,7 @@ def cmd_compare(data_path, target, folds, inner_runs, out, jobs, **cfg_flags) ->
         reports.append(harness.kfold(d, folds, adapter, inner_runs, seed, jobs=jobs))
     report_path = Path(f"{out}.cv_report.csv")
     harness.write_cv_report(reports, report_path)
-    argv = ["compare", "--data", str(data_path), "--target", str(target),
-            "--folds", str(folds), "--inner-runs", str(inner_runs),
-            "--seed", str(seed), "--out", out,
-            "--chi", repr(cfg_flags["chi"]), "--delta", repr(cfg_flags["delta"]),
-            "--init-std", repr(cfg_flags["init_std"]), "--split-a", repr(cfg_flags["split_a"]),
-            "--max-steps", str(cfg_flags["max_steps"]),
-            "--candidate-restarts", str(cfg_flags["candidate_restarts"]),
-            "--offspring", str(cfg_flags["offspring"]),
-            "--max-failures", str(cfg_flags["max_failures"]),
-            "--subsample", repr(cfg_flags["subsample"]), "--ns", str(cfg_flags["ns"]),
-            "--pmin", repr(cfg_flags["pmin"])]
-    if cfg_flags["epsilon"] is not None:
-        argv += ["--epsilon", repr(cfg_flags["epsilon"])]
-    if cfg_flags["max_failed_attempts"] is not None:
-        argv += ["--max-failed-attempts", str(cfg_flags["max_failed_attempts"])]
-    _write_manifest(out, "compare", argv,
-                    {"folds": folds, "inner_runs": inner_runs},
+    _write_manifest(out, {"folds": folds, "inner_runs": inner_runs},
                     {"seed": seed}, [data_path], [report_path], started)
     for rep in reports:
         click.echo(
@@ -363,10 +335,7 @@ def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, 
     results = harness.chi_sweep(d, chi_list, cfg, seed)
     trace_path = Path(f"{out}.chi_traces.csv")
     harness.write_chi_traces(results, trace_path)
-    argv = ["chi-sweep", "--data", str(data_path), "--target", str(target), "--chis", chis,
-            "--delta", repr(delta), "--max-steps", str(max_steps), "--init-std", repr(init_std),
-            "--split-a", repr(split_a), "--seed", str(seed), "--out", out]
-    _write_manifest(out, "chi-sweep", argv, {"chis": chi_list, "delta": delta},
+    _write_manifest(out, {"chis": chi_list, "delta": delta},
                     {"seed": seed}, [data_path], [trace_path], started)
     for chi in chi_list:
         res = results[chi]

@@ -116,12 +116,14 @@ class NormParams:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormParams":
-        return cls(
-            np.asarray(d["mean"], dtype=np.float64),
-            np.asarray(d["std"], dtype=np.float64),
-            np.asarray(d["constant_flags"], dtype=bool),
-        )
+    def from_dict(cls, d: dict, m: int) -> "NormParams":
+        """Parameters for ``m`` columns; anything else is a DataError."""
+        params = cls(d["mean"], d["std"], d["constant_flags"])
+        if any(a.shape != (m,) for a in (params.mean, params.std, params.constant)):
+            raise DataError(f"normalization parameters do not match {m} features")
+        if not (np.all(np.isfinite(params.mean)) and np.all(np.isfinite(params.std) & (params.std > 0))):
+            raise DataError("normalization needs a finite mean and a finite positive std")
+        return params
 
 
 @dataclass

@@ -8,17 +8,14 @@ pure, or no sampled split yields any information gain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError
-from .util import atomic_write_text, derive_rng
-
-FORMAT_VERSION = 1
+from .model import FORMAT_VERSION, Model, require
+from .util import derive_rng
 
 
 @dataclass
@@ -55,42 +52,49 @@ DtNode = Leaf | Split
 
 
 @dataclass
-class DtModel:
+class DtModel(Model):
     root: DtNode
     n_features: int
 
-    def split_count(self) -> int:
-        def count(node: DtNode) -> int:
-            if isinstance(node, Leaf):
-                return 0
-            return 1 + count(node.left) + count(node.right)
-
-        return count(self.root)
-
-    def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def walk(node: DtNode) -> None:
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
+    def nodes(self) -> list[DtNode]:
+        """Every node, each parent before its children, left before right."""
+        out: list[DtNode] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            if isinstance(node, Split):
+                stack += [node.right, node.left]
         return out
 
-    def feature_set(self) -> frozenset[int]:
-        feats: set[int] = set()
+    def leaves(self) -> list[Leaf]:
+        return [node for node in self.nodes() if isinstance(node, Leaf)]
 
-        def walk(node: DtNode) -> None:
-            if isinstance(node, Split):
-                feats.add(node.feature)
-                walk(node.left)
-                walk(node.right)
+    def size(self) -> int:
+        """Number of splits."""
+        return len(self.nodes()) - len(self.leaves())
 
-        walk(self.root)
-        return frozenset(feats)
+    def used_features(self) -> frozenset[int]:
+        return frozenset(node.feature for node in self.nodes() if isinstance(node, Split))
+
+    def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf classes for raw rows ``x``, as scores and as classes.
+
+        All rows are routed at once, node by node; a value equal to a
+        split threshold goes left. ``threshold`` is accepted for the shared
+        interface and does not apply to trees.
+        """
+        x = self.check_rows(x)
+        cls = np.empty(len(x), dtype=np.int64)
+        stack = [(self.root, np.arange(len(x)))]
+        while stack:
+            node, rows = stack.pop()
+            if isinstance(node, Leaf):
+                cls[rows] = node.label
+            else:
+                left = x[rows, node.feature] <= node.threshold
+                stack += [(node.left, rows[left]), (node.right, rows[~left])]
+        return cls.astype(np.float64), cls
 
     def to_json_dict(self) -> dict:
         def encode(node: DtNode) -> dict:
@@ -111,31 +115,22 @@ class DtModel:
             "root": encode(self.root),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     @classmethod
-    def from_json_dict(cls, d: dict) -> "DtModel":
+    def _decode(cls, d: dict) -> "DtModel":
+        n_features = int(d["n_features"])
+
         def decode(nd: dict) -> DtNode:
             if "leaf" in nd:
                 leaf = nd["leaf"]
-                return Leaf(int(leaf["class"]), (int(leaf["counts"][0]), int(leaf["counts"][1])))
+                label = int(leaf["class"])
+                require(label in (0, 1), f"leaf class {label} is not 0 or 1")
+                return Leaf(label, (int(leaf["counts"][0]), int(leaf["counts"][1])))
             sp = nd["split"]
-            return Split(
-                int(sp["feature"]), float(sp["threshold"]), decode(sp["left"]), decode(sp["right"])
-            )
+            feature = int(sp["feature"])
+            require(0 <= feature < n_features, f"split on feature {feature} of {n_features}")
+            return Split(feature, float(sp["threshold"]), decode(sp["left"]), decode(sp["right"]))
 
-        return cls(decode(d["root"]), int(d["n_features"]))
-
-    def save(self, path: str | Path) -> None:
-        atomic_write_text(path, self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DtModel":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"model file not found: {path}")
-        return cls.from_json_dict(json.loads(path.read_text()))
+        return cls(decode(d["root"]), n_features)
 
 
 def entropy(counts) -> float:
@@ -262,10 +257,11 @@ def build(d: Dataset, cfg: DtConfig, seed: int | None = None) -> DtModel:
 
 def dt_predict(model: DtModel, x: np.ndarray) -> int:
     """Route one raw input vector to a leaf; values equal to a threshold
-    go left."""
+    go left. The per-row reference walk for ``DtModel.predict_batch``."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.n_features,):
         raise DataError(f"expected {model.n_features} features, got shape {x.shape}")
+    x = model.check_rows(x)[0]
     node = model.root
     while isinstance(node, Split):
         node = node.left if x[node.feature] <= node.threshold else node.right
@@ -273,8 +269,7 @@ def dt_predict(model: DtModel, x: np.ndarray) -> int:
 
 
 def evaluate(model: DtModel, d: Dataset) -> float:
-    """Fraction of rows of ``d`` the tree misclassifies."""
-    if d.n == 0:
-        raise DataError("cannot evaluate on an empty dataset")
-    preds = np.fromiter((dt_predict(model, row) for row in d.x), dtype=np.int64, count=d.n)
-    return float(np.mean(preds != d.y))
+    """Fraction of rows of ``d`` the tree misclassifies: ``model.error_rate(d)``.
+    Kept under this name because the acceptance suite calls it and
+    perfbench's tracer wraps it."""
+    return model.error_rate(d)

@@ -11,17 +11,14 @@ best neuron (smallest ancestor subgraph on ties) becomes the output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset, NormParams
 from .errors import ConfigError, DataError, NumericError
-from .util import atomic_write_text, derive_rng
-
-FORMAT_VERSION = 1
+from .model import FORMAT_VERSION, Model, require
+from .util import derive_rng
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,7 @@ class GmdhConfig:
 
 
 @dataclass
-class GmdhModel:
+class GmdhModel(Model):
     """Evolved network: full creation log plus the minimal subgraph that
     feeds the output neuron."""
 
@@ -110,7 +107,10 @@ class GmdhModel:
                 return n
         raise KeyError(f"no neuron with id {neuron_id}")
 
-    def feature_set(self) -> frozenset[int]:
+    def size(self) -> int:
+        return len(self.selected_ids)
+
+    def used_features(self) -> frozenset[int]:
         feats = set()
         for nid in self.selected_ids:
             n = self._by_id(nid)
@@ -136,16 +136,11 @@ class GmdhModel:
             values[nid] = poly_forward(n.coeffs, u1, u2)
         return values[self.output_id]
 
-    def predict_batch(self, x: np.ndarray, threshold: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.n_features:
-            raise DataError(f"expected {self.n_features} features, got {x.shape[1]}")
-        score = self.forward(self.norm.apply(x))
-        return score, (score >= threshold).astype(np.int64)
-
-    def predict(self, x: np.ndarray, threshold: float = 0.5) -> tuple[float, int]:
-        score, cls = self.predict_batch(np.asarray(x)[None, :], threshold)
-        return float(score[0]), int(cls[0])
+    def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Raw scores and classes (score at or above ``threshold``, default
+        0.5) for raw rows ``x``."""
+        score = self.forward(self.norm.apply(self.check_rows(x)))
+        return score, (score >= (0.5 if threshold is None else threshold)).astype(np.int64)
 
     # -- serialization: the selected subgraph is the model -----------------
 
@@ -167,11 +162,9 @@ class GmdhModel:
             "n_features": self.n_features,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
     @classmethod
-    def from_json_dict(cls, d: dict) -> "GmdhModel":
+    def _decode(cls, d: dict) -> "GmdhModel":
+        n_features = int(d["n_features"])
         neurons = [
             PolyNeuron(
                 id=int(nd["id"]),
@@ -182,24 +175,24 @@ class GmdhModel:
             )
             for nd in d["neurons"]
         ]
+        # a neuron reads features in range and only the neurons before it
+        ids: set[int] = set()
+        for n in neurons:
+            for src in (n.parent_a, n.parent_b):
+                if src is not None:
+                    ok = 0 <= src.index < n_features if src.kind == "feature" else src.index in ids
+                    require(ok, f"neuron {n.id} reads {src.kind} {src.index}")
+            ids.add(n.id)
+        output_id = int(d["output_id"])
+        require(output_id in ids, f"output_id {output_id} names no neuron")
         return cls(
             neurons=neurons,
-            output_id=int(d["output_id"]),
+            output_id=output_id,
             selected_ids=[n.id for n in neurons],
             generation_log=[],
-            norm=NormParams.from_dict(d["norm"]),
-            n_features=int(d["n_features"]),
+            norm=NormParams.from_dict(d["norm"], n_features),
+            n_features=n_features,
         )
-
-    def save(self, path: str | Path) -> None:
-        atomic_write_text(path, self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "GmdhModel":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"model file not found: {path}")
-        return cls.from_json_dict(json.loads(path.read_text()))
 
 
 def poly_forward(coeffs: np.ndarray, u1, u2=None):
@@ -387,24 +380,3 @@ def evolve(
         norm=norm if norm is not None else NormParams.identity(m),
         n_features=m,
     )
-
-
-def gmdh_predict(model: GmdhModel, x: np.ndarray, threshold: float = 0.5) -> tuple[float, int]:
-    """Score and class for one raw input vector."""
-    return model.predict(x, threshold)
-
-
-def evaluate(model: GmdhModel, d: Dataset, threshold: float = 0.5) -> float:
-    """Fraction of rows of ``d`` the model misclassifies."""
-    if d.n == 0:
-        raise DataError("cannot evaluate on an empty dataset")
-    _, cls = model.predict_batch(d.x, threshold)
-    return float(np.mean(cls != d.y))
-
-
-def save_generation_log(model: GmdhModel, path: str | Path) -> None:
-    """Evolution progress as CSV: generation, best_performance, population_size."""
-    lines = ["generation,best_performance,population_size"]
-    for gen, best, size in model.generation_log:
-        lines.append(f"{gen},{repr(float(best))},{size}")
-    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -8,7 +8,6 @@ changing any result.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import cascade, dtree, gmdh
 from .dataset import Dataset, fit_normalize, split
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, EcnnError, NumericError
 from .projection import FitResult, TrainConfig, fit_neuron
 from .util import atomic_write_text, derive_rng, derive_seed
 
@@ -39,15 +38,12 @@ class Trained:
 
 @dataclass
 class MethodAdapter:
-    """Uniform handle the harness uses to drive one classifier family."""
+    """Handle the harness uses to drive one classifier family: its name and
+    a picklable training function. The trained model answers everything
+    else through the interface the families share (``ecnn.model``)."""
 
     name: str
     train: Callable[[Dataset, int], Trained]
-    evaluate: Callable[[Any, Dataset], float]
-    model_size: Callable[[Any], int]
-    feature_set: Callable[[Any], frozenset[int]]
-    save: Callable[[Any, Path], None]
-    load: Callable[[Path], Any]
 
 
 def _train_ecnn(d: Dataset, seed: int, cfg: cascade.GrowthConfig) -> Trained:
@@ -70,78 +66,22 @@ def _train_dt(d: Dataset, seed: int, cfg: dtree.DtConfig, valid_fraction: float)
     d_fit = d.subset(pair.a_indices)
     d_valid = d.subset(pair.b_indices)
     model = dtree.build(d_fit, cfg, seed=seed)
-    return Trained(model, dtree.evaluate(model, d_valid))
-
-
-# adapter helpers are module-level so adapters pickle into worker processes
-def _ecnn_size(model) -> int:
-    return len(model.neurons)
-
-
-def _ecnn_features(model) -> frozenset[int]:
-    return model.used_features()
-
-
-def _gmdh_size(model) -> int:
-    return len(model.selected_ids)
-
-
-def _gmdh_features(model) -> frozenset[int]:
-    return model.feature_set()
-
-
-def _dt_size(model) -> int:
-    return model.split_count()
-
-
-def _dt_features(model) -> frozenset[int]:
-    return model.feature_set()
-
-
-def _save_model(model, path) -> None:
-    model.save(path)
+    return Trained(model, model.error_rate(d_valid))
 
 
 def ecnn_adapter(cfg: cascade.GrowthConfig | None = None) -> MethodAdapter:
     cfg = cfg if cfg is not None else cascade.GrowthConfig()
-    return MethodAdapter(
-        name="ecnn",
-        train=partial(_train_ecnn, cfg=cfg),
-        evaluate=cascade.evaluate,
-        model_size=_ecnn_size,
-        feature_set=_ecnn_features,
-        save=_save_model,
-        load=cascade.CascadeModel.load,
-    )
+    return MethodAdapter("ecnn", partial(_train_ecnn, cfg=cfg))
 
 
 def gmdh_adapter(cfg: gmdh.GmdhConfig | None = None, valid_fraction: float = 0.5) -> MethodAdapter:
     cfg = cfg if cfg is not None else gmdh.GmdhConfig()
-    return MethodAdapter(
-        name="gmdh",
-        train=partial(_train_gmdh, cfg=cfg, valid_fraction=valid_fraction),
-        evaluate=gmdh.evaluate,
-        model_size=_gmdh_size,
-        feature_set=_gmdh_features,
-        save=_save_model,
-        load=gmdh.GmdhModel.load,
-    )
+    return MethodAdapter("gmdh", partial(_train_gmdh, cfg=cfg, valid_fraction=valid_fraction))
 
 
 def dt_adapter(cfg: dtree.DtConfig | None = None, valid_fraction: float = 0.5) -> MethodAdapter:
     cfg = cfg if cfg is not None else dtree.DtConfig()
-    return MethodAdapter(
-        name="dt",
-        train=partial(_train_dt, cfg=cfg, valid_fraction=valid_fraction),
-        evaluate=dtree.evaluate,
-        model_size=_dt_size,
-        feature_set=_dt_features,
-        save=_save_model,
-        load=dtree.DtModel.load,
-    )
-
-
-ADAPTER_FACTORIES = {"ecnn": ecnn_adapter, "gmdh": gmdh_adapter, "dt": dt_adapter}
+    return MethodAdapter("dt", partial(_train_dt, cfg=cfg, valid_fraction=valid_fraction))
 
 
 @dataclass
@@ -156,7 +96,7 @@ class RunRecord:
     feature_set: frozenset[int] = frozenset()
     criterion_trace: tuple[float, ...] = ()
     model: Any = field(default=None, repr=False)
-    error: str | None = None
+    error: EcnnError | None = None
 
 
 @dataclass
@@ -176,17 +116,17 @@ def _run_one(
     try:
         trained = adapter.train(d_train, seed)
     except (DataError, NumericError) as exc:
-        return RunRecord(run=run, seed=seed, status="error", error=str(exc))
+        return RunRecord(run=run, seed=seed, status="error", error=exc)
     model = trained.model
     return RunRecord(
         run=run,
         seed=seed,
         status="ok",
         criterion=trained.criterion,
-        train_error=adapter.evaluate(model, d_train),
-        test_error=adapter.evaluate(model, d_test) if d_test is not None else math.nan,
-        model_size=adapter.model_size(model),
-        feature_set=adapter.feature_set(model),
+        train_error=model.error_rate(d_train),
+        test_error=model.error_rate(d_test) if d_test is not None else math.nan,
+        model_size=model.size(),
+        feature_set=model.used_features(),
         criterion_trace=trained.trace,
         model=model,
     )
@@ -205,7 +145,7 @@ def multi_restart(
 
     A run that raises a data or numeric error is recorded as failed rather
     than aborting the whole protocol; only if every run fails does the
-    report raise.
+    report raise, with the error class of the last run.
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
@@ -217,7 +157,8 @@ def multi_restart(
         records = [_run_one(adapter, d_train, d_test, base_seed, i) for i in range(runs)]
     ok = [r for r in records if r.status == "ok"]
     if not ok:
-        raise NumericError(f"all {runs} restarts failed; last error: {records[-1].error}")
+        last = records[-1].error
+        raise type(last)(f"all {runs} restarts failed; last error: {last}")
     best = min(ok, key=lambda r: (r.criterion, r.run))
     return RestartReport(records, best.run)
 
@@ -237,7 +178,6 @@ def write_restart_reports(
     error_hist.csv (per-run train/test errors).
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
 
     rows = ["run,seed,status,criterion,train_error,test_error,model_size,features,criterion_trace"]
@@ -393,10 +333,3 @@ def write_chi_traces(results: dict[float, FitResult], path: str | Path) -> None:
         for step, value in enumerate(results[chi].rse_trace_b):
             rows.append(f"{repr(float(chi))},{step},{repr(float(value))}")
     atomic_write_text(path, "\n".join(rows) + "\n")
-
-
-def read_csv_rows(path: str | Path) -> list[dict[str, str]]:
-    """Parse one of the emitted CSVs back into dict rows (round-trip check
-    helper and a convenience for downstream consumers)."""
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))

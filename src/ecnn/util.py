@@ -43,9 +43,11 @@ def sha256_file(path: str | Path) -> str:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to ``path`` via a temp file and rename, never leaving a partial file."""
+    """Write text to ``path`` via a temp file and rename, never leaving a
+    partial file. Missing parent directories are created."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

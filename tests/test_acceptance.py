@@ -5,6 +5,7 @@ fully seeded, so results are reproducible bit-for-bit.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import csv
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from ecnn.cli import cli
 from ecnn.dataset import Dataset, save_csv, synth_generate
 from ecnn.dtree import DtConfig, build, entropy, evaluate as dt_evaluate, info_gain
 from ecnn.gmdh import GmdhConfig, evolve, fit_ls, poly_forward
-from ecnn.harness import chi_sweep, multi_restart, read_csv_rows
+from ecnn.harness import chi_sweep, multi_restart
 from ecnn.projection import TrainConfig, fit_neuron, projection_step
 from ecnn.util import derive_rng
 
@@ -296,7 +297,8 @@ def test_criterion_9_comparative_harness(tmp_path):
         "compare", "--data", str(data_path), "--folds", "5", "--inner-runs", "30",
         "--seed", "50", "--out", str(out),
     ], catch_exceptions=False)
-    rows = read_csv_rows(f"{out}.cv_report.csv")
+    with open(f"{out}.cv_report.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     elapsed = time.time() - started
     mean_perf = {r["method"]: float(r["mean_performance"]) for r in rows}
     ecnn_err = 1.0 - mean_perf["ecnn"]

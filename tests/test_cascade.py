@@ -9,8 +9,6 @@ from ecnn.cascade import (
     GrowthConfig,
     InputSource,
     assemble_candidate_inputs,
-    evaluate,
-    predict,
     rank_features,
     train,
 )
@@ -130,7 +128,7 @@ class TestTrain:
         x[:, 1] = np.where(y == 1, x[:, 1] + 5.0, x[:, 1] - 5.0)
         d = Dataset(x, y, list("abcd"))
         model = train(d, GrowthConfig(), seed=1)
-        assert evaluate(model, d) == 0.0
+        assert model.error_rate(d) == 0.0
 
     def test_wiring_shape_invariant(self):
         d, _ = synth_generate(400, 8, [0, 5], 0.1, 0.05, seed=4)
@@ -193,9 +191,9 @@ class TestTrain:
 class TestPredictEvaluate:
     def test_zero_weights_give_half(self):
         model = _toy_model()
-        prob, cls = predict(model, np.random.default_rng(0).normal(size=4))
-        assert prob == 0.5
-        assert cls == 1  # threshold 0.5 is inclusive
+        prob, cls = model.predict_batch(np.random.default_rng(0).normal(size=4))
+        assert prob[0] == 0.5
+        assert cls[0] == 1  # threshold 0.5 is inclusive
 
     def test_unreferenced_features_ignored(self):
         d, _ = synth_generate(300, 8, [1], 0.0, 0.0, seed=10)
@@ -203,9 +201,9 @@ class TestPredictEvaluate:
         free = [j for j in range(8) if j not in model.used_features()]
         assert free
         x = d.x[0].copy()
-        p0, _ = predict(model, x)
+        p0, _ = model.predict_batch(x)
         x[free[0]] += 50.0
-        p1, _ = predict(model, x)
+        p1, _ = model.predict_batch(x)
         assert p0 == p1
 
     def test_batch_matches_training_outputs(self):
@@ -222,19 +220,19 @@ class TestPredictEvaluate:
         _, cls = model.predict_batch(d.x)
         agree = Dataset(d.x, cls, d.feature_names)
         flipped = Dataset(d.x, 1 - cls, d.feature_names)
-        assert evaluate(model, agree) == 0.0
-        assert evaluate(model, flipped) == 1.0
+        assert model.error_rate(agree) == 0.0
+        assert model.error_rate(flipped) == 1.0
 
     def test_coin_flip_labels_near_half(self):
         model = _toy_model(m=4, layers=2, fill=0.3)
         rng = np.random.default_rng(13)
         d = Dataset(rng.normal(size=(10_000, 4)), rng.integers(0, 2, 10_000), list("abcd"))
-        assert abs(evaluate(model, d) - 0.5) < 0.02
+        assert abs(model.error_rate(d) - 0.5) < 0.02
 
     def test_dimension_mismatch(self):
         model = _toy_model()
         with pytest.raises(DataError):
-            predict(model, np.zeros(7))
+            model.predict_batch(np.zeros(7))
 
 
 class TestSerialization:

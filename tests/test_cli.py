@@ -1,13 +1,22 @@
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ecnn import gmdh
 from ecnn.cli import cli, load_any_model, replay_manifest
 from ecnn.dataset import load_csv, save_csv, synth_generate
-from ecnn.harness import read_csv_rows
+from ecnn.errors import NumericError
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -106,14 +115,45 @@ class TestTrainCommand:
         ])
         assert result.exit_code == 3
 
-    def test_numeric_failure_exit_code(self, runner, tmp_path):
-        # every restart fails: the subsample leaves too few rows to fit
+    def test_failed_restarts_keep_data_error_class(self, runner, tmp_path):
+        # every restart fails: the subsample leaves too few rows to fit,
+        # which is a data error, so the command exits 3 and not 4
         data = _make_data(tmp_path, n=30)
         result = runner.invoke(cli, [
             "train", "--data", str(data), "--method", "gmdh", "--subsample", "0.1",
             "--out", str(tmp_path / "x"),
         ])
+        assert result.exit_code == 3
+        assert "all 1 restarts failed" in result.output
+
+    def test_genuine_numeric_failure_exit_code(self, runner, tmp_path, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise NumericError("least-squares fit produced non-finite coefficients")
+
+        monkeypatch.setattr(gmdh, "fit_ls", failing_fit)
+        data = _make_data(tmp_path)
+        result = runner.invoke(cli, [
+            "train", "--data", str(data), "--method", "gmdh", "--restarts", "2",
+            "--out", str(tmp_path / "x"),
+        ])
         assert result.exit_code == 4
+        assert "non-finite coefficients" in result.output
+
+    def test_missing_output_directories_created(self, runner, tmp_path):
+        data = _make_data(tmp_path)
+        task = tmp_path / "nodir" / "sub" / "task"
+        result = runner.invoke(cli, [
+            "synth", "--n", "100", "--m", "4", "--relevant", "0", "--out", str(task),
+        ])
+        assert result.exit_code == 0
+        assert Path(f"{task}.csv").exists()
+        out = tmp_path / "other" / "x"
+        result = runner.invoke(cli, [
+            "train", "--data", str(data), "--method", "dt", "--restarts", "2", "--out", str(out),
+        ])
+        assert result.exit_code == 0
+        assert Path(f"{out}.model.json").exists()
+        assert Path(f"{out}.restart_report.csv").exists()
 
     def test_restarts_write_reports(self, runner, tmp_path):
         data = _make_data(tmp_path)
@@ -123,9 +163,9 @@ class TestTrainCommand:
             "--out", str(out),
         ])
         assert result.exit_code == 0
-        rows = read_csv_rows(tmp_path / "multi.restart_report.csv")
+        rows = _read_rows(tmp_path / "multi.restart_report.csv")
         assert len(rows) == 4
-        sizes = read_csv_rows(tmp_path / "multi.size_hist.csv")
+        sizes = _read_rows(tmp_path / "multi.size_hist.csv")
         assert sum(int(r["count"]) for r in sizes) == 4
 
     def test_deterministic_model_bytes(self, runner, tmp_path):
@@ -176,6 +216,129 @@ class TestEvaluateCommand:
         assert "error_rate" in saved and "confusion" in saved
 
 
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    """One small saved model of each family, and the data to score them on."""
+    tmp = tmp_path_factory.mktemp("models")
+    data = _make_data(tmp)
+    paths = {}
+    for method in ("ecnn", "gmdh", "dt"):
+        out = tmp / method
+        result = _invoke(CliRunner(), [
+            "train", "--data", str(data), "--method", method, "--offspring", "30",
+            "--max-failures", "2", "--out", str(out),
+        ])
+        assert result.exit_code == 0
+        paths[method] = Path(f"{out}.model.json")
+    return data, paths
+
+
+def _first_split(root):
+    assert "split" in root, "tree has no split"
+    return root["split"]
+
+
+def _set(doc, *path_and_value):
+    *path, key, value = path_and_value
+    for step in path:
+        doc = doc[step]
+    doc[key] = value
+
+
+def _doc_edit(edit):
+    """A text edit that applies ``edit`` to the decoded document."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+
+    return apply
+
+
+# case -> (family, edit of the decoded model document)
+DOC_EDITS = {
+    "format_version_7": ("ecnn", lambda doc: _set(doc, "format_version", 7)),
+    "input_index_out_of_range": ("ecnn", lambda doc: _set(doc, "neurons", 0, "inputs", 0, "index", 99)),
+    "forward_hidden_reference": ("ecnn", lambda doc: _set(doc, "neurons", 0, "inputs", 0,
+                                                          {"kind": "hidden", "index": 0})),
+    "short_norm_mean": ("ecnn", lambda doc: _set(doc, "norm", "mean", doc["norm"]["mean"][:-1])),
+    "missing_key": ("ecnn", lambda doc: doc.pop("c0")),
+    "wrong_type": ("ecnn", lambda doc: _set(doc, "neurons", 0, "weights", "heavy")),
+    "extra_cascade_weight": ("ecnn", lambda doc: doc["neurons"][0]["weights"].append(0.5)),
+    "short_feature_names": ("ecnn", lambda doc: doc["feature_names"].pop()),
+    "gmdh_forward_parent": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a",
+                                                     {"kind": "neuron", "index": doc["output_id"]})),
+    "gmdh_missing_output": ("gmdh", lambda doc: _set(doc, "output_id", 10**6)),
+    "gmdh_three_coeffs": ("gmdh", lambda doc: doc["neurons"][0]["coeffs"].pop()),
+    "gmdh_short_std": ("gmdh", lambda doc: doc["norm"]["std"].pop()),
+    "gmdh_infinite_index": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a", "index",
+                                                     float("inf"))),
+    "tree_split_feature": ("dt", lambda doc: _set(_first_split(doc["root"]), "feature", 5)),
+    "tree_leaf_class": ("dt", lambda doc: _set(_first_split(doc["root"]), "left",
+                                               {"leaf": {"class": 2, "counts": [1, 1]}})),
+    "tree_no_features": ("dt", lambda doc: _set(doc, "n_features", "five")),
+}
+# case -> (family, edit of the saved model's JSON text); each must exit 3
+MALFORMED = {
+    "truncated": ("ecnn", lambda text: text[: len(text) // 2]),
+    "json_scalar": ("ecnn", lambda text: "3"),
+    "json_list": ("gmdh", lambda text: "[]"),
+    **{case: (family, _doc_edit(edit)) for case, (family, edit) in DOC_EDITS.items()},
+}
+
+
+class TestMalformedModelFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_code_3(self, runner, tmp_path, saved_models, case):
+        data, paths = saved_models
+        family, edit = MALFORMED[case]
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(edit(paths[family].read_text()))
+        result = runner.invoke(cli, ["evaluate", "--model", str(bad), "--data", str(data)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "data error" in result.output
+
+    def test_saved_models_still_load(self, saved_models):
+        _, paths = saved_models
+        for family, path in paths.items():
+            kind, model = load_any_model(path)
+            assert kind == family
+            assert model.to_json() == path.read_text()
+
+
+def _locations(node):
+    """Every (container, key) of a JSON document, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield node, key
+        yield from _locations(value)
+
+
+_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-2, 6), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_model_exits_0_or_3(saved_models, tmp_path, data):
+    """Any one-place edit of a saved model file is scored or refused with
+    a data error; it never ends in a traceback."""
+    csv_path, paths = saved_models
+    family = data.draw(st.sampled_from(sorted(paths)))
+    doc = json.loads(paths[family].read_text())
+    container, key = data.draw(st.sampled_from(list(_locations(doc))))
+    if data.draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = data.draw(_json_values)
+    mutated = tmp_path / "mutated.model.json"
+    mutated.write_text(json.dumps(doc))
+    result = CliRunner().invoke(cli, ["evaluate", "--model", str(mutated), "--data", str(csv_path)])
+    assert result.exit_code in (0, 3), (result.output, result.exception)
+
+
 class TestCompareCommand:
     def test_report_rows_and_determinism(self, runner, tmp_path):
         data = _make_data(tmp_path, n=120, m=4)
@@ -185,7 +348,7 @@ class TestCompareCommand:
         ]
         out1, out2 = tmp_path / "c1", tmp_path / "c2"
         assert _invoke(runner, args + ["--out", str(out1)]).exit_code == 0
-        rows = read_csv_rows(f"{out1}.cv_report.csv")
+        rows = _read_rows(f"{out1}.cv_report.csv")
         assert len(rows) == 9  # 3 methods x 3 folds
         assert {r["method"] for r in rows} == {"ecnn", "gmdh", "dt"}
         assert _invoke(runner, args + ["--out", str(out2)]).exit_code == 0
@@ -198,7 +361,7 @@ class TestChiSweepCommand:
         out = tmp_path / "sweep"
         result = _invoke(runner, ["chi-sweep", "--data", str(data), "--out", str(out)])
         assert result.exit_code == 0
-        rows = read_csv_rows(f"{out}.chi_traces.csv")
+        rows = _read_rows(f"{out}.chi_traces.csv")
         assert {float(r["chi"]) for r in rows} == {1.25, 1.5, 1.75, 2.0}
 
     def test_single_chi_allowed(self, runner, tmp_path):
@@ -206,7 +369,7 @@ class TestChiSweepCommand:
         out = tmp_path / "one"
         result = _invoke(runner, ["chi-sweep", "--data", str(data), "--chis", "1.9", "--out", str(out)])
         assert result.exit_code == 0
-        rows = read_csv_rows(f"{out}.chi_traces.csv")
+        rows = _read_rows(f"{out}.chi_traces.csv")
         assert {float(r["chi"]) for r in rows} == {1.9}
 
     def test_out_of_range_rejected(self, runner, tmp_path):

@@ -6,12 +6,9 @@ from ecnn.errors import ConfigError, DataError
 from ecnn.gmdh import (
     GmdhConfig,
     GmdhModel,
-    evaluate,
     evolve,
     fit_ls,
-    gmdh_predict,
     poly_forward,
-    save_generation_log,
 )
 from ecnn.util import derive_rng, derive_seed
 
@@ -204,18 +201,18 @@ class TestPredictAndSerialize:
         neuron = PolyNeuron(0, Source("feature", 0), None, np.array([0.6, 0, 0, 0]), 1.0)
         model = GmdhModel([neuron], 0, [0], [], NormParams.identity(3), 3)
         for x in (np.zeros(3), np.array([5.0, -2.0, 1.0])):
-            score, cls = gmdh_predict(model, x)
-            assert cls == 1 and score == 0.6
+            score, cls = model.predict_batch(x)
+            assert cls[0] == 1 and score[0] == 0.6
 
     def test_prediction_ignores_unreferenced_features(self):
         d, model = self._small_model()
-        used = model.feature_set()
+        used = model.used_features()
         free = [j for j in range(d.m) if j not in used]
         assert free, "test needs an unreferenced feature"
         x = d.x[0].copy()
-        base_score, _ = model.predict(x)
+        base_score, _ = model.predict_batch(x)
         x[free[0]] += 100.0
-        bumped_score, _ = model.predict(x)
+        bumped_score, _ = model.predict_batch(x)
         assert bumped_score == base_score
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -230,12 +227,4 @@ class TestPredictAndSerialize:
     def test_evaluate_matches_manual(self):
         d, model = self._small_model(seed=2)
         _, cls = model.predict_batch(d.x)
-        assert evaluate(model, d) == pytest.approx(np.mean(cls != d.y))
-
-    def test_generation_log_csv(self, tmp_path):
-        _, model = self._small_model(seed=3)
-        path = tmp_path / "log.csv"
-        save_generation_log(model, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "generation,best_performance,population_size"
-        assert len(lines) == len(model.generation_log) + 1
+        assert model.error_rate(d) == pytest.approx(np.mean(cls != d.y))

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -12,13 +14,17 @@ from ecnn.harness import (
     gmdh_adapter,
     kfold,
     multi_restart,
-    read_csv_rows,
     stratified_folds,
     write_chi_traces,
     write_cv_report,
     write_restart_reports,
 )
 from ecnn.projection import TrainConfig
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _task(seed=0, n=240, m=5):
@@ -61,18 +67,25 @@ class TestMultiRestart:
         with pytest.raises(ConfigError):
             multi_restart(ecnn_adapter(), _task(), None, runs=0, base_seed=0)
 
+    def test_all_failed_reraises_error_class(self):
+        # a subsample of 10% of 15 fitting rows is too small: a data error
+        adapter = gmdh_adapter(gmdh.GmdhConfig(fit_subsample=0.1))
+        for jobs in (1, 2):
+            with pytest.raises(DataError, match="all 2 restarts failed"):
+                multi_restart(adapter, _task(18, n=30), None, runs=2, base_seed=0, jobs=jobs)
+
     def test_report_files_account_for_runs(self, tmp_path):
         rep = multi_restart(dt_adapter(), _task(6), _task(7), runs=5, base_seed=4)
         paths = write_restart_reports(rep, tmp_path, feature_names=[f"f{j}" for j in range(5)])
-        table = read_csv_rows(paths["restart_report"])
+        table = _read_rows(paths["restart_report"])
         assert len(table) == 5
-        sizes = read_csv_rows(paths["size_hist"])
+        sizes = _read_rows(paths["size_hist"])
         assert sum(int(r["count"]) for r in sizes) == 5
-        errors = read_csv_rows(paths["error_hist"])
+        errors = _read_rows(paths["error_hist"])
         assert len(errors) == 5
         for row in errors:
             assert row["train_error"] != ""
-        freq = read_csv_rows(paths["feature_freq"])
+        freq = _read_rows(paths["feature_freq"])
         assert all(int(r["count"]) >= 1 for r in freq)
 
     def test_gmdh_adapter_runs(self):
@@ -85,9 +98,9 @@ class TestMultiRestart:
         for adapter in (ecnn_adapter(), dt_adapter(), gmdh_adapter(_fast_gmdh_cfg())):
             rep = multi_restart(adapter, d_train, d_test, runs=2, base_seed=6)
             path = tmp_path / f"{adapter.name}.model.json"
-            adapter.save(rep.best.model, path)
-            reloaded = adapter.load(path)
-            assert adapter.evaluate(reloaded, d_test) == pytest.approx(rep.best.test_error, abs=1e-12)
+            rep.best.model.save(path)
+            reloaded = type(rep.best.model).load(path)
+            assert reloaded.error_rate(d_test) == pytest.approx(rep.best.test_error, abs=1e-12)
 
 
 class TestKfold:
@@ -128,7 +141,7 @@ class TestKfold:
         ]
         path = tmp_path / "cv_report.csv"
         write_cv_report(reports, path)
-        rows = read_csv_rows(path)
+        rows = _read_rows(path)
         assert len(rows) == 6  # 2 methods x 3 folds
         assert {r["method"] for r in rows} == {"dt", "gmdh"}
         for rep in reports:
@@ -183,7 +196,7 @@ class TestChiSweep:
         results = chi_sweep(d, [1.5, 2.0], TrainConfig(seed=3), seed=3)
         path = tmp_path / "chi_traces.csv"
         write_chi_traces(results, path)
-        rows = read_csv_rows(path)
+        rows = _read_rows(path)
         expected = sum(len(results[chi].rse_trace_b) for chi in (1.5, 2.0))
         assert len(rows) == expected
         back = {}
