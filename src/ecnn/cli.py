@@ -24,7 +24,7 @@ import numpy as np
 from . import cascade, dtree, gmdh, harness
 from .dataset import Dataset, load_csv, save_csv, synth_generate
 from .errors import ConfigError, DataError, NumericError
-from .model import read_model_doc
+from .model import read_json_doc
 from .projection import TrainConfig
 from .util import atomic_write_text, sha256_file
 
@@ -100,7 +100,7 @@ def _resolve_target(target: str) -> str | int:
 def load_any_model(path: str | Path):
     """Load a saved model, telling its family by a key only that family
     writes; returns (kind, model)."""
-    doc = read_model_doc(path)
+    doc = read_json_doc(path)
     for key, kind, model_cls in (
         ("base_feature", "ecnn", cascade.CascadeModel),
         ("output_id", "gmdh", gmdh.GmdhModel),
@@ -345,12 +345,13 @@ def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, 
 
 def replay_manifest(path: str | Path) -> int:
     """Re-run the command recorded in a manifest; returns the exit code."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
-    doc = json.loads(path.read_text())
+    argv = read_json_doc(path, "manifest").get("argv")
+    if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
+        raise DataError(f"manifest {path} has no argv list of strings")
+    if argv[:1] == ["replay"]:
+        raise DataError(f"manifest {path} records a replay, not a command to rerun")
     try:
-        cli.main(args=doc["argv"], standalone_mode=False)
+        cli.main(args=argv, standalone_mode=False)
         return 0
     except SystemExit as exc:  # raised by the error-mapping decorator
         return int(exc.code or 0)

@@ -198,8 +198,11 @@ def load_csv(path: str | Path, target_column: str | int) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read dataset file {path}: {exc}") from None
     if not rows:
         raise DataError(f"dataset file is empty: {path}")
 

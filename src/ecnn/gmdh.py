@@ -248,12 +248,14 @@ def fit_ls(
     else:
         u1s, u2s, ts = u1, u2, targets
 
-    if u2s is None:
-        basis = np.column_stack([np.ones(count), u1s])
-    else:
-        basis = np.column_stack([np.ones(count), u1s, u2s, u1s * u2s])
+    basis = np.empty((count, 2 if u2s is None else 4))
+    basis[:, 0] = 1.0
+    basis[:, 1] = u1s
+    if u2s is not None:
+        basis[:, 2] = u2s
+        np.multiply(u1s, u2s, out=basis[:, 3])
     sol, *_ = np.linalg.lstsq(basis, ts, rcond=None)
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise NumericError("least-squares fit produced non-finite coefficients")
     coeffs = np.zeros(4)
     coeffs[: len(sol)] = sol
@@ -280,6 +282,23 @@ def _ancestor_ids(neurons: list[PolyNeuron], root_id: int) -> list[int]:
     return sorted(seen)
 
 
+def _forward_rows(w: np.ndarray, u1: np.ndarray, u2: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``poly_forward`` of k two-input neurons at once, written over
+    ``u1``: row r becomes the output of coefficients ``w[r]`` on inputs
+    ``u1[r]`` and ``u2[r]``; ``u2`` and ``tmp`` (a work array of the same
+    shape) are overwritten too. Every value comes from the operations
+    ``poly_forward`` makes (``w0 + w1*u1``, then ``+ w2*u2 + w3*u1*u2``),
+    so it has the same bits."""
+    np.multiply(w[:, 3:4], u1, out=tmp)
+    tmp *= u2
+    u1 *= w[:, 1:2]
+    u1 += w[:, 0:1]
+    u2 *= w[:, 2:3]
+    u1 += u2
+    u1 += tmp
+    return u1
+
+
 def evolve(
     d_train: Dataset,
     d_valid: Dataset,
@@ -297,86 +316,104 @@ def evolve(
     the run ends after ``max_serial_failures`` consecutive generations
     that leave the population best unchanged.
     """
-    base_seed = cfg.seed if seed is None else seed
     if d_train.m != d_valid.m:
         raise ValueError("train and validation parts disagree on feature count")
     for part, label in ((d_train, "fitting"), (d_valid, "validation")):
         c0_count, c1_count = part.class_counts()
         if c0_count == 0 or c1_count == 0:
             raise DataError(f"{label} part contains a single class")
+    neurons, ancestors, log = _grow_population(d_train, d_valid, cfg, cfg.seed if seed is None else seed)
 
-    m = d_train.m
+    # best performance wins; ties go to the smallest ancestor subgraph,
+    # then to the earliest-created neuron
+    output = min(neurons, key=lambda n: (-n.performance, ancestors[n.id].bit_count(), n.id))
+    return GmdhModel(
+        neurons=neurons,
+        output_id=output.id,
+        selected_ids=_ancestor_ids(neurons, output.id),
+        generation_log=log,
+        norm=norm if norm is not None else NormParams.identity(d_train.m),
+        n_features=d_train.m,
+    )
+
+
+def _grow_population(
+    d_train: Dataset, d_valid: Dataset, cfg: GmdhConfig, base_seed: int
+) -> tuple[list[PolyNeuron], list[int], list[tuple[int, float, int]]]:
+    """Seed neurons and every accepted offspring in creation order (ids
+    are list positions), the ancestor subgraph of each neuron, itself
+    included, as a bit mask over ids, and the generation log.
+
+    Each offspring is fitted on its own random stream, as one ``fit_ls``
+    call; the K offspring of a generation are then scored on the
+    validation rows, and accepted, all at once.
+    """
     yt = d_train.y.astype(np.float64)
     yv = d_valid.y
-
     neurons: list[PolyNeuron] = []
     out_train: list[np.ndarray] = []
     out_valid: list[np.ndarray] = []
-    for j in range(m):
+    ancestors: list[int] = []
+    for j in range(d_train.m):
         coeffs = fit_ls(
             d_train.x[:, j], None, yt, cfg.fit_subsample, derive_rng(base_seed, "seed-fit", j)
         )
-        ot = poly_forward(coeffs, d_train.x[:, j])
         ov = poly_forward(coeffs, d_valid.x[:, j])
-        perf = _accuracy(ov, yv)
-        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, perf))
-        out_train.append(ot)
+        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, _accuracy(ov, yv)))
+        out_train.append(poly_forward(coeffs, d_train.x[:, j]))
         out_valid.append(ov)
+        ancestors.append(1 << j)
+    performance = np.array([n.performance for n in neurons])
 
-    best_perf = max(n.performance for n in neurons)
-    log: list[tuple[int, float, int]] = [(0, best_perf, len(neurons))]
+    k = cfg.offspring_per_generation
+    coeffs = np.empty((k, 4))
+    u1, u2, tmp = np.empty((3, k, d_valid.n))  # reused by every generation
+    best_perf = float(performance.max())
+    log = [(0, best_perf, len(neurons))]
     failures = 0
     generation = 0
     while failures < cfg.max_serial_failures:
         generation += 1
         pair_rng = derive_rng(base_seed, "pairs", generation)
         pool_size = len(neurons)
-        pairs = [
-            pair_rng.choice(pool_size, size=2, replace=False)
-            for _ in range(cfg.offspring_per_generation)
-        ]
-        accepted: list[tuple[np.ndarray, int, int, float, np.ndarray, np.ndarray]] = []
-        for t, (i, j) in enumerate(pairs):
-            i, j = int(i), int(j)
-            coeffs = fit_ls(
+        pairs = np.array([pair_rng.choice(pool_size, size=2, replace=False) for _ in range(k)])
+        for t, (i, j) in enumerate(pairs.tolist()):
+            coeffs[t] = fit_ls(
                 out_train[i],
                 out_train[j],
                 yt,
                 cfg.fit_subsample,
                 derive_rng(base_seed, "offspring", generation, t),
             )
-            ov = poly_forward(coeffs, out_valid[i], out_valid[j])
-            perf = _accuracy(ov, yv)
-            if perf > max(neurons[i].performance, neurons[j].performance):
-                ot = poly_forward(coeffs, out_train[i], out_train[j])
-                accepted.append((coeffs, i, j, perf, ot, ov))
-        for coeffs, i, j, perf, ot, ov in accepted:
-            nid = len(neurons)
-            neurons.append(
-                PolyNeuron(nid, Source("neuron", neurons[i].id), Source("neuron", neurons[j].id), coeffs, perf)
+        np.stack([out_valid[i] for i in pairs[:, 0]], out=u1)
+        np.stack([out_valid[j] for j in pairs[:, 1]], out=u2)
+        score = _forward_rows(coeffs, u1, u2, tmp)
+        perf = np.count_nonzero((score >= 0.5) == yv, axis=1) / len(yv)
+        accepted = np.flatnonzero(perf > np.maximum(performance[pairs[:, 0]], performance[pairs[:, 1]]))
+
+        generation_best = -np.inf
+        if accepted.size:
+            w = coeffs[accepted]
+            ia, ib = pairs[accepted].T.tolist()
+            ot = _forward_rows(
+                w,
+                np.stack([out_train[i] for i in ia]),
+                np.stack([out_train[j] for j in ib]),
+                np.empty((accepted.size, d_train.n)),
             )
-            out_train.append(ot)
-            out_valid.append(ov)
-        generation_best = max((a[3] for a in accepted), default=-np.inf)
+            ov = score[accepted]
+            for r, (t, i, j) in enumerate(zip(accepted.tolist(), ia, ib)):
+                nid = len(neurons)
+                neurons.append(PolyNeuron(nid, Source("neuron", i), Source("neuron", j), w[r], float(perf[t])))
+                out_train.append(ot[r])
+                out_valid.append(ov[r])
+                ancestors.append(1 << nid | ancestors[i] | ancestors[j])
+            performance = np.append(performance, perf[accepted])
+            generation_best = float(perf[accepted].max())
         if generation_best > best_perf:
             best_perf = generation_best
             failures = 0
         else:
             failures += 1
         log.append((generation, best_perf, len(neurons)))
-
-    # best performance wins; ties go to the smallest ancestor subgraph,
-    # then to the earliest-created neuron
-    def selection_key(n: PolyNeuron) -> tuple[float, int, int]:
-        return (-n.performance, len(_ancestor_ids(neurons, n.id)), n.id)
-
-    output = min(neurons, key=selection_key)
-    selected = _ancestor_ids(neurons, output.id)
-    return GmdhModel(
-        neurons=neurons,
-        output_id=output.id,
-        selected_ids=selected,
-        generation_log=log,
-        norm=norm if norm is not None else NormParams.identity(m),
-        n_features=m,
-    )
+    return neurons, ancestors, log

@@ -21,15 +21,17 @@ from .util import atomic_write_text
 FORMAT_VERSION = 1
 
 
-def read_model_doc(path: str | Path) -> dict:
-    """The JSON object stored in a model file."""
+def read_json_doc(path: str | Path, kind: str = "model file") -> dict:
+    """The JSON object stored in a file; a missing or unreadable file, or
+    one holding anything else, is a DataError that names the ``kind`` of
+    file."""
     path = Path(path)
     if not path.exists():
-        raise DataError(f"model file not found: {path}")
+        raise DataError(f"{kind} not found: {path}")
     try:
         doc = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from None
+        raise DataError(f"cannot read {kind} {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path} does not hold a JSON object")
     return doc
@@ -67,7 +69,7 @@ class Model:
 
     @classmethod
     def load(cls, path: str | Path):
-        return cls.from_json_dict(read_model_doc(path))
+        return cls.from_json_dict(read_json_doc(path))
 
     @classmethod
     def from_json_dict(cls, doc: dict):

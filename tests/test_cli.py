@@ -139,6 +139,23 @@ class TestTrainCommand:
         assert result.exit_code == 4
         assert "non-finite coefficients" in result.output
 
+    def test_numeric_failure_in_first_generation_exit_code(self, runner, tmp_path, monkeypatch):
+        # seed fits succeed; the first offspring fit of a generation fails
+        real_fit = gmdh.fit_ls
+
+        def failing_offspring_fit(u1, u2, *args, **kwargs):
+            if u2 is not None:
+                raise NumericError("least-squares fit produced non-finite coefficients")
+            return real_fit(u1, u2, *args, **kwargs)
+
+        monkeypatch.setattr(gmdh, "fit_ls", failing_offspring_fit)
+        data = _make_data(tmp_path)
+        result = runner.invoke(cli, [
+            "train", "--data", str(data), "--method", "gmdh", "--out", str(tmp_path / "x"),
+        ])
+        assert result.exit_code == 4
+        assert "non-finite coefficients" in result.output
+
     def test_missing_output_directories_created(self, runner, tmp_path):
         data = _make_data(tmp_path)
         task = tmp_path / "nodir" / "sub" / "task"
@@ -380,6 +397,20 @@ class TestChiSweepCommand:
         assert result.exit_code == 2
 
 
+class TestUnreadableData:
+    @pytest.mark.parametrize("command", ["train", "chi-sweep"])
+    @pytest.mark.parametrize("case", ["not_utf8", "directory"])
+    def test_exit_code_3(self, runner, tmp_path, command, case):
+        data = tmp_path / "bad.csv"
+        if case == "not_utf8":
+            data.write_bytes(b"a,b,target\n1,2,0\n\xff\xfe,3,1\n")
+        else:
+            data.mkdir()
+        result = runner.invoke(cli, [command, "--data", str(data), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3, result.output
+        assert f"cannot read dataset file {data}" in result.output
+
+
 class TestManifestReplay:
     def test_replay_reproduces_artifacts(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -411,6 +442,26 @@ class TestManifestReplay:
     def test_replay_missing_manifest(self, runner, tmp_path):
         result = runner.invoke(cli, ["replay", str(tmp_path / "ghost.json")])
         assert result.exit_code == 3
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"argv": ["synth"', id="truncated_json"),
+        pytest.param('["synth", "--n", "10"]', id="not_an_object"),
+        pytest.param('{"command": "synth"}', id="no_argv"),
+        pytest.param('{"argv": "synth --n 10"}', id="argv_not_a_list"),
+    ])
+    def test_malformed_manifest_exit_code(self, runner, tmp_path, text):
+        manifest = tmp_path / "bad.manifest.json"
+        manifest.write_text(text)
+        result = runner.invoke(cli, ["replay", str(manifest)])
+        assert result.exit_code == 3, result.output
+        assert str(manifest) in result.output
+
+    def test_self_replaying_manifest_exit_code(self, runner, tmp_path):
+        manifest = tmp_path / "loop.manifest.json"
+        manifest.write_text(json.dumps({"argv": ["replay", str(manifest)]}))
+        result = runner.invoke(cli, ["replay", str(manifest)])
+        assert result.exit_code == 3, result.output
+        assert "records a replay" in result.output
 
     def test_manifest_names_existing_artifacts(self, runner, tmp_path):
         data = _make_data(tmp_path)

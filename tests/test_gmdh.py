@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from ecnn.dataset import Dataset, fit_normalize, split, synth_generate
+from ecnn.dataset import Dataset, NormParams, fit_normalize, split, synth_generate
 from ecnn.errors import ConfigError, DataError
+from ecnn import gmdh
 from ecnn.gmdh import (
     GmdhConfig,
     GmdhModel,
+    PolyNeuron,
+    Source,
+    _ancestor_ids,
     evolve,
     fit_ls,
     poly_forward,
@@ -79,6 +83,20 @@ class TestFitLs:
         c1 = fit_ls(u1, None, targets, subsample=0.5, rng=derive_rng(0, "a"))
         c2 = fit_ls(u1, None, targets, subsample=0.5, rng=derive_rng(0, "a"))
         np.testing.assert_array_equal(c1, c2)  # deterministic per stream
+
+    @pytest.mark.parametrize("subsample", [0.5, 1.0])
+    @pytest.mark.parametrize("two_inputs", [True, False])
+    def test_same_bytes_as_column_stack_basis(self, subsample, two_inputs):
+        rng = np.random.default_rng(6)
+        u1, u2, targets = rng.normal(size=(3, 90))
+        idx = derive_rng(0, "b").choice(90, size=45, replace=False) if subsample < 1 else np.arange(90)
+        columns = [np.ones(len(idx)), u1[idx]]
+        if two_inputs:
+            columns += [u2[idx], u1[idx] * u2[idx]]
+        ref, *_ = np.linalg.lstsq(np.column_stack(columns), targets[idx], rcond=None)
+        got = fit_ls(u1, u2 if two_inputs else None, targets, subsample, derive_rng(0, "b"))
+        assert got[: len(ref)].tobytes() == ref.tobytes()
+        assert not got[len(ref):].any()
 
     def test_too_few_rows(self):
         with pytest.raises(DataError, match="at least 4"):
@@ -185,6 +203,90 @@ class TestEvolve:
             GmdhConfig(fit_subsample=1.5)
 
 
+def _reference_evolve(d_train, d_valid, cfg):
+    """The generation loop one offspring at a time: fit, score and accept
+    each in turn, and pick the output by recomputing every neuron's
+    ancestor subgraph. ``evolve`` must give the same bytes."""
+    base_seed = cfg.seed
+    yt = d_train.y.astype(np.float64)
+    yv = d_valid.y
+
+    def accuracy(scores):
+        return float(np.mean((scores >= 0.5).astype(np.int64) == yv))
+
+    neurons, out_train, out_valid = [], [], []
+    for j in range(d_train.m):
+        coeffs = fit_ls(d_train.x[:, j], None, yt, cfg.fit_subsample, derive_rng(base_seed, "seed-fit", j))
+        ov = poly_forward(coeffs, d_valid.x[:, j])
+        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, accuracy(ov)))
+        out_train.append(poly_forward(coeffs, d_train.x[:, j]))
+        out_valid.append(ov)
+    best_perf = max(n.performance for n in neurons)
+    log = [(0, best_perf, len(neurons))]
+    failures = generation = 0
+    while failures < cfg.max_serial_failures:
+        generation += 1
+        pair_rng = derive_rng(base_seed, "pairs", generation)
+        pairs = [
+            pair_rng.choice(len(neurons), size=2, replace=False)
+            for _ in range(cfg.offspring_per_generation)
+        ]
+        accepted = []
+        for t, (i, j) in enumerate(pairs):
+            i, j = int(i), int(j)
+            coeffs = fit_ls(out_train[i], out_train[j], yt, cfg.fit_subsample,
+                            derive_rng(base_seed, "offspring", generation, t))
+            ov = poly_forward(coeffs, out_valid[i], out_valid[j])
+            perf = accuracy(ov)
+            if perf > max(neurons[i].performance, neurons[j].performance):
+                accepted.append((coeffs, i, j, perf, poly_forward(coeffs, out_train[i], out_train[j]), ov))
+        for coeffs, i, j, perf, ot, ov in accepted:
+            neurons.append(PolyNeuron(len(neurons), Source("neuron", i), Source("neuron", j), coeffs, perf))
+            out_train.append(ot)
+            out_valid.append(ov)
+        generation_best = max((a[3] for a in accepted), default=-np.inf)
+        if generation_best > best_perf:
+            best_perf, failures = generation_best, 0
+        else:
+            failures += 1
+        log.append((generation, best_perf, len(neurons)))
+
+    output = min(neurons, key=lambda n: (-n.performance, len(_ancestor_ids(neurons, n.id)), n.id))
+    return GmdhModel(neurons, output.id, _ancestor_ids(neurons, output.id), log,
+                     NormParams.identity(d_train.m), d_train.m)
+
+
+class TestBatchedGenerations:
+    @pytest.mark.parametrize("offspring", [1, 40])
+    @pytest.mark.parametrize("subsample", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_sequential_reference(self, seed, subsample, offspring):
+        d, _ = synth_generate(160, 5, [0, 3], 0.3, 0.1, seed=seed)
+        pair = split(d, 0.5, derive_seed(seed, "s"))
+        d_train, d_valid = d.subset(pair.a_indices), d.subset(pair.b_indices)
+        cfg = GmdhConfig(offspring_per_generation=offspring, max_serial_failures=3,
+                         fit_subsample=subsample, seed=seed)
+        model = evolve(d_train, d_valid, cfg)
+        ref = _reference_evolve(d_train, d_valid, cfg)
+        assert model.to_json() == ref.to_json()
+        assert model.generation_log == ref.generation_log
+        assert len(model.neurons) == len(ref.neurons)
+        for n, r in zip(model.neurons, ref.neurons):
+            assert (n.id, n.parent_a, n.parent_b) == (r.id, r.parent_a, r.parent_b)
+            assert n.coeffs.tobytes() == r.coeffs.tobytes()
+            assert n.performance == r.performance
+        if offspring == 1:
+            # the path where a generation accepts no offspring ran
+            sizes = [size for _, _, size in model.generation_log]
+            assert any(b == a for a, b in zip(sizes, sizes[1:]))
+
+        neurons, ancestors, _ = gmdh._grow_population(d_train, d_valid, cfg, seed)
+        for n in neurons:
+            ids = _ancestor_ids(neurons, n.id)
+            assert ancestors[n.id] == sum(1 << a for a in ids)
+            assert ancestors[n.id].bit_count() == len(ids)
+
+
 class TestPredictAndSerialize:
     def _small_model(self, seed=0):
         d, _ = synth_generate(240, 5, [0, 3], 0.1, 0.02, seed=seed)
@@ -195,9 +297,6 @@ class TestPredictAndSerialize:
         return d, model
 
     def test_constant_neuron_always_one_class(self):
-        from ecnn.dataset import NormParams
-        from ecnn.gmdh import PolyNeuron, Source
-
         neuron = PolyNeuron(0, Source("feature", 0), None, np.array([0.6, 0, 0, 0]), 1.0)
         model = GmdhModel([neuron], 0, [0], [], NormParams.identity(3), 3)
         for x in (np.zeros(3), np.array([5.0, -2.0, 1.0])):
