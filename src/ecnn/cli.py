@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -264,6 +265,8 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, **cfg_f
 def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
     """Score a saved model on a dataset: error rate and confusion counts."""
     started = time.time()
+    if not math.isfinite(threshold):
+        raise ConfigError(f"--threshold must be finite, got {threshold}")
     kind, model = load_any_model(model_path)
     d = load_csv(data_path, _resolve_target(target))
     metrics = _metrics(model, d, threshold)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,72 +183,125 @@ class SynthTruth:
 
     @classmethod
     def load(cls, path: str | Path) -> "SynthTruth":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+
+
+def _is_number(cell: str) -> bool:
+    """Header detection by Python's ``float``, so that a first row holding
+    a cell like ``1_000`` is read as data, and then rejected, and never
+    taken for a header."""
+    try:
+        float(cell.strip())
+        return True
+    except ValueError:
+        return False
 
 
 def _parse_cell(cell: str) -> float:
-    return float(cell.strip())
+    """A cell as a float, taking only what numpy's reader also takes:
+    Python's ``float`` alone accepts underscore grouping and non-ASCII
+    digits."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain decimal number: {cell!r}")
+    return float(text)
+
+
+def _header(first_row: list[str]) -> list[str] | None:
+    """The header names, or None when every cell of the first row is a number."""
+    if len(first_row) < 3:
+        raise DataError(f"need at least 2 feature columns plus a target, got {len(first_row)} columns")
+    if all(_is_number(c) for c in first_row):
+        return None
+    return [c.strip() for c in first_row]
+
+
+def _target_index(target_column: str | int, header: list[str] | None, width: int, path: Path) -> int:
+    if isinstance(target_column, int):
+        if not 0 <= target_column < width:
+            raise DataError(f"target column index {target_column} out of range for {width} columns")
+        return target_column
+    if header is None:
+        raise DataError(
+            f"target column {target_column!r} requested by name but {path} has no header"
+        )
+    try:
+        return header.index(target_column)
+    except ValueError:
+        raise DataError(f"target column {target_column!r} not found in header {header}")
+
+
+def _feature_names(header: list[str] | None, width: int, target_idx: int) -> list[str]:
+    if header is not None:
+        return [name for c, name in enumerate(header) if c != target_idx]
+    return [f"f{k}" for k in range(width - 1)]
 
 
 def load_csv(path: str | Path, target_column: str | int) -> Dataset:
-    """Load a comma-separated dataset.
+    """Load a comma-separated, UTF-8 dataset.
 
     The header row is optional and detected by attempting to parse the
-    first row as numbers. ``target_column`` selects the target either by
-    header name or by 0-based column index.
+    first non-blank row as numbers. ``target_column`` selects the target
+    either by header name or by 0-based column index. Blank lines are
+    skipped and cells may be double-quoted. A file that is not a clean
+    table is read again row by row to name its first bad line and column.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"dataset file not found: {path}")
     try:
-        with open(path, newline="") as fh:
+        return _load_table(path, target_column)
+    except (OSError, ValueError, csv.Error, DataError):
+        # whatever went wrong, the row loop finds the first fault and reports it
+        return _load_rows(path, target_column)
+
+
+def _load_table(path: Path, target_column: str | int) -> Dataset:
+    """The dataset parsed in one pass by numpy's C reader, which streams
+    from the open file. Raises if anything in the file is off, without
+    saying where."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        first_row = next((row for row in csv.reader(fh) if row), [])
+        header = _header(first_row)
+        target_idx = _target_index(target_column, header, len(first_row), path)
+        if header is None:
+            fh.seek(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty body fails below
+            table = np.loadtxt(
+                fh, delimiter=",", comments=None, quotechar='"', dtype=np.float64, ndmin=2
+            )
+    width = len(first_row)
+    if len(table) == 0 or table.shape[1] != width or not np.all(np.isin(table[:, target_idx], (0.0, 1.0))):
+        raise ValueError("no body, rows of another width than the first, or a target outside {0,1}")
+    x = np.delete(table, target_idx, axis=1)
+    y = table[:, target_idx].astype(np.int64)
+    return Dataset(x, y, _feature_names(header, width, target_idx))
+
+
+def _load_rows(path: Path, target_column: str | int) -> Dataset:
+    """The dataset read row by row and cell by cell, raising a DataError
+    that names the first bad line and column."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from None
     if not rows:
         raise DataError(f"dataset file is empty: {path}")
 
+    header = _header(rows[0])
     width = len(rows[0])
-    if width < 3:
-        raise DataError(f"need at least 2 feature columns plus a target, got {width} columns")
-
-    def _is_number(cell: str) -> bool:
-        try:
-            _parse_cell(cell)
-            return True
-        except ValueError:
-            return False
-
-    has_header = not all(_is_number(c) for c in rows[0])
-    header = [c.strip() for c in rows[0]] if has_header else None
-    data_rows = rows[1:] if has_header else rows
+    data_rows = rows[1:] if header is not None else rows
     if not data_rows:
         raise DataError(f"no data rows in {path}")
-
-    if isinstance(target_column, int):
-        target_idx = target_column
-        if not 0 <= target_idx < width:
-            raise DataError(f"target column index {target_idx} out of range for {width} columns")
-    else:
-        if header is None:
-            raise DataError(
-                f"target column {target_column!r} requested by name but {path} has no header"
-            )
-        try:
-            target_idx = header.index(target_column)
-        except ValueError:
-            raise DataError(f"target column {target_column!r} not found in header {header}")
-
+    target_idx = _target_index(target_column, header, width, path)
     feature_idx = [c for c in range(width) if c != target_idx]
-    if header is not None:
-        feature_names = [header[c] for c in feature_idx]
-    else:
-        feature_names = [f"f{k}" for k in range(len(feature_idx))]
 
     x = np.empty((len(data_rows), len(feature_idx)), dtype=np.float64)
     y = np.empty(len(data_rows), dtype=np.int64)
     for r, row in enumerate(data_rows):
-        line_no = r + 2 if has_header else r + 1
+        line_no = r + 2 if header is not None else r + 1
         if len(row) != width:
             raise DataError(f"row at line {line_no} has {len(row)} cells, expected {width}")
         for k, c in enumerate(feature_idx):
@@ -265,16 +320,15 @@ def load_csv(path: str | Path, target_column: str | int) -> Dataset:
             raise DataError(f"target value {row[target_idx]!r} outside {{0,1}} at line {line_no}")
         y[r] = int(tv)
 
-    return Dataset(x, y, feature_names)
+    return Dataset(x, y, _feature_names(header, width, target_idx))
 
 
 def save_csv(d: Dataset, path: str | Path, target_name: str = "target") -> None:
     """Write a dataset as headered CSV; floats keep full round-trip precision."""
     lines = [",".join([*d.feature_names, target_name])]
-    for i in range(d.n):
-        cells = [repr(float(v)) for v in d.x[i]]
-        cells.append(str(int(d.y[i])))
-        lines.append(",".join(cells))
+    lines += [
+        ",".join(map(repr, row)) + f",{t}" for row, t in zip(d.x.tolist(), d.y.tolist())
+    ]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -355,8 +409,8 @@ def synth_generate(
         raise ConfigError(f"relevant indices {relevant} out of range for m={m}")
     if n < 10 * len(relevant):
         raise ConfigError(f"need n >= {10 * len(relevant)} rows for {len(relevant)} relevant features")
-    if noise_std < 0 or not 0.0 <= label_flip <= 1.0:
-        raise ConfigError("noise_std must be >= 0 and label_flip in [0,1]")
+    if not (math.isfinite(noise_std) and noise_std >= 0) or not 0.0 <= label_flip <= 1.0:
+        raise ConfigError("noise_std must be finite and >= 0, and label_flip in [0,1]")
 
     rng = np.random.default_rng(seed)
     k = len(relevant)

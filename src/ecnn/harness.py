@@ -149,6 +149,8 @@ def multi_restart(
     """
     if runs < 1:
         raise ConfigError(f"runs must be >= 1, got {runs}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
         worker = partial(_run_one, adapter, d_train, d_test, base_seed)
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -29,7 +29,7 @@ def read_json_doc(path: str | Path, kind: str = "model file") -> dict:
     if not path.exists():
         raise DataError(f"{kind} not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {kind} {path}: {exc}") from None
     if not isinstance(doc, dict):

@@ -9,6 +9,7 @@ the cascade builder to accept or reject the neuron.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -56,6 +57,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("chi", "delta", "epsilon", "init_std"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.chi <= 0:
             raise ConfigError(f"chi must be positive, got {self.chi}")
         if not 1.0 < self.chi <= 2.0:

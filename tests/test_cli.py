@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ecnn
 from ecnn import gmdh
 from ecnn.cli import cli, load_any_model, replay_manifest
 from ecnn.dataset import load_csv, save_csv, synth_generate
@@ -409,6 +413,67 @@ class TestUnreadableData:
         result = runner.invoke(cli, [command, "--data", str(data), "--out", str(tmp_path / "x")])
         assert result.exit_code == 3, result.output
         assert f"cannot read dataset file {data}" in result.output
+
+
+class TestNonFiniteAndOutOfRangeFlags:
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--delta", "nan"]),
+        ("train", ["--epsilon", "nan"]),
+        ("train", ["--chi", "nan"]),
+        ("train", ["--chi", "inf"]),
+        ("train", ["--init-std", "nan"]),
+        ("train", ["--delta", "inf"]),
+        ("train", ["--jobs", "0"]),
+        ("train", ["--jobs", "-4"]),
+        ("compare", ["--jobs", "0"]),
+        ("chi-sweep", ["--delta", "nan"]),
+        ("synth", ["--noise-std", "nan"]),
+        ("synth", ["--noise-std", "inf"]),
+        ("evaluate", ["--threshold", "nan"]),
+    ])
+    def test_exit_code_2(self, runner, tmp_path, command, flags):
+        data = _make_data(tmp_path, n=60, m=4)
+        out = str(tmp_path / "x")
+        if command == "synth":
+            args = ["synth", "--n", "60", "--m", "4", "--relevant", "0", "--out", out]
+        elif command == "evaluate":
+            model = tmp_path / "dt"
+            assert _invoke(runner, ["train", "--data", str(data), "--method", "dt",
+                                    "--out", str(model)]).exit_code == 0
+            args = ["evaluate", "--model", f"{model}.model.json", "--data", str(data), "--out", out]
+        elif command == "compare":
+            args = ["compare", "--data", str(data), "--folds", "2", "--inner-runs", "1",
+                    "--offspring", "10", "--out", out]
+        else:
+            args = [command, "--data", str(data), "--out", out]
+        result = runner.invoke(cli, args + flags)
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+        assert not Path(f"{out}.manifest.json").exists()
+
+
+def test_utf8_files_under_an_ascii_locale(tmp_path):
+    """Data, model, report and manifest files are UTF-8 whatever the locale."""
+    data = tmp_path / "data.csv"
+    # the target follows the first feature, so the tree and its reports use it
+    rows = ["gr\u00f6\u00dfe,b,target"] + [f"{i % 2 + i % 5 * 0.1},{i % 3},{i % 2}" for i in range(40)]
+    data.write_bytes(("\n".join(rows) + "\n").encode("utf-8"))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LC_") and k != "LANG"}
+    src = str(Path(ecnn.__file__).resolve().parent.parent)
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONIOENCODING="",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    run_cli = [sys.executable, "-X", "utf8=0", "-c", "from ecnn.cli import cli; cli()"]
+    for args in (
+        ["chi-sweep", "--data", str(data), "--chis", "1.5", "--out", str(tmp_path / "sweep")],
+        ["train", "--data", str(data), "--method", "dt", "--restarts", "2",
+         "--out", str(tmp_path / "dt")],
+        ["evaluate", "--model", str(tmp_path / "dt.model.json"), "--data", str(data)],
+    ):
+        proc = subprocess.run(run_cli + args, env=env, capture_output=True, text=True,
+                              encoding="utf-8", timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    freq = (tmp_path / "dt.feature_freq.csv").read_bytes().decode("utf-8")
+    assert "0,gr\u00f6\u00dfe," in freq
 
 
 class TestManifestReplay:

@@ -1,5 +1,10 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ecnn.dataset import (
     Dataset,
@@ -72,6 +77,206 @@ class TestLoadCsv:
         np.testing.assert_array_equal(d.x, d2.x)
         np.testing.assert_array_equal(d.y, d2.y)
         assert d.feature_names == d2.feature_names
+
+
+def _reference_load_csv(path, target_column):
+    """The cell-by-cell loader that numpy's reader replaced, kept as it was
+    so that the two can be run on the same files."""
+
+    def _parse_cell(cell: str) -> float:
+        return float(cell.strip())
+
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"dataset file not found: {path}")
+    try:
+        with open(path, newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read dataset file {path}: {exc}") from None
+    if not rows:
+        raise DataError(f"dataset file is empty: {path}")
+
+    width = len(rows[0])
+    if width < 3:
+        raise DataError(f"need at least 2 feature columns plus a target, got {width} columns")
+
+    def _is_number(cell: str) -> bool:
+        try:
+            _parse_cell(cell)
+            return True
+        except ValueError:
+            return False
+
+    has_header = not all(_is_number(c) for c in rows[0])
+    header = [c.strip() for c in rows[0]] if has_header else None
+    data_rows = rows[1:] if has_header else rows
+    if not data_rows:
+        raise DataError(f"no data rows in {path}")
+
+    if isinstance(target_column, int):
+        target_idx = target_column
+        if not 0 <= target_idx < width:
+            raise DataError(f"target column index {target_idx} out of range for {width} columns")
+    else:
+        if header is None:
+            raise DataError(
+                f"target column {target_column!r} requested by name but {path} has no header"
+            )
+        try:
+            target_idx = header.index(target_column)
+        except ValueError:
+            raise DataError(f"target column {target_column!r} not found in header {header}")
+
+    feature_idx = [c for c in range(width) if c != target_idx]
+    if header is not None:
+        feature_names = [header[c] for c in feature_idx]
+    else:
+        feature_names = [f"f{k}" for k in range(len(feature_idx))]
+
+    x = np.empty((len(data_rows), len(feature_idx)), dtype=np.float64)
+    y = np.empty(len(data_rows), dtype=np.int64)
+    for r, row in enumerate(data_rows):
+        line_no = r + 2 if has_header else r + 1
+        if len(row) != width:
+            raise DataError(f"row at line {line_no} has {len(row)} cells, expected {width}")
+        for k, c in enumerate(feature_idx):
+            try:
+                x[r, k] = _parse_cell(row[c])
+            except ValueError:
+                name = header[c] if header else f"column {c}"
+                raise DataError(
+                    f"unparseable value {row[c]!r} at line {line_no}, {name}"
+                )
+        try:
+            tv = _parse_cell(row[target_idx])
+        except ValueError:
+            raise DataError(f"unparseable target {row[target_idx]!r} at line {line_no}")
+        if tv not in (0.0, 1.0):
+            raise DataError(f"target value {row[target_idx]!r} outside {{0,1}} at line {line_no}")
+        y[r] = int(tv)
+
+    return Dataset(x, y, feature_names)
+
+
+def _reference_csv_text(d, target_name="target"):
+    """What ``save_csv`` wrote when it formatted one element at a time."""
+    lines = [",".join([*d.feature_names, target_name])]
+    for i in range(d.n):
+        cells = [repr(float(v)) for v in d.x[i]]
+        cells.append(str(int(d.y[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(loader, path, target):
+    """What a loader makes of a file: its arrays and names, or its error."""
+    try:
+        d = loader(path, target)
+    except DataError as exc:
+        return "DataError", str(exc)
+    return d.x.tobytes(), d.y.tolist(), d.feature_names
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_edge = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308])
+_spelled = st.sampled_from(["1e5", " 2.50 ", "+3", ".5", '"1.5"', '" -4 "', "\t7E-3", "-0", "1.", "1E+2"])
+_feature_cell = st.one_of(
+    (_finite | _edge).map(repr),
+    (_finite | _edge).map(lambda v: f'"{v!r}"'),
+    (_finite | _edge).map(lambda v: f" {v!r}  "),
+    _spelled,
+)
+_target_cell = st.sampled_from(["0", "1", "1.0", "-0.0", '"1"', " 0 ", "+1", "0e0"])
+# cells only Python's float() takes; the loader rejects them
+_float_only = st.sampled_from(["1_000", "\u0661", "2\u0665", "\uff17"])
+_name = st.text(st.sampled_from("abcxyz\u00e4\u00df"), min_size=1, max_size=4)
+
+
+@st.composite
+def _csv_files(draw):
+    """A CSV text, the target to ask for, and the expected error of a cell
+    only Python's float() takes (None when there is none)."""
+    m = draw(st.integers(1, 5))
+    width = m + 1
+    n = draw(st.integers(1, 6))
+    rows = [[draw(_feature_cell) for _ in range(width)] for _ in range(n)]
+    target_idx = draw(st.integers(0, width - 1))
+    for row in rows:
+        row[target_idx] = draw(_target_cell)
+    header = [f"{draw(_name)}{c}" for c in range(width)] if draw(st.booleans()) else None
+
+    expected = None
+    mutation = draw(st.sampled_from(["none", "none", "short row", "bad cell", "bad target",
+                                     "empty body", "float only"]))
+    r = draw(st.integers(0, n - 1))
+    if mutation == "short row":
+        rows[r].pop()
+    elif mutation == "bad cell":
+        rows[r][draw(st.integers(0, width - 1))] = draw(st.sampled_from(["x1", "", "1 2", "0x10"]))
+    elif mutation == "bad target":
+        rows[r][target_idx] = draw(st.sampled_from(["2", "0.5", "nan", "-1", "inf"]))
+    elif mutation == "empty body":
+        rows = []
+    elif mutation == "float only" and width >= 3:
+        c = draw(st.integers(0, width - 1))
+        cell = draw(_float_only)
+        rows[r][c] = cell
+        if c == target_idx:
+            expected = f"unparseable target {cell!r} at line"
+        else:
+            expected = f"unparseable value {cell!r} at line"
+        name = header[c] if header else f"column {c}"
+        expected = (expected, r + (2 if header else 1), name if c != target_idx else None)
+
+    lines = ([",".join(header)] if header else []) + [",".join(row) for row in rows]
+    blank = draw(st.lists(st.integers(0, len(lines)), max_size=3))
+    for at in sorted(blank, reverse=True):
+        lines.insert(at, "")
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    target = header[target_idx] if header and draw(st.booleans()) else target_idx
+    return text, target, expected
+
+
+class TestAgainstReferenceLoader:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_csv_files())
+    def test_same_arrays_or_same_error(self, tmp_path, case):
+        text, target, expected = case
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(load_csv, path, target)
+        if expected is None:
+            assert got == _outcome(_reference_load_csv, path, target)
+            return
+        start, line, name = expected
+        assert got[0] == "DataError"
+        assert got[1].startswith(start), got[1]
+        # a blank line before the bad row does not count
+        assert f"at line {line}" in got[1]
+        if name is not None:
+            assert got[1].endswith(f", {name}")
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661", "\u0662.5"])
+    def test_cells_only_float_takes_name_line_and_column(self, tmp_path, cell):
+        path = _write(tmp_path, f"a,b,label\n1,2,0\n3,{cell},1\n")
+        with pytest.raises(DataError, match=f"unparseable value '{cell}' at line 3, b$"):
+            load_csv(path, "label")
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        shape=st.tuples(st.integers(0, 5), st.integers(1, 4)),
+        values=st.lists(_finite | _edge, min_size=20, max_size=20),
+        labels=st.lists(st.integers(0, 1), min_size=5, max_size=5),
+    )
+    def test_save_csv_same_bytes_as_per_element_formatting(self, tmp_path, shape, values, labels):
+        n, m = shape
+        x = np.array(values[: n * m], dtype=np.float64).reshape(n, m)
+        d = Dataset(x, np.array(labels[:n], dtype=np.int64), [f"c{j}" for j in range(m)])
+        path = tmp_path / "out.csv"
+        save_csv(d, path)
+        assert path.read_bytes() == _reference_csv_text(d).encode("utf-8")
 
 
 class TestDatasetValidation:
