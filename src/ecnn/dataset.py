@@ -284,14 +284,16 @@ def _load_rows(path: Path, target_column: str | int) -> Dataset:
     that names the first bad line and column."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            # (physical line the row ends on, row), blank lines skipped
+            rows = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from None
     if not rows:
         raise DataError(f"dataset file is empty: {path}")
 
-    header = _header(rows[0])
-    width = len(rows[0])
+    header = _header(rows[0][1])
+    width = len(rows[0][1])
     data_rows = rows[1:] if header is not None else rows
     if not data_rows:
         raise DataError(f"no data rows in {path}")
@@ -300,18 +302,17 @@ def _load_rows(path: Path, target_column: str | int) -> Dataset:
 
     x = np.empty((len(data_rows), len(feature_idx)), dtype=np.float64)
     y = np.empty(len(data_rows), dtype=np.int64)
-    for r, row in enumerate(data_rows):
-        line_no = r + 2 if header is not None else r + 1
+    for r, (line_no, row) in enumerate(data_rows):
         if len(row) != width:
             raise DataError(f"row at line {line_no} has {len(row)} cells, expected {width}")
         for k, c in enumerate(feature_idx):
+            name = header[c] if header else f"column {c}"
             try:
                 x[r, k] = _parse_cell(row[c])
             except ValueError:
-                name = header[c] if header else f"column {c}"
-                raise DataError(
-                    f"unparseable value {row[c]!r} at line {line_no}, {name}"
-                )
+                raise DataError(f"unparseable value {row[c]!r} at line {line_no}, {name}")
+            if not math.isfinite(x[r, k]):
+                raise DataError(f"non-finite value {row[c]!r} at line {line_no}, {name}")
         try:
             tv = _parse_cell(row[target_idx])
         except ValueError:

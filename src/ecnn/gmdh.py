@@ -7,6 +7,11 @@ subsample of the fitting data; an offspring survives only if its
 validation accuracy strictly beats both parents. Evolution stops after a
 run of generations that fail to improve the population's best, and the
 best neuron (smallest ancestor subgraph on ties) becomes the output.
+
+A generation draws its pairs and subsamples from one random stream and
+fits all its offspring in batched 4x4 normal-equation solves
+(``fit_ls_batch``); ``fit_ls`` fits the seed neurons and every offspring
+whose system is too close to singular for the normal equations.
 """
 
 from __future__ import annotations
@@ -19,6 +24,13 @@ from .dataset import Dataset, NormParams
 from .errors import ConfigError, DataError, NumericError
 from .model import FORMAT_VERSION, Model, require
 from .util import derive_rng
+
+# offspring fitted, scored and accepted together; no draw depends on it
+_BLOCK = 128
+# a fit whose column-scaled normal equations have a smaller determinant
+# goes to ``lstsq``: above it, the condition number of that 4x4 system,
+# whose diagonal is all ones, is at most 4 * (4/3)**3 / 1e-8, about 1e9
+_MIN_SCALED_DET = 1e-8
 
 
 @dataclass(frozen=True)
@@ -282,14 +294,13 @@ def _ancestor_ids(neurons: list[PolyNeuron], root_id: int) -> list[int]:
     return sorted(seen)
 
 
-def _forward_rows(w: np.ndarray, u1: np.ndarray, u2: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _forward_rows(w: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """``poly_forward`` of k two-input neurons at once, written over
     ``u1``: row r becomes the output of coefficients ``w[r]`` on inputs
-    ``u1[r]`` and ``u2[r]``; ``u2`` and ``tmp`` (a work array of the same
-    shape) are overwritten too. Every value comes from the operations
-    ``poly_forward`` makes (``w0 + w1*u1``, then ``+ w2*u2 + w3*u1*u2``),
-    so it has the same bits."""
-    np.multiply(w[:, 3:4], u1, out=tmp)
+    ``u1[r]`` and ``u2[r]``; ``u2`` is overwritten too. Every value comes
+    from the operations ``poly_forward`` makes (``w0 + w1*u1``, then
+    ``+ w2*u2 + w3*u1*u2``), so it has the same bits."""
+    tmp = w[:, 3:4] * u1
     tmp *= u2
     u1 *= w[:, 1:2]
     u1 += w[:, 0:1]
@@ -337,6 +348,47 @@ def evolve(
     )
 
 
+def fit_ls_batch(u1: np.ndarray, u2: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``fit_ls`` of k two-input neurons at once, on all the rows given.
+
+    Row r of the (k, 4) result fits the basis (1, u1[r], u2[r],
+    u1[r]*u2[r]) to ``targets[r]`` (or to ``targets``, when it is one
+    vector for all k). Each fit solves the 4x4 normal equations of the
+    same basis over the centred inputs, which spans the same functions,
+    with its columns scaled to unit length, and maps the answer back. A
+    fit whose scaled system is singular or nearly so (determinant below
+    ``_MIN_SCALED_DET``) is left to ``fit_ls``, whose ``lstsq`` gives the
+    minimum-norm answer.
+    """
+    k, count = u1.shape
+    m1 = u1.mean(axis=1)
+    m2 = u2.mean(axis=1)
+    basis = np.empty((k, 4, count))
+    basis[:, 0] = 1.0
+    np.subtract(u1, m1[:, None], out=basis[:, 1])
+    np.subtract(u2, m2[:, None], out=basis[:, 2])
+    np.multiply(basis[:, 1], basis[:, 2], out=basis[:, 3])
+    gram = basis @ basis.transpose(0, 2, 1)
+    rhs = (basis @ targets[..., None])[..., 0]
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise NumericError("least-squares fit produced non-finite coefficients")
+    scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gram /= scale[:, :, None]
+        gram /= scale[:, None, :]
+        # NaN where a column is all zeros, which fails the test as well
+        direct = np.linalg.det(gram) >= _MIN_SCALED_DET
+    w = np.linalg.solve(gram[direct], (rhs[direct] / scale[direct])[..., None])[..., 0] / scale[direct]
+    w0, w1, w2, w3 = w.T
+    m1, m2 = m1[direct], m2[direct]
+    coeffs = np.empty((k, 4))
+    coeffs[direct] = np.stack([w0 - w1 * m1 - w2 * m2 + w3 * m1 * m2, w1 - w3 * m2, w2 - w3 * m1, w3], axis=1)
+    targets = np.broadcast_to(targets, u1.shape)
+    for r in np.flatnonzero(~direct).tolist():
+        coeffs[r] = fit_ls(u1[r], u2[r], targets[r], 1.0)
+    return coeffs
+
+
 def _grow_population(
     d_train: Dataset, d_valid: Dataset, cfg: GmdhConfig, base_seed: int
 ) -> tuple[list[PolyNeuron], list[int], list[tuple[int, float, int]]]:
@@ -344,72 +396,71 @@ def _grow_population(
     are list positions), the ancestor subgraph of each neuron, itself
     included, as a bit mask over ids, and the generation log.
 
-    Each offspring is fitted on its own random stream, as one ``fit_ls``
-    call; the K offspring of a generation are then scored on the
-    validation rows, and accepted, all at once.
+    Generation g draws from one stream, ``derive_rng(base, "generation",
+    g)``: first the K ordered pairs of distinct parents, ``i`` uniform and
+    ``(i + U{1..P-1}) mod P``, then, when subsampling, one row of random
+    keys per offspring, whose ``count`` smallest pick its fitting rows.
+    The offspring are fitted (``fit_ls_batch``), scored on the validation
+    rows and accepted ``_BLOCK`` at a time, which bounds the working
+    memory; the keys are drawn block by block in offspring order, so the
+    block size does not change any draw.
     """
     yt = d_train.y.astype(np.float64)
     yv = d_valid.y
+    q = d_train.n
+    x = np.concatenate([d_train.x, d_valid.x])
     neurons: list[PolyNeuron] = []
-    out_train: list[np.ndarray] = []
-    out_valid: list[np.ndarray] = []
+    # each neuron's outputs on the fitting rows, then on the validation rows
+    outputs: list[np.ndarray] = []
     ancestors: list[int] = []
     for j in range(d_train.m):
         coeffs = fit_ls(
             d_train.x[:, j], None, yt, cfg.fit_subsample, derive_rng(base_seed, "seed-fit", j)
         )
-        ov = poly_forward(coeffs, d_valid.x[:, j])
-        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, _accuracy(ov, yv)))
-        out_train.append(poly_forward(coeffs, d_train.x[:, j]))
-        out_valid.append(ov)
+        outputs.append(poly_forward(coeffs, x[:, j]))
+        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, _accuracy(outputs[j][q:], yv)))
         ancestors.append(1 << j)
     performance = np.array([n.performance for n in neurons])
 
     k = cfg.offspring_per_generation
-    coeffs = np.empty((k, 4))
-    u1, u2, tmp = np.empty((3, k, d_valid.n))  # reused by every generation
+    count = q if cfg.fit_subsample >= 1.0 else int(round(cfg.fit_subsample * q))
     best_perf = float(performance.max())
     log = [(0, best_perf, len(neurons))]
     failures = 0
     generation = 0
     while failures < cfg.max_serial_failures:
         generation += 1
-        pair_rng = derive_rng(base_seed, "pairs", generation)
+        rng = derive_rng(base_seed, "generation", generation)
         pool_size = len(neurons)
-        pairs = np.array([pair_rng.choice(pool_size, size=2, replace=False) for _ in range(k)])
-        for t, (i, j) in enumerate(pairs.tolist()):
-            coeffs[t] = fit_ls(
-                out_train[i],
-                out_train[j],
-                yt,
-                cfg.fit_subsample,
-                derive_rng(base_seed, "offspring", generation, t),
-            )
-        np.stack([out_valid[i] for i in pairs[:, 0]], out=u1)
-        np.stack([out_valid[j] for j in pairs[:, 1]], out=u2)
-        score = _forward_rows(coeffs, u1, u2, tmp)
-        perf = np.count_nonzero((score >= 0.5) == yv, axis=1) / len(yv)
-        accepted = np.flatnonzero(perf > np.maximum(performance[pairs[:, 0]], performance[pairs[:, 1]]))
+        first = rng.integers(pool_size, size=k)
+        second = (first + rng.integers(1, pool_size, size=k)) % pool_size
+        beaten = np.maximum(performance[first], performance[second])
+        blocks = []
+        for start in range(0, k, _BLOCK):
+            ia, ib = first[start : start + _BLOCK], second[start : start + _BLOCK]
+            u1 = np.array([outputs[i] for i in ia.tolist()])
+            u2 = np.array([outputs[i] for i in ib.tolist()])
+            if count < q:
+                rows = np.argpartition(rng.random((len(ia), q)), count - 1, axis=1)[:, :count]
+                w = fit_ls_batch(np.take_along_axis(u1, rows, 1), np.take_along_axis(u2, rows, 1), yt[rows])
+            else:
+                w = fit_ls_batch(u1[:, :q], u2[:, :q], yt)
+            out = _forward_rows(w, u1, u2)
+            perf = np.count_nonzero((out[:, q:] >= 0.5) == yv, axis=1) / len(yv)
+            t = np.flatnonzero(perf > beaten[start : start + _BLOCK])
+            if t.size:
+                blocks.append((w[t], perf[t], ia[t], ib[t], out[t]))
 
         generation_best = -np.inf
-        if accepted.size:
-            w = coeffs[accepted]
-            ia, ib = pairs[accepted].T.tolist()
-            ot = _forward_rows(
-                w,
-                np.stack([out_train[i] for i in ia]),
-                np.stack([out_train[j] for j in ib]),
-                np.empty((accepted.size, d_train.n)),
-            )
-            ov = score[accepted]
-            for r, (t, i, j) in enumerate(zip(accepted.tolist(), ia, ib)):
+        if blocks:
+            w, perf, ia, ib, out = (np.concatenate(parts) for parts in zip(*blocks))
+            for coeffs, p, i, j in zip(w, perf.tolist(), ia.tolist(), ib.tolist()):
                 nid = len(neurons)
-                neurons.append(PolyNeuron(nid, Source("neuron", i), Source("neuron", j), w[r], float(perf[t])))
-                out_train.append(ot[r])
-                out_valid.append(ov[r])
+                neurons.append(PolyNeuron(nid, Source("neuron", i), Source("neuron", j), coeffs, p))
                 ancestors.append(1 << nid | ancestors[i] | ancestors[j])
-            performance = np.append(performance, perf[accepted])
-            generation_best = float(perf[accepted].max())
+            outputs.extend(out)
+            performance = np.append(performance, perf)
+            generation_best = float(perf.max())
         if generation_best > best_perf:
             best_perf = generation_best
             failures = 0

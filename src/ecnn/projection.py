@@ -237,11 +237,19 @@ def fit_neuron(
     u_a = augment_bias(inputs_a)
     u_b = augment_bias(inputs_b)
     p_aug = u_a.shape[0]
-    norm_sq = float(np.sum(u_a * u_a))
+    step = cfg.chi / float(np.sum(u_a * u_a))
     w = rng.normal(0.0, cfg.init_std, size=p_aug)
+    # work buffers: the same operations as ``projection_step`` and ``rse``
+    # of ``sigmoid`` outputs, in place
+    eta_a = np.empty(u_a.shape[1])
+    eta_b = np.empty(u_b.shape[1])
+    delta_w = np.empty(p_aug)
 
     def validation_error(wv: np.ndarray) -> float:
-        return rse(sigmoid(wv @ u_b) - targets_b)
+        np.matmul(wv, u_b, out=eta_b)
+        expit(eta_b, out=eta_b)
+        np.subtract(eta_b, targets_b, out=eta_b)
+        return math.sqrt(eta_b.dot(eta_b))
 
     trace = [validation_error(w)]
     steps = 0
@@ -249,9 +257,13 @@ def fit_neuron(
         return FitResult(w, trace[0], 0, np.asarray(trace))
 
     for k in range(1, cfg.max_steps + 1):
-        eta_a = sigmoid(w @ u_a) - targets_a
-        w = w - (cfg.chi / norm_sq) * (u_a @ eta_a)
-        if not np.all(np.isfinite(w)):
+        np.matmul(w, u_a, out=eta_a)
+        expit(eta_a, out=eta_a)
+        eta_a -= targets_a
+        np.matmul(u_a, eta_a, out=delta_w)
+        delta_w *= step
+        w -= delta_w
+        if not np.isfinite(w).all():
             raise NumericError(f"non-finite weights at step {k}")
         e_b = validation_error(w)
         trace.append(e_b)

@@ -144,19 +144,19 @@ class TestTrainCommand:
         assert "non-finite coefficients" in result.output
 
     def test_numeric_failure_in_first_generation_exit_code(self, runner, tmp_path, monkeypatch):
-        # seed fits succeed; the first offspring fit of a generation fails
-        real_fit = gmdh.fit_ls
+        # seed fits succeed, but their outputs are so large that the basis of
+        # every offspring overflows, so the first batched fit is non-finite
+        real_forward = gmdh.poly_forward
 
-        def failing_offspring_fit(u1, u2, *args, **kwargs):
-            if u2 is not None:
-                raise NumericError("least-squares fit produced non-finite coefficients")
-            return real_fit(u1, u2, *args, **kwargs)
+        def huge_forward(*args, **kwargs):
+            return real_forward(*args, **kwargs) * 1e200
 
-        monkeypatch.setattr(gmdh, "fit_ls", failing_offspring_fit)
+        monkeypatch.setattr(gmdh, "poly_forward", huge_forward)
         data = _make_data(tmp_path)
-        result = runner.invoke(cli, [
-            "train", "--data", str(data), "--method", "gmdh", "--out", str(tmp_path / "x"),
-        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = runner.invoke(cli, [
+                "train", "--data", str(data), "--method", "gmdh", "--out", str(tmp_path / "x"),
+            ])
         assert result.exit_code == 4
         assert "non-finite coefficients" in result.output
 

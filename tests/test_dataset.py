@@ -91,11 +91,13 @@ def _reference_load_csv(path, target_column):
         raise DataError(f"dataset file not found: {path}")
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            lines = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from None
-    if not rows:
+    if not lines:
         raise DataError(f"dataset file is empty: {path}")
+    rows = [row for _, row in lines]
 
     width = len(rows[0])
     if width < 3:
@@ -137,7 +139,7 @@ def _reference_load_csv(path, target_column):
     x = np.empty((len(data_rows), len(feature_idx)), dtype=np.float64)
     y = np.empty(len(data_rows), dtype=np.int64)
     for r, row in enumerate(data_rows):
-        line_no = r + 2 if has_header else r + 1
+        line_no = lines[r + 1 if has_header else r][0]
         if len(row) != width:
             raise DataError(f"row at line {line_no} has {len(row)} cells, expected {width}")
         for k, c in enumerate(feature_idx):
@@ -227,12 +229,16 @@ def _csv_files(draw):
         else:
             expected = f"unparseable value {cell!r} at line"
         name = header[c] if header else f"column {c}"
-        expected = (expected, r + (2 if header else 1), name if c != target_idx else None)
+        expected = (expected, r + (1 if header else 0), name if c != target_idx else None)
 
     lines = ([",".join(header)] if header else []) + [",".join(row) for row in rows]
     blank = draw(st.lists(st.integers(0, len(lines)), max_size=3))
     for at in sorted(blank, reverse=True):
         lines.insert(at, "")
+    if expected is not None:
+        # the bad row's index among the lines, then its physical line number
+        start, at_line, name = expected
+        expected = (start, at_line + 1 + sum(at <= at_line for at in blank), name)
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = eol.join(lines) + (eol if draw(st.booleans()) else "")
     target = header[target_idx] if header and draw(st.booleans()) else target_idx
@@ -253,8 +259,8 @@ class TestAgainstReferenceLoader:
         start, line, name = expected
         assert got[0] == "DataError"
         assert got[1].startswith(start), got[1]
-        # a blank line before the bad row does not count
-        assert f"at line {line}" in got[1]
+        # blank lines before the bad row count: the line is the file's own
+        assert f"at line {line}," in got[1] or got[1].endswith(f"at line {line}")
         if name is not None:
             assert got[1].endswith(f", {name}")
 
@@ -277,6 +283,30 @@ class TestAgainstReferenceLoader:
         path = tmp_path / "out.csv"
         save_csv(d, path)
         assert path.read_bytes() == _reference_csv_text(d).encode("utf-8")
+
+
+class TestLineNumbers:
+    def test_blank_lines_count(self, tmp_path):
+        path = _write(tmp_path, "a,b,target\n1,2,0\n\n\n3,x,1\n")
+        with pytest.raises(DataError, match="unparseable value 'x' at line 5, b$"):
+            load_csv(path, "target")
+
+    def test_short_row_after_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\r\n1,2,0\r\n\r\n3,1\r\n")
+        with pytest.raises(DataError, match="row at line 4 has 2 cells"):
+            load_csv(path, 2)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", " NaN "])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = _write(tmp_path, f"a,b,target\n1,2,0\n3,{cell},1\n")
+        with pytest.raises(DataError, match=f"non-finite value '{cell}' at line 3, b$"):
+            load_csv(path, "target")
+
+    def test_non_finite_cell_without_header(self, tmp_path):
+        path = _write(tmp_path, "1,2,0\n\nnan,4,1\n")
+        with pytest.raises(DataError, match="non-finite value 'nan' at line 3, column 0$"):
+            load_csv(path, 2)
 
 
 class TestDatasetValidation:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecnn.dataset import Dataset, NormParams, fit_normalize, split, synth_generate
-from ecnn.errors import ConfigError, DataError
+from ecnn.errors import ConfigError, DataError, NumericError
 from ecnn import gmdh
 from ecnn.gmdh import (
     GmdhConfig,
@@ -204,12 +204,16 @@ class TestEvolve:
 
 
 def _reference_evolve(d_train, d_valid, cfg):
-    """The generation loop one offspring at a time: fit, score and accept
-    each in turn, and pick the output by recomputing every neuron's
-    ancestor subgraph. ``evolve`` must give the same bytes."""
+    """The generation loop one offspring at a time, on the draws ``evolve``
+    makes: each offspring takes its pair, then its own row of keys, from
+    the generation's stream, is fitted by ``fit_ls`` (``lstsq``) on the
+    rows its keys pick, scored and accepted in turn; the output is picked
+    by recomputing every neuron's ancestor subgraph."""
     base_seed = cfg.seed
     yt = d_train.y.astype(np.float64)
     yv = d_valid.y
+    q = d_train.n
+    count = q if cfg.fit_subsample >= 1.0 else int(round(cfg.fit_subsample * q))
 
     def accuracy(scores):
         return float(np.mean((scores >= 0.5).astype(np.int64) == yv))
@@ -226,16 +230,17 @@ def _reference_evolve(d_train, d_valid, cfg):
     failures = generation = 0
     while failures < cfg.max_serial_failures:
         generation += 1
-        pair_rng = derive_rng(base_seed, "pairs", generation)
-        pairs = [
-            pair_rng.choice(len(neurons), size=2, replace=False)
-            for _ in range(cfg.offspring_per_generation)
-        ]
+        rng = derive_rng(base_seed, "generation", generation)
+        pool = len(neurons)
+        first = rng.integers(pool, size=cfg.offspring_per_generation)
+        second = (first + rng.integers(1, pool, size=cfg.offspring_per_generation)) % pool
         accepted = []
-        for t, (i, j) in enumerate(pairs):
-            i, j = int(i), int(j)
-            coeffs = fit_ls(out_train[i], out_train[j], yt, cfg.fit_subsample,
-                            derive_rng(base_seed, "offspring", generation, t))
+        for i, j in zip(first.tolist(), second.tolist()):
+            assert i != j
+            rows = np.arange(q)
+            if count < q:
+                rows = np.argpartition(rng.random(q), count - 1)[:count]
+            coeffs = fit_ls(out_train[i][rows], out_train[j][rows], yt[rows], 1.0)
             ov = poly_forward(coeffs, out_valid[i], out_valid[j])
             perf = accuracy(ov)
             if perf > max(neurons[i].performance, neurons[j].performance):
@@ -256,25 +261,100 @@ def _reference_evolve(d_train, d_valid, cfg):
                      NormParams.identity(d_train.m), d_train.m)
 
 
+def _assert_close_fit(got, ref):
+    """The stated tolerance of the batched solve: every coefficient within
+    1e-8 of the largest coefficient of the ``lstsq`` answer."""
+    assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max(), (got, ref)
+
+
+def _small_task(seed):
+    d, _ = synth_generate(160, 5, [0, 3], 0.3, 0.1, seed=seed)
+    pair = split(d, 0.5, derive_seed(seed, "s"))
+    return d.subset(pair.a_indices), d.subset(pair.b_indices)
+
+
+class TestFitLsBatch:
+    @pytest.mark.parametrize("offset, spread", [(0.0, 1.0), (0.5, 0.1), (-3.0, 2.0)])
+    def test_matches_lstsq_on_full_rank_bases(self, offset, spread):
+        # offset and small spread give the uncentred, nearly collinear
+        # columns that neuron outputs have
+        rng = np.random.default_rng(7)
+        u1 = offset + spread * rng.normal(size=(40, 60))
+        u2 = offset + spread * (0.9 * (u1 - offset) / spread + 0.3 * rng.normal(size=(40, 60)))
+        targets = rng.integers(0, 2, size=(40, 60)).astype(np.float64)
+        got = gmdh.fit_ls_batch(u1, u2, targets)
+        for r in range(40):
+            basis = np.column_stack([np.ones(60), u1[r], u2[r], u1[r] * u2[r]])
+            assert np.linalg.matrix_rank(basis) == 4
+            _assert_close_fit(got[r], fit_ls(u1[r], u2[r], targets[r], 1.0))
+
+    def test_one_target_vector_for_all_rows(self):
+        rng = np.random.default_rng(8)
+        u1, u2 = rng.normal(size=(2, 5, 30))
+        targets = rng.normal(size=30)
+        got = gmdh.fit_ls_batch(u1, u2, targets)
+        assert got.tobytes() == gmdh.fit_ls_batch(u1, u2, np.tile(targets, (5, 1))).tobytes()
+
+    def test_recovers_exact_polynomial(self):
+        rng = np.random.default_rng(9)
+        u1, u2 = 0.5 + 0.2 * rng.normal(size=(2, 6, 50))
+        true = np.array([0.7, -1.2, 2.5, 0.4])
+        targets = poly_forward(true, u1, u2)
+        np.testing.assert_allclose(gmdh.fit_ls_batch(u1, u2, targets), np.tile(true, (6, 1)), rtol=1e-8)
+
+    def test_rank_deficient_bases_get_lstsq_minimum_norm(self):
+        # two parents with identical outputs, a parent constant on the rows
+        # and one that is an affine image of the other: each basis has rank
+        # below 4, and the batch must give fit_ls's lstsq answer bit for bit
+        rng = np.random.default_rng(10)
+        u1, u2 = rng.normal(size=(2, 6, 40))
+        targets = rng.integers(0, 2, size=(6, 40)).astype(np.float64)
+        u2[1] = u1[1]
+        u1[3] = 0.25
+        u2[4] = 2.0 * u1[4] - 1.0
+        got = gmdh.fit_ls_batch(u1, u2, targets)
+        for r in range(6):
+            ref = fit_ls(u1[r], u2[r], targets[r], 1.0)
+            if r in (1, 3, 4):
+                basis = np.column_stack([np.ones(40), u1[r], u2[r], u1[r] * u2[r]])
+                assert np.linalg.matrix_rank(basis) < 4
+                assert got[r].tobytes() == ref.tobytes()
+                ls, *_ = np.linalg.lstsq(basis, targets[r], rcond=None)
+                assert got[r].tobytes() == ls.tobytes()
+            else:
+                _assert_close_fit(got[r], ref)
+        # a batch with no well-conditioned system at all
+        only = gmdh.fit_ls_batch(u1[[1, 3]], u2[[1, 3]], targets[[1, 3]])
+        assert only.tobytes() == got[[1, 3]].tobytes()
+
+    def test_non_finite_system_raises(self):
+        # the product column of one basis overflows
+        u1 = np.random.default_rng(11).normal(size=(2, 10))
+        u1[1, 3] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+            gmdh.fit_ls_batch(u1, -u1, np.ones(10))
+
+
 class TestBatchedGenerations:
     @pytest.mark.parametrize("offspring", [1, 40])
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_sequential_reference(self, seed, subsample, offspring):
-        d, _ = synth_generate(160, 5, [0, 3], 0.3, 0.1, seed=seed)
-        pair = split(d, 0.5, derive_seed(seed, "s"))
-        d_train, d_valid = d.subset(pair.a_indices), d.subset(pair.b_indices)
+        d_train, d_valid = _small_task(seed)
         cfg = GmdhConfig(offspring_per_generation=offspring, max_serial_failures=3,
                          fit_subsample=subsample, seed=seed)
         model = evolve(d_train, d_valid, cfg)
         ref = _reference_evolve(d_train, d_valid, cfg)
-        assert model.to_json() == ref.to_json()
         assert model.generation_log == ref.generation_log
+        assert (model.output_id, model.selected_ids) == (ref.output_id, ref.selected_ids)
         assert len(model.neurons) == len(ref.neurons)
         for n, r in zip(model.neurons, ref.neurons):
             assert (n.id, n.parent_a, n.parent_b) == (r.id, r.parent_a, r.parent_b)
-            assert n.coeffs.tobytes() == r.coeffs.tobytes()
             assert n.performance == r.performance
+            if n.parent_b is None:
+                assert n.coeffs.tobytes() == r.coeffs.tobytes()
+            else:
+                _assert_close_fit(n.coeffs, r.coeffs)
         if offspring == 1:
             # the path where a generation accepts no offspring ran
             sizes = [size for _, _, size in model.generation_log]
@@ -285,6 +365,38 @@ class TestBatchedGenerations:
             ids = _ancestor_ids(neurons, n.id)
             assert ancestors[n.id] == sum(1 << a for a in ids)
             assert ancestors[n.id].bit_count() == len(ids)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_offspring_fits_need_no_lstsq(self, monkeypatch, seed):
+        # neuron outputs are uncentred and strongly correlated; centring
+        # keeps their normal equations well enough conditioned that only
+        # the seed neurons go through fit_ls
+        calls = []
+        real_fit = gmdh.fit_ls
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args[1] is None)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(gmdh, "fit_ls", counting_fit)
+        d_train, d_valid = _small_task(seed)
+        cfg = GmdhConfig(offspring_per_generation=200, max_serial_failures=3, seed=seed)
+        model = evolve(d_train, d_valid, cfg)
+        assert len(model.neurons) > 2 * d_train.m
+        assert calls == [True] * d_train.m
+
+    @pytest.mark.parametrize("subsample", [0.5, 1.0])
+    def test_block_size_changes_no_byte(self, monkeypatch, subsample):
+        d_train, d_valid = _small_task(3)
+        cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample, seed=3)
+        models = []
+        for block in (1, 7, 64, 90, 500):
+            monkeypatch.setattr(gmdh, "_BLOCK", block)
+            models.append(evolve(d_train, d_valid, cfg))
+        for model in models[1:]:
+            assert model.to_json() == models[0].to_json()
+            assert model.generation_log == models[0].generation_log
+            assert [n.coeffs.tobytes() for n in model.neurons] == [n.coeffs.tobytes() for n in models[0].neurons]
 
 
 class TestPredictAndSerialize:

@@ -263,3 +263,43 @@ class TestFitNeuron:
         aug = augment_bias(u)
         assert aug.shape == (3, 3)
         np.testing.assert_array_equal(aug[-1], np.ones(3))
+
+
+def _reference_fit(xa, ya, xb, yb, cfg, rng):
+    """``fit_neuron`` written with the package's reference pieces: one
+    ``projection_step`` per step, validation error ``rse`` of ``sigmoid``
+    outputs. The fit must give the same bytes."""
+    u_a, u_b = augment_bias(xa), augment_bias(xb)
+    w = rng.normal(0.0, cfg.init_std, size=u_a.shape[0])
+    trace = [rse(sigmoid(w @ u_b) - yb)]
+    if cfg.epsilon is not None and trace[0] <= cfg.epsilon:
+        return w, trace, 0
+    steps = 0
+    for k in range(1, cfg.max_steps + 1):
+        w = projection_step(w, u_a, sigmoid(w @ u_a) - ya, cfg.chi)
+        trace.append(rse(sigmoid(w @ u_b) - yb))
+        steps = k
+        if cfg.epsilon is not None:
+            if trace[-1] <= cfg.epsilon:
+                break
+        elif trace[-2] - trace[-1] < cfg.delta:
+            break
+    return w, trace, steps
+
+
+class TestFitNeuronBytes:
+    @pytest.mark.parametrize("epsilon", [None, 0.0, 2.5])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_bytes_as_projection_step_loop(self, seed, epsilon):
+        rng = np.random.default_rng(seed)
+        p, n_a, n_b = int(rng.integers(1, 6)), int(rng.integers(5, 80)), int(rng.integers(5, 80))
+        xa, xb = rng.normal(size=(p, n_a)), rng.normal(size=(p, n_b))
+        w_true = rng.normal(size=p)
+        ya = (w_true @ xa + 0.5 * rng.normal(size=n_a) > 0).astype(float)
+        yb = (w_true @ xb + 0.5 * rng.normal(size=n_b) > 0).astype(float)
+        cfg = TrainConfig(epsilon=epsilon, max_steps=60, delta=1e-5, seed=seed)
+        res = fit_neuron(xa, ya, xb, yb, cfg, derive_rng(seed, "init"))
+        w, trace, steps = _reference_fit(xa, ya, xb, yb, cfg, derive_rng(seed, "init"))
+        assert res.weights.tobytes() == w.tobytes()
+        assert res.rse_trace_b.tobytes() == np.asarray(trace).tobytes()
+        assert (res.steps_taken, res.criterion) == (steps, trace[-1])
