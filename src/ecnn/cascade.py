@@ -92,13 +92,6 @@ class GrowthConfig:
                 f"max_failed_attempts must be >= 1 when set, got {self.max_failed_attempts}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "trainer": self.trainer.to_dict(),
-            "max_failed_attempts": self.max_failed_attempts,
-            "restarts_per_candidate": self.restarts_per_candidate,
-        }
-
 
 @dataclass
 class CascadeModel(Model):
@@ -209,9 +202,7 @@ class CascadeModel(Model):
         )
 
 
-def rank_features(
-    d_a: Dataset, d_b: Dataset, cfg: GrowthConfig, seed: int | None = None
-) -> list[tuple[int, float]]:
+def rank_features(d_a: Dataset, d_b: Dataset, cfg: GrowthConfig, seed: int) -> list[tuple[int, float]]:
     """Score every feature with a single-input neuron and order them.
 
     Each feature is fitted on part A and scored by its validation
@@ -223,7 +214,6 @@ def rank_features(
     """
     if d_a.n == 0 or d_b.n == 0:
         raise DataError("both split parts must be non-empty")
-    base_seed = cfg.trainer.seed if seed is None else seed
     ya = d_a.y.astype(np.float64)
     yb = d_b.y.astype(np.float64)
     scores: list[tuple[int, float]] = []
@@ -238,7 +228,7 @@ def rank_features(
             d_b.x[:, j][None, :],
             yb,
             cfg.trainer,
-            derive_rng(base_seed, "rank"),
+            derive_rng(seed, "rank"),
         )
         scores.append((j, res.criterion))
     return sorted(scores, key=lambda t: (t[1], t[0]))
@@ -269,7 +259,7 @@ def _candidate_wiring(n_hidden: int, base_feature: int, feature_j: int) -> tuple
     )
 
 
-def train(d: Dataset, cfg: GrowthConfig, seed: int | None = None) -> CascadeModel:
+def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
     """Grow a cascade classifier on dataset ``d``.
 
     The data is normalized, split once into fitting/validation parts, and
@@ -283,10 +273,9 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int | None = None) -> CascadeMode
     """
     if d.m < 2:
         raise DataError(f"need at least 2 features, got {d.m}")
-    base_seed = cfg.trainer.seed if seed is None else seed
 
     dn, norm = fit_normalize(d)
-    pair = split(dn, cfg.trainer.split_fraction, derive_seed(base_seed, "split"))
+    pair = split(dn, cfg.trainer.split_fraction, derive_seed(seed, "split"))
     d_a = dn.subset(pair.a_indices)
     d_b = dn.subset(pair.b_indices)
     for part, label in ((d_a, "fitting"), (d_b, "validation")):
@@ -294,7 +283,7 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int | None = None) -> CascadeMode
         if c0_count == 0 or c1_count == 0:
             raise DataError(f"{label} part contains a single class; cannot train")
 
-    ranking = rank_features(d_a, d_b, cfg, base_seed)
+    ranking = rank_features(d_a, d_b, cfg, seed)
     base_feature, c0 = ranking[0]
     if not math.isfinite(c0):
         raise DataError("every feature is degenerate; nothing to train on")
@@ -320,7 +309,7 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int | None = None) -> CascadeMode
         u_b = assemble_candidate_inputs(model, feature_j, xb)
         best: FitResult | None = None
         for attempt in range(cfg.restarts_per_candidate):
-            rng = derive_rng(base_seed, "candidate", layer, feature_j, attempt)
+            rng = derive_rng(seed, "candidate", layer, feature_j, attempt)
             res = fit_neuron(u_a, ya, u_b, yb, cfg.trainer, rng)
             if best is None or res.criterion < best.criterion:
                 best = res

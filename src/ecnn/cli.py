@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -161,10 +162,10 @@ def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
 
 def _build_adapter(method, chi, delta, epsilon, init_std, split_a, max_steps,
                    candidate_restarts, max_failed_attempts, offspring, max_failures,
-                   subsample, ns, pmin, seed):
+                   subsample, ns, pmin):
     trainer = TrainConfig(
         chi=chi, delta=delta, epsilon=epsilon, max_steps=max_steps,
-        init_std=init_std, split_fraction=split_a, seed=seed,
+        init_std=init_std, split_fraction=split_a,
     )
     if method == "ecnn":
         cfg = cascade.GrowthConfig(
@@ -172,15 +173,17 @@ def _build_adapter(method, chi, delta, epsilon, init_std, split_a, max_steps,
             restarts_per_candidate=candidate_restarts,
             max_failed_attempts=max_failed_attempts,
         )
-        return harness.ecnn_adapter(cfg), cfg.to_dict()
-    if method == "gmdh":
+        adapter = harness.ecnn_adapter(cfg)
+    elif method == "gmdh":
         cfg = gmdh.GmdhConfig(
             offspring_per_generation=offspring, max_serial_failures=max_failures,
-            fit_subsample=subsample, seed=seed,
+            fit_subsample=subsample,
         )
-        return harness.gmdh_adapter(cfg), cfg.to_dict()
-    cfg = dtree.DtConfig(n_s=ns, p_min=pmin, seed=seed)
-    return harness.dt_adapter(cfg), cfg.to_dict()
+        adapter = harness.gmdh_adapter(cfg)
+    else:
+        cfg = dtree.DtConfig(n_s=ns, p_min=pmin)
+        adapter = harness.dt_adapter(cfg)
+    return adapter, dataclasses.asdict(cfg)
 
 
 _train_options = [
@@ -217,13 +220,13 @@ def _with_train_options(fn):
 @click.option("--test-data", default=None, help="Optional held-out CSV for per-run test errors.")
 @click.option("--out", required=True, help="Output prefix.")
 @_handles_errors
-def cmd_train(data_path, target, method, restarts, test_data, out, jobs, **cfg_flags) -> None:
+def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, **cfg_flags) -> None:
     """Train a classifier and save the best model plus a run manifest."""
     started = time.time()
     d = load_csv(data_path, _resolve_target(target))
     d_test = load_csv(test_data, _resolve_target(target)) if test_data else None
     adapter, cfg_dict = _build_adapter(method, **cfg_flags)
-    report = harness.multi_restart(adapter, d, d_test, restarts, cfg_flags["seed"], jobs=jobs)
+    report = harness.multi_restart(adapter, d, d_test, restarts, seed, jobs=jobs)
     best = report.best
 
     model_path = Path(f"{out}.model.json")
@@ -246,7 +249,7 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, **cfg_f
     _write_manifest(
         out,
         {"method": method, "restarts": restarts, **cfg_dict},
-        {"seed": cfg_flags["seed"], "run_seeds": [r.seed for r in report.records]},
+        {"seed": seed, "run_seeds": [r.seed for r in report.records]},
         [data_path] + ([test_data] if test_data else []),
         artifacts,
         started,
@@ -286,11 +289,10 @@ def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
 @click.option("--inner-runs", type=int, default=30, show_default=True)
 @click.option("--out", required=True, help="Output prefix; writes <out>.cv_report.csv.")
 @_handles_errors
-def cmd_compare(data_path, target, folds, inner_runs, out, jobs, **cfg_flags) -> None:
+def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_flags) -> None:
     """Cross-validated comparison of the cascade model and both baselines."""
     started = time.time()
     d = load_csv(data_path, _resolve_target(target))
-    seed = cfg_flags["seed"]
     reports = []
     for method in ("ecnn", "gmdh", "dt"):
         adapter, _ = _build_adapter(method, **cfg_flags)
@@ -333,7 +335,7 @@ def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, 
     d = load_csv(data_path, _resolve_target(target))
     cfg = TrainConfig(
         chi=chi_list[0], delta=delta, max_steps=max_steps,
-        init_std=init_std, split_fraction=split_a, seed=seed,
+        init_std=init_std, split_fraction=split_a,
     )
     results = harness.chi_sweep(d, chi_list, cfg, seed)
     trace_path = Path(f"{out}.chi_traces.csv")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .util import atomic_write_text
+from .util import atomic_write_text, csv_line
 
 CONSTANT_STD_EPS = 1e-12
 
@@ -107,9 +107,6 @@ class NormParams:
             out[..., self.constant] = 0.0
         return out
 
-    def invert(self, xn: np.ndarray) -> np.ndarray:
-        return np.asarray(xn, dtype=np.float64) * self.std + self.mean
-
     def to_dict(self) -> dict:
         return {
             "mean": self.mean.tolist(),
@@ -135,7 +132,6 @@ class SplitPair:
 
     a_indices: np.ndarray
     b_indices: np.ndarray
-    fraction_a: float
 
 
 @dataclass
@@ -326,7 +322,7 @@ def _load_rows(path: Path, target_column: str | int) -> Dataset:
 
 def save_csv(d: Dataset, path: str | Path, target_name: str = "target") -> None:
     """Write a dataset as headered CSV; floats keep full round-trip precision."""
-    lines = [",".join([*d.feature_names, target_name])]
+    lines = [csv_line([*d.feature_names, target_name])]
     lines += [
         ",".join(map(repr, row)) + f",{t}" for row, t in zip(d.x.tolist(), d.y.tolist())
     ]
@@ -346,11 +342,8 @@ def fit_normalize(d: Dataset) -> tuple[Dataset, NormParams]:
     mean = d.x.mean(axis=0)
     std = d.x.std(axis=0)
     constant = std < CONSTANT_STD_EPS
-    safe_std = np.where(constant, 1.0, std)
-    xn = (d.x - mean) / safe_std
-    xn[:, constant] = 0.0
-    params = NormParams(mean, safe_std, constant)
-    return Dataset(xn, d.y, list(d.feature_names)), params
+    params = NormParams(mean, np.where(constant, 1.0, std), constant)
+    return Dataset(params.apply(d.x), d.y, list(d.feature_names)), params
 
 
 def split(d: Dataset, fraction_a: float, seed: int) -> SplitPair:
@@ -381,7 +374,7 @@ def split(d: Dataset, fraction_a: float, seed: int) -> SplitPair:
     b = np.sort(np.concatenate(b_parts))
     if len(a) == 0 or len(b) == 0:
         raise DataError(f"fraction_a={fraction_a} leaves an empty part for n={d.n}")
-    return SplitPair(a, b, fraction_a)
+    return SplitPair(a, b)
 
 
 def synth_generate(

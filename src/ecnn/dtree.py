@@ -22,16 +22,12 @@ from .util import derive_rng
 class DtConfig:
     n_s: int = 25  # threshold draws per variable
     p_min: float = 0.06  # minimal node fraction still worth splitting
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_s < 1:
             raise ConfigError(f"n_s must be >= 1, got {self.n_s}")
         if not 0.0 < self.p_min < 1.0:
             raise ConfigError(f"p_min must be in (0,1), got {self.p_min}")
-
-    def to_dict(self) -> dict:
-        return {"n_s": self.n_s, "p_min": self.p_min, "seed": self.seed}
 
 
 @dataclass
@@ -161,15 +157,6 @@ def info_gain(parent_labels, left_labels, right_labels) -> float:
     return h_parent - weighted
 
 
-def sample_threshold(values, rng: np.random.Generator) -> float:
-    """One uniform draw over the node-local [min, max] of a variable."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise DataError("cannot sample a threshold from no values")
-    lo, hi = float(values.min()), float(values.max())
-    return float(rng.uniform(lo, hi))
-
-
 def _entropy_per_split(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     # vectorized binary entropy for arrays of (positive, total) counts
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -222,7 +209,7 @@ def best_partition(
     return best_feature, best_threshold, max(best_gain, 0.0)
 
 
-def build(d: Dataset, cfg: DtConfig, seed: int | None = None) -> DtModel:
+def build(d: Dataset, cfg: DtConfig, seed: int) -> DtModel:
     """Grow a tree on dataset ``d``.
 
     A node becomes a leaf when it holds at most ``p_min`` of the training
@@ -232,7 +219,7 @@ def build(d: Dataset, cfg: DtConfig, seed: int | None = None) -> DtModel:
     """
     if d.n < 2:
         raise DataError(f"need at least 2 rows to build a tree, got {d.n}")
-    rng = derive_rng(cfg.seed if seed is None else seed, "tree")
+    rng = derive_rng(seed, "tree")
     floor = cfg.p_min * d.n
 
     def leaf_for(ys: np.ndarray) -> Leaf:

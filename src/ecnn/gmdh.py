@@ -78,7 +78,6 @@ class GmdhConfig:
     offspring_per_generation: int = 500
     max_serial_failures: int = 5
     fit_subsample: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.offspring_per_generation < 1:
@@ -87,14 +86,6 @@ class GmdhConfig:
             raise ConfigError("max_serial_failures must be >= 1")
         if not 0.0 < self.fit_subsample <= 1.0:
             raise ConfigError(f"fit_subsample must be in (0,1], got {self.fit_subsample}")
-
-    def to_dict(self) -> dict:
-        return {
-            "offspring_per_generation": self.offspring_per_generation,
-            "max_serial_failures": self.max_serial_failures,
-            "fit_subsample": self.fit_subsample,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -314,7 +305,7 @@ def evolve(
     d_train: Dataset,
     d_valid: Dataset,
     cfg: GmdhConfig,
-    seed: int | None = None,
+    seed: int,
     norm: NormParams | None = None,
 ) -> GmdhModel:
     """Run the evolutionary construction.
@@ -333,7 +324,7 @@ def evolve(
         c0_count, c1_count = part.class_counts()
         if c0_count == 0 or c1_count == 0:
             raise DataError(f"{label} part contains a single class")
-    neurons, ancestors, log = _grow_population(d_train, d_valid, cfg, cfg.seed if seed is None else seed)
+    neurons, ancestors, log = _grow_population(d_train, d_valid, cfg, seed)
 
     # best performance wins; ties go to the smallest ancestor subgraph,
     # then to the earliest-created neuron

@@ -22,9 +22,11 @@ from . import cascade, dtree, gmdh
 from .dataset import Dataset, fit_normalize, split
 from .errors import ConfigError, DataError, EcnnError, NumericError
 from .projection import FitResult, TrainConfig, fit_neuron
-from .util import atomic_write_text, derive_rng, derive_seed
+from .util import atomic_write_text, csv_line, derive_rng, derive_seed
 
 DEFAULT_CHI_LIST = (1.25, 1.5, 1.75, 2.0)
+# share of the training rows that GMDH and the tree hold out to validate
+VALID_FRACTION = 0.5
 
 
 @dataclass
@@ -51,9 +53,9 @@ def _train_ecnn(d: Dataset, seed: int, cfg: cascade.GrowthConfig) -> Trained:
     return Trained(model, model.neurons[-1].criterion, model.criterion_trace())
 
 
-def _train_gmdh(d: Dataset, seed: int, cfg: gmdh.GmdhConfig, valid_fraction: float) -> Trained:
+def _train_gmdh(d: Dataset, seed: int, cfg: gmdh.GmdhConfig) -> Trained:
     dn, norm = fit_normalize(d)
-    pair = split(dn, 1.0 - valid_fraction, derive_seed(seed, "gmdh-split"))
+    pair = split(dn, 1.0 - VALID_FRACTION, derive_seed(seed, "gmdh-split"))
     model = gmdh.evolve(
         dn.subset(pair.a_indices), dn.subset(pair.b_indices), cfg, seed=seed, norm=norm
     )
@@ -61,8 +63,8 @@ def _train_gmdh(d: Dataset, seed: int, cfg: gmdh.GmdhConfig, valid_fraction: flo
     return Trained(model, 1.0 - model.validation_performance, trace)
 
 
-def _train_dt(d: Dataset, seed: int, cfg: dtree.DtConfig, valid_fraction: float) -> Trained:
-    pair = split(d, 1.0 - valid_fraction, derive_seed(seed, "dt-split"))
+def _train_dt(d: Dataset, seed: int, cfg: dtree.DtConfig) -> Trained:
+    pair = split(d, 1.0 - VALID_FRACTION, derive_seed(seed, "dt-split"))
     d_fit = d.subset(pair.a_indices)
     d_valid = d.subset(pair.b_indices)
     model = dtree.build(d_fit, cfg, seed=seed)
@@ -74,14 +76,14 @@ def ecnn_adapter(cfg: cascade.GrowthConfig | None = None) -> MethodAdapter:
     return MethodAdapter("ecnn", partial(_train_ecnn, cfg=cfg))
 
 
-def gmdh_adapter(cfg: gmdh.GmdhConfig | None = None, valid_fraction: float = 0.5) -> MethodAdapter:
+def gmdh_adapter(cfg: gmdh.GmdhConfig | None = None) -> MethodAdapter:
     cfg = cfg if cfg is not None else gmdh.GmdhConfig()
-    return MethodAdapter("gmdh", partial(_train_gmdh, cfg=cfg, valid_fraction=valid_fraction))
+    return MethodAdapter("gmdh", partial(_train_gmdh, cfg=cfg))
 
 
-def dt_adapter(cfg: dtree.DtConfig | None = None, valid_fraction: float = 0.5) -> MethodAdapter:
+def dt_adapter(cfg: dtree.DtConfig | None = None) -> MethodAdapter:
     cfg = cfg if cfg is not None else dtree.DtConfig()
-    return MethodAdapter("dt", partial(_train_dt, cfg=cfg, valid_fraction=valid_fraction))
+    return MethodAdapter("dt", partial(_train_dt, cfg=cfg))
 
 
 @dataclass
@@ -201,7 +203,7 @@ def write_restart_reports(
     rows = ["feature,name,count"]
     for j in sorted(freq):
         name = feature_names[j] if feature_names else f"f{j}"
-        rows.append(f"{j},{name},{freq[j]}")
+        rows.append(csv_line([j, name, freq[j]]))
     paths["feature_freq"] = out_dir / f"{prefix}feature_freq.csv"
     atomic_write_text(paths["feature_freq"], "\n".join(rows) + "\n")
 
@@ -236,10 +238,6 @@ class CvReport:
     folds: list[FoldResult]
     mean_performance: float
     variance_performance: float
-
-    def recompute(self) -> tuple[float, float]:
-        perfs = np.asarray([f.performance for f in self.folds])
-        return float(perfs.mean()), float(perfs.var())
 
 
 def stratified_folds(d: Dataset, k: int, seed: int) -> list[np.ndarray]:

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, NumericError
-from .util import derive_rng
 
 
 @dataclass
@@ -44,8 +43,6 @@ class TrainConfig:
     split_fraction : float
         Fraction of the training data used for fitting (part A); the rest
         validates (part B).
-    seed : int
-        Base seed for weight initialization when no generator is passed.
     """
 
     chi: float = 1.9
@@ -54,7 +51,6 @@ class TrainConfig:
     max_steps: int = 200
     init_std: float = 0.1
     split_fraction: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("chi", "delta", "epsilon", "init_std"):
@@ -78,17 +74,6 @@ class TrainConfig:
         if self.epsilon is not None and self.epsilon < 0:
             raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
 
-    def to_dict(self) -> dict:
-        return {
-            "chi": self.chi,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "max_steps": self.max_steps,
-            "init_std": self.init_std,
-            "split_fraction": self.split_fraction,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class FitResult:
@@ -105,14 +90,6 @@ class FitResult:
     steps_taken: int
     rse_trace_b: np.ndarray = field(repr=False)
 
-    @property
-    def input_weights(self) -> np.ndarray:
-        return self.weights[:-1]
-
-    @property
-    def bias(self) -> float:
-        return float(self.weights[-1])
-
 
 def sigmoid(a):
     """Logistic function 1/(1 + exp(-a)), elementwise.
@@ -124,37 +101,6 @@ def sigmoid(a):
     if np.ndim(a) == 0:
         return float(out)
     return out
-
-
-def neuron_forward(u, w, bias: float = 0.0):
-    """Sigmoid of the weighted input sum.
-
-    ``u`` is either a single input vector of length p or a (p, q) matrix
-    whose columns are examples; ``w`` has length p.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or u.shape[0] != w.shape[0]:
-        raise ValueError(f"shape mismatch: inputs {u.shape} vs weights {w.shape}")
-    return sigmoid(bias + w @ u)
-
-
-def error_vector(inputs: np.ndarray, w: np.ndarray, bias: float, targets: np.ndarray) -> np.ndarray:
-    """Per-example residual: neuron output minus target, over matrix columns."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if inputs.ndim != 2:
-        raise ValueError(f"inputs must be a (p, q) matrix, got shape {inputs.shape}")
-    if targets.shape != (inputs.shape[1],):
-        raise ValueError(
-            f"targets length {targets.shape} does not match {inputs.shape[1]} columns"
-        )
-    return neuron_forward(inputs, w, bias) - targets
-
-
-def rse(eta) -> float:
-    """Residual square error: the Euclidean norm of a residual vector."""
-    return float(np.linalg.norm(np.asarray(eta, dtype=np.float64)))
 
 
 def projection_step(w: np.ndarray, inputs: np.ndarray, errors: np.ndarray, chi: float) -> np.ndarray:
@@ -189,7 +135,7 @@ def fit_neuron(
     inputs_b: np.ndarray,
     targets_b: np.ndarray,
     cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> FitResult:
     """Fit one sigmoid neuron on part A while validating on part B.
 
@@ -201,9 +147,8 @@ def fit_neuron(
     targets_a, targets_b : ndarray
         Target values per column.
     cfg : TrainConfig
-    rng : Generator, optional
-        Source for the weight init. Defaults to a stream derived from
-        ``cfg.seed``.
+    rng : Generator
+        Source for the weight init.
 
     Returns
     -------
@@ -231,16 +176,13 @@ def fit_neuron(
     if not np.any(inputs_a):
         raise NumericError("cannot fit a neuron on an all-zero input matrix")
 
-    if rng is None:
-        rng = derive_rng(cfg.seed, "fit-neuron")
-
     u_a = augment_bias(inputs_a)
     u_b = augment_bias(inputs_b)
     p_aug = u_a.shape[0]
     step = cfg.chi / float(np.sum(u_a * u_a))
     w = rng.normal(0.0, cfg.init_std, size=p_aug)
-    # work buffers: the same operations as ``projection_step`` and ``rse``
-    # of ``sigmoid`` outputs, in place
+    # work buffers: the same operations as ``projection_step`` and the
+    # norm of ``sigmoid`` outputs minus targets, in place
     eta_a = np.empty(u_a.shape[1])
     eta_b = np.empty(u_b.shape[1])
     delta_w = np.empty(p_aug)

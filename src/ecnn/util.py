@@ -7,7 +7,9 @@ tried) never shifts the draws of an unrelated one (say, the data split).
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import os
 import tempfile
 from pathlib import Path
@@ -40,6 +42,16 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def csv_line(cells: list) -> str:
+    """One CSV line, without its line end: cells holding a comma, a double
+    quote or a line break are quoted, and every other cell is written as is.
+    The writer quotes the characters of its line end, so that end is
+    ``\\r\\n``: a cell holding a lone ``\\r`` is quoted too."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)
+    return out.getvalue()[:-2]
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

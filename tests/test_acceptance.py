@@ -79,7 +79,7 @@ def test_criterion_2_convergence_envelope():
     fast, improved = 0, 0
     for seed in range(100):
         xa, ya, xb, yb = _separable_1d(seed)
-        cfg = TrainConfig(chi=1.9, delta=0.0015, seed=seed)
+        cfg = TrainConfig(chi=1.9, delta=0.0015)
         res = fit_neuron(xa, ya, xb, yb, cfg, derive_rng(seed, "init"))
         fast += res.steps_taken <= 30
         improved += res.criterion < res.rse_trace_b[0]
@@ -97,7 +97,7 @@ def test_criterion_3_chi_sweep_ordering():
     x = signs * rng.uniform(10.0, 11.0, size=n)
     y = (x > 0).astype(np.int64)
     d = Dataset(np.column_stack([x, rng.normal(size=n)]), y, ["signal", "noise"])
-    results = chi_sweep(d, [1.25, 1.5, 1.75, 2.0], TrainConfig(seed=202), seed=202)
+    results = chi_sweep(d, [1.25, 1.5, 1.75, 2.0], TrainConfig(), seed=202)
     inits = {results[chi].rse_trace_b[0] for chi in results}
     final_low = results[2.0].criterion
     final_slow = results[1.25].criterion
@@ -201,8 +201,8 @@ def test_criterion_6_gmdh_recovery():
         y = (x[:, 0] * x[:, 1] > 0).astype(np.int64)
         return Dataset(x, y, [f"f{j}" for j in range(4)])
 
-    cfg = GmdhConfig(offspring_per_generation=60, max_serial_failures=3, fit_subsample=1.0, seed=6)
-    model = evolve(xor_corners(400, 61), xor_corners(400, 62), cfg)
+    cfg = GmdhConfig(offspring_per_generation=60, max_serial_failures=3, fit_subsample=1.0)
+    model = evolve(xor_corners(400, 61), xor_corners(400, 62), cfg, seed=6)
     perf = model.validation_performance
     elapsed = time.time() - started
     ok = residual < 1e-8 and perf >= 0.98 and elapsed < 60.0
@@ -224,7 +224,7 @@ def test_criterion_7_dt_contract():
         y = rng.integers(0, 2, n)
         x0 = np.where(y == 0, rng.uniform(0.0, 0.4, n), rng.uniform(0.6, 1.0, n))
         d = Dataset(np.column_stack([x0, rng.normal(size=n)]), y, ["a", "b"])
-        model = build(d, DtConfig(n_s=25, p_min=0.06, seed=seed))
+        model = build(d, DtConfig(n_s=25, p_min=0.06), seed=seed)
         perfect += dt_evaluate(model, d) == 0.0
     elapsed = time.time() - started
     ok = exact and perfect >= 95 and elapsed < 60.0
@@ -251,9 +251,9 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     p2, _ = loaded.predict_batch(probes)
     round_trip_ok &= bool(np.max(np.abs(p1 - p2)) <= 1e-12)
 
-    gm_cfg = GmdhConfig(offspring_per_generation=30, max_serial_failures=2, fit_subsample=1.0, seed=88)
-    gm = harness._train_gmdh(d, 88, gm_cfg, 0.5).model
-    byte_ok &= gm.to_json() == harness._train_gmdh(d, 88, gm_cfg, 0.5).model.to_json()
+    gm_cfg = GmdhConfig(offspring_per_generation=30, max_serial_failures=2, fit_subsample=1.0)
+    gm = harness._train_gmdh(d, 88, gm_cfg).model
+    byte_ok &= gm.to_json() == harness._train_gmdh(d, 88, gm_cfg).model.to_json()
     path = tmp_path / "m2.json"
     gm.save(path)
     gm_loaded = gmdh.GmdhModel.load(path)
@@ -261,8 +261,8 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     s2, _ = gm_loaded.predict_batch(probes)
     round_trip_ok &= bool(np.max(np.abs(s1 - s2)) <= 1e-12)
 
-    dt_model = build(d, DtConfig(seed=88))
-    byte_ok &= dt_model.to_json() == build(d, DtConfig(seed=88)).to_json()
+    dt_model = build(d, DtConfig(), seed=88)
+    byte_ok &= dt_model.to_json() == build(d, DtConfig(), seed=88).to_json()
     path = tmp_path / "m3.json"
     dt_model.save(path)
     dt_loaded = dtree.DtModel.load(path)

@@ -14,8 +14,8 @@ from ecnn.cascade import (
 )
 from ecnn.dataset import Dataset, NormParams, fit_normalize, split, synth_generate
 from ecnn.errors import ConfigError, DataError
-from ecnn.projection import error_vector, rse
 from ecnn.util import derive_seed
+from reference import error_vector, rse
 
 
 def _normalized_halves(d, fraction=0.5, seed=0):

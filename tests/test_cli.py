@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ecnn
-from ecnn import gmdh
+from ecnn import cascade, dtree, gmdh
 from ecnn.cli import cli, load_any_model, replay_manifest
 from ecnn.dataset import load_csv, save_csv, synth_generate
 from ecnn.errors import NumericError
@@ -30,6 +31,21 @@ def runner():
 
 def _invoke(runner, args):
     return runner.invoke(cli, args, catch_exceptions=False)
+
+
+def _assert_manifest_config(manifest, cfg, method, restarts, seed):
+    """The manifest's ``config`` holds the hyper-parameters and no seed;
+    the one seed is under ``seeds``."""
+    assert manifest["config"] == {"method": method, "restarts": restarts, **dataclasses.asdict(cfg)}
+
+    def keys(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from keys(value)
+
+    assert "seed" not in set(keys(manifest["config"]))
+    assert manifest["seeds"]["seed"] == seed
 
 
 def _make_data(tmp_path, seed=0, n=160, m=5, name="train.csv"):
@@ -83,6 +99,7 @@ class TestTrainCommand:
         assert manifest["config"]["trainer"]["chi"] == 1.9
         assert manifest["config"]["trainer"]["delta"] == 0.0015
         assert manifest["results"]["train_error"] >= 0.0
+        _assert_manifest_config(manifest, cascade.GrowthConfig(), "ecnn", 1, 0)
 
     def test_dt_defaults(self, runner, tmp_path):
         data = _make_data(tmp_path)
@@ -92,6 +109,7 @@ class TestTrainCommand:
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["config"]["n_s"] == 25
         assert manifest["config"]["p_min"] == 0.06
+        _assert_manifest_config(manifest, dtree.DtConfig(), "dt", 1, 0)
         kind, _ = load_any_model(f"{out}.model.json")
         assert kind == "dt"
 
@@ -105,6 +123,21 @@ class TestTrainCommand:
         assert result.exit_code == 0
         kind, _ = load_any_model(f"{out}.model.json")
         assert kind == "gmdh"
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        cfg = gmdh.GmdhConfig(offspring_per_generation=30, max_serial_failures=2, fit_subsample=1.0)
+        _assert_manifest_config(manifest, cfg, "gmdh", 1, 0)
+
+    def test_seed_flag_recorded_only_under_seeds(self, runner, tmp_path):
+        data = _make_data(tmp_path)
+        out = tmp_path / "seeded"
+        result = _invoke(runner, [
+            "train", "--data", str(data), "--method", "dt", "--restarts", "2", "--seed", "7",
+            "--out", str(out),
+        ])
+        assert result.exit_code == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        _assert_manifest_config(manifest, dtree.DtConfig(), "dt", 2, 7)
+        assert len(manifest["seeds"]["run_seeds"]) == 2
 
     def test_invalid_chi_rejected(self, runner, tmp_path):
         data = _make_data(tmp_path)

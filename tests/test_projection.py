@@ -7,14 +7,12 @@ from ecnn.errors import ConfigError, NumericError
 from ecnn.projection import (
     TrainConfig,
     augment_bias,
-    error_vector,
     fit_neuron,
-    neuron_forward,
     projection_step,
-    rse,
     sigmoid,
 )
 from ecnn.util import derive_rng
+from reference import bias, error_vector, input_weights, neuron_forward, rse
 
 
 class ZeroInit:
@@ -200,20 +198,20 @@ class TestFitNeuron:
 
     def test_separable_converges_fast(self):
         xa, ya, xb, yb = _separable(0)
-        res = fit_neuron(xa, ya, xb, yb, TrainConfig(seed=0), derive_rng(0, "init"))
+        res = fit_neuron(xa, ya, xb, yb, TrainConfig(), derive_rng(0, "init"))
         assert res.steps_taken <= 30
         assert res.criterion < res.rse_trace_b[0]
 
     def test_trace_is_consistent(self):
         xa, ya, xb, yb = _separable(1)
-        res = fit_neuron(xa, ya, xb, yb, TrainConfig(seed=1))
+        res = fit_neuron(xa, ya, xb, yb, TrainConfig(), derive_rng(1, "fit-neuron"))
         assert res.criterion == res.rse_trace_b[-1]
         assert len(res.rse_trace_b) == res.steps_taken + 1
 
     def test_criterion_recomputes_from_weights(self):
         xa, ya, xb, yb = _separable(2)
-        res = fit_neuron(xa, ya, xb, yb, TrainConfig(seed=2))
-        recomputed = rse(error_vector(xb, res.input_weights, res.bias, yb))
+        res = fit_neuron(xa, ya, xb, yb, TrainConfig(), derive_rng(2, "fit-neuron"))
+        recomputed = rse(error_vector(xb, input_weights(res), bias(res), yb))
         assert res.criterion == pytest.approx(recomputed, abs=1e-12)
 
     def test_always_terminates(self):
@@ -225,8 +223,8 @@ class TestFitNeuron:
             ya = rng.integers(0, 2, n).astype(float)
             xb = rng.normal(size=(p, n))
             yb = rng.integers(0, 2, n).astype(float)
-            cfg = TrainConfig(max_steps=50, seed=trial)
-            res = fit_neuron(xa, ya, xb, yb, cfg)
+            cfg = TrainConfig(max_steps=50)
+            res = fit_neuron(xa, ya, xb, yb, cfg, derive_rng(trial, "fit-neuron"))
             assert res.steps_taken <= 50
 
     def test_end_vs_start_decrease_on_realizable_targets(self):
@@ -237,12 +235,12 @@ class TestFitNeuron:
             u = rng.normal(size=(3, 40))
             w_true = rng.normal(size=3)
             targets = 1.0 / (1.0 + np.exp(-(w_true @ u)))
-            res = fit_neuron(u, targets, u, targets, TrainConfig(seed=trial))
+            res = fit_neuron(u, targets, u, targets, TrainConfig(), derive_rng(trial, "fit-neuron"))
             assert res.criterion <= res.rse_trace_b[0]
 
     def test_epsilon_stop(self):
         xa, ya, xb, yb = _separable(3)
-        res = fit_neuron(xa, ya, xb, yb, TrainConfig(epsilon=0.5, max_steps=500, seed=3))
+        res = fit_neuron(xa, ya, xb, yb, TrainConfig(epsilon=0.5, max_steps=500), derive_rng(3, "fit-neuron"))
         assert res.criterion <= 0.5
 
     def test_epsilon_zero_runs_to_cap_on_noisy_targets(self):
@@ -251,12 +249,14 @@ class TestFitNeuron:
         ya = rng.integers(0, 2, 30).astype(float)
         xb = rng.normal(size=(2, 30))
         yb = rng.integers(0, 2, 30).astype(float)
-        res = fit_neuron(xa, ya, xb, yb, TrainConfig(epsilon=0.0, max_steps=40, seed=4))
+        res = fit_neuron(xa, ya, xb, yb, TrainConfig(epsilon=0.0, max_steps=40), derive_rng(4, "fit-neuron"))
         assert res.steps_taken == 40
 
     def test_all_zero_inputs_rejected(self):
         with pytest.raises(NumericError):
-            fit_neuron(np.zeros((2, 4)), np.ones(4), np.zeros((2, 4)), np.ones(4), TrainConfig())
+            fit_neuron(
+                np.zeros((2, 4)), np.ones(4), np.zeros((2, 4)), np.ones(4), TrainConfig(), derive_rng(0, "fit-neuron")
+            )
 
     def test_augment_bias_row(self):
         u = np.arange(6.0).reshape(2, 3)
@@ -297,7 +297,7 @@ class TestFitNeuronBytes:
         w_true = rng.normal(size=p)
         ya = (w_true @ xa + 0.5 * rng.normal(size=n_a) > 0).astype(float)
         yb = (w_true @ xb + 0.5 * rng.normal(size=n_b) > 0).astype(float)
-        cfg = TrainConfig(epsilon=epsilon, max_steps=60, delta=1e-5, seed=seed)
+        cfg = TrainConfig(epsilon=epsilon, max_steps=60, delta=1e-5)
         res = fit_neuron(xa, ya, xb, yb, cfg, derive_rng(seed, "init"))
         w, trace, steps = _reference_fit(xa, ya, xb, yb, cfg, derive_rng(seed, "init"))
         assert res.weights.tobytes() == w.tobytes()
