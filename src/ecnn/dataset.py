@@ -221,6 +221,9 @@ def _target_index(target_column: str | int, header: list[str] | None, width: int
         raise DataError(
             f"target column {target_column!r} requested by name but {path} has no header"
         )
+    count = header.count(target_column)
+    if count > 1:
+        raise DataError(f"target column {target_column!r} names {count} columns of header {header}")
     try:
         return header.index(target_column)
     except ValueError:
@@ -321,8 +324,23 @@ def _load_rows(path: Path, target_column: str | int) -> Dataset:
 
 
 def save_csv(d: Dataset, path: str | Path, target_name: str = "target") -> None:
-    """Write a dataset as headered CSV; floats keep full round-trip precision."""
-    lines = [csv_line([*d.feature_names, target_name])]
+    """Write a dataset as headered CSV; floats keep full round-trip precision.
+
+    Raises DataError, before writing anything, for a header that
+    ``load_csv`` would not read back as written: a feature named like the
+    target, a name with leading or trailing white space (header cells are
+    stripped), or names that all parse as numbers (the header would be
+    read as data).
+    """
+    header = [*d.feature_names, target_name]
+    if target_name in d.feature_names:
+        raise DataError(f"feature name {target_name!r} is also the target column's name")
+    for name in header:
+        if name != name.strip():
+            raise DataError(f"column name {name!r} has leading or trailing white space")
+    if all(_is_number(name) for name in header):
+        raise DataError(f"every column name in {header} is a number, so the header would be read as data")
+    lines = [csv_line(header)]
     lines += [
         ",".join(map(repr, row)) + f",{t}" for row, t in zip(d.x.tolist(), d.y.tolist())
     ]

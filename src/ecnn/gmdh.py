@@ -11,7 +11,11 @@ best neuron (smallest ancestor subgraph on ties) becomes the output.
 A generation draws its pairs and subsamples from one random stream and
 fits all its offspring in batched 4x4 normal-equation solves
 (``fit_ls_batch``); ``fit_ls`` fits the seed neurons and every offspring
-whose system is too close to singular for the normal equations.
+whose system is too close to singular for the normal equations. Neuron
+outputs are kept in one chunked store: offspring read their parents'
+outputs on their fitting subsample straight from it, are scored on the
+validation rows first, and only the accepted ones are run on all the
+fitting rows.
 """
 
 from __future__ import annotations
@@ -27,6 +31,12 @@ from .util import derive_rng
 
 # offspring fitted, scored and accepted together; no draw depends on it
 _BLOCK = 128
+# bytes per chunk of the output store; no byte of a model depends on it.
+# It is above glibc's largest dynamic mmap threshold (32 MiB), so each
+# chunk is mapped on its own and unmapped when freed, and freeing one does
+# not raise the threshold that keeps later large temporaries off the heap
+# (chunks of 31.5 MB left compare12's peak memory 1-5% higher)
+_CHUNK_BYTES = 64 << 20
 # a fit whose column-scaled normal equations have a smaller determinant
 # goes to ``lstsq``: above it, the condition number of that 4x4 system,
 # whose diagonal is all ones, is at most 4 * (4/3)**3 / 1e-8, about 1e9
@@ -380,6 +390,63 @@ def fit_ls_batch(u1: np.ndarray, u2: np.ndarray, targets: np.ndarray) -> np.ndar
     return coeffs
 
 
+class _OutputStore:
+    """Every neuron's outputs, on the fitting rows and then on the
+    validation rows, one store row per neuron id.
+
+    Rows live in chunks of ``_CHUNK_BYTES``: growth adds a chunk and
+    copies none of the rows already stored, and a chunk's pages are
+    committed only as its rows are written.
+    """
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.rows = max(1, _CHUNK_BYTES // (8 * width))
+        self.chunks: list[np.ndarray] = []
+        self.size = 0
+
+    def append(self, rows: np.ndarray) -> None:
+        done = 0
+        while done < len(rows):
+            at = self.size % self.rows
+            if at == 0:
+                self.chunks.append(np.empty((self.rows, self.width)))
+            k = min(len(rows) - done, self.rows - at)
+            self.chunks[-1][at : at + k] = rows[done : done + k]
+            done += k
+            self.size += k
+
+    def take(self, ids: np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
+        """Outputs of the neurons ``ids``, an array of any shape.
+
+        ``cols`` is either a slice, the same columns for every id, or an
+        index array that broadcasts against ``ids[..., None]``: then
+        ``out[..., j]`` is column ``cols[..., j]``, gathered by one flat
+        ``take`` per chunk.
+        """
+        chunk, row = np.divmod(ids, self.rows)
+        if isinstance(cols, slice):
+            width = len(range(*cols.indices(self.width)))
+
+            def part(c, held):
+                return self.chunks[c][row[held], cols]
+
+        else:
+            flat = (row * self.width)[..., None] + cols
+            width = flat.shape[-1]
+
+            def part(c, held):
+                return self.chunks[c].take(flat[held])
+
+        if len(self.chunks) == 1:
+            return part(0, ...)
+        out = np.empty(ids.shape + (width,))
+        for c in np.unique(chunk).tolist():
+            held = chunk == c
+            out[held] = part(c, held)
+        return out
+
+
 def _grow_population(
     d_train: Dataset, d_valid: Dataset, cfg: GmdhConfig, base_seed: int
 ) -> tuple[list[PolyNeuron], list[int], list[tuple[int, float, int]]]:
@@ -391,25 +458,34 @@ def _grow_population(
     g)``: first the K ordered pairs of distinct parents, ``i`` uniform and
     ``(i + U{1..P-1}) mod P``, then, when subsampling, one row of random
     keys per offspring, whose ``count`` smallest pick its fitting rows.
-    The offspring are fitted (``fit_ls_batch``), scored on the validation
-    rows and accepted ``_BLOCK`` at a time, which bounds the working
-    memory; the keys are drawn block by block in offspring order, so the
-    block size does not change any draw.
+    The offspring are fitted (``fit_ls_batch``), scored and accepted
+    ``_BLOCK`` at a time, which bounds the working memory; the keys are
+    drawn block by block in offspring order, so the block size does not
+    change any draw.
+
+    Neuron outputs sit in an ``_OutputStore``. A block gathers from it
+    only its parents' outputs on the fitting rows it fits on, and on the
+    validation rows it is scored on; an offspring's outputs on all the
+    fitting rows are computed only once it is accepted. Every value is
+    computed as ``poly_forward`` would compute it, so the chunk size does
+    not change any byte either.
     """
     yt = d_train.y.astype(np.float64)
     yv = d_valid.y
+    yv_true = yv == 1
     q = d_train.n
     x = np.concatenate([d_train.x, d_valid.x])
+    fit_cols, valid_cols = slice(0, q), slice(q, None)
+    store = _OutputStore(len(x))
     neurons: list[PolyNeuron] = []
-    # each neuron's outputs on the fitting rows, then on the validation rows
-    outputs: list[np.ndarray] = []
     ancestors: list[int] = []
     for j in range(d_train.m):
         coeffs = fit_ls(
             d_train.x[:, j], None, yt, cfg.fit_subsample, derive_rng(base_seed, "seed-fit", j)
         )
-        outputs.append(poly_forward(coeffs, x[:, j]))
-        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, _accuracy(outputs[j][q:], yv)))
+        out = poly_forward(coeffs, x[:, j])
+        store.append(out[None])
+        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, _accuracy(out[q:], yv)))
         ancestors.append(1 << j)
     performance = np.array([n.performance for n in neurons])
 
@@ -426,30 +502,31 @@ def _grow_population(
         first = rng.integers(pool_size, size=k)
         second = (first + rng.integers(1, pool_size, size=k)) % pool_size
         beaten = np.maximum(performance[first], performance[second])
-        blocks = []
+        accepted = []
         for start in range(0, k, _BLOCK):
-            ia, ib = first[start : start + _BLOCK], second[start : start + _BLOCK]
-            u1 = np.array([outputs[i] for i in ia.tolist()])
-            u2 = np.array([outputs[i] for i in ib.tolist()])
+            parents = np.stack([first[start : start + _BLOCK], second[start : start + _BLOCK]])
             if count < q:
-                rows = np.argpartition(rng.random((len(ia), q)), count - 1, axis=1)[:, :count]
-                w = fit_ls_batch(np.take_along_axis(u1, rows, 1), np.take_along_axis(u2, rows, 1), yt[rows])
+                rows = np.argpartition(rng.random((parents.shape[1], q)), count - 1, axis=1)[:, :count]
+                u1, u2 = store.take(parents, rows)
+                w = fit_ls_batch(u1, u2, yt[rows])
             else:
-                w = fit_ls_batch(u1[:, :q], u2[:, :q], yt)
-            out = _forward_rows(w, u1, u2)
-            perf = np.count_nonzero((out[:, q:] >= 0.5) == yv, axis=1) / len(yv)
+                u1, u2 = store.take(parents, fit_cols)
+                w = fit_ls_batch(u1, u2, yt)
+            out_valid = _forward_rows(w, *store.take(parents, valid_cols))
+            perf = np.count_nonzero((out_valid >= 0.5) == yv_true, axis=1) / len(yv)
             t = np.flatnonzero(perf > beaten[start : start + _BLOCK])
             if t.size:
-                blocks.append((w[t], perf[t], ia[t], ib[t], out[t]))
+                out_fit = _forward_rows(w[t], *store.take(parents[:, t], fit_cols))
+                store.append(np.concatenate([out_fit, out_valid[t]], axis=1))
+                for coeffs, p, i, j in zip(w[t], perf[t].tolist(), *parents[:, t].tolist()):
+                    nid = len(neurons)
+                    neurons.append(PolyNeuron(nid, Source("neuron", i), Source("neuron", j), coeffs, p))
+                    ancestors.append(1 << nid | ancestors[i] | ancestors[j])
+                accepted.append(perf[t])
 
         generation_best = -np.inf
-        if blocks:
-            w, perf, ia, ib, out = (np.concatenate(parts) for parts in zip(*blocks))
-            for coeffs, p, i, j in zip(w, perf.tolist(), ia.tolist(), ib.tolist()):
-                nid = len(neurons)
-                neurons.append(PolyNeuron(nid, Source("neuron", i), Source("neuron", j), coeffs, p))
-                ancestors.append(1 << nid | ancestors[i] | ancestors[j])
-            outputs.extend(out)
+        if accepted:
+            perf = np.concatenate(accepted)
             performance = np.append(performance, perf)
             generation_best = float(perf.max())
         if generation_best > best_perf:

@@ -1,12 +1,14 @@
 """Plain reference forms that only the tests use: a neuron's output and
 residuals written from their definitions, the parts of a fitted weight
 vector, the inverse of a normalization, one threshold draw of the tree,
-and the cross-validation summary recomputed from its folds."""
+the tree's split search one feature at a time, and the cross-validation
+summary recomputed from its folds."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ecnn.dtree import _entropy_per_split, entropy
 from ecnn.errors import DataError
 from ecnn.projection import sigmoid
 
@@ -64,6 +66,41 @@ def sample_threshold(values, rng: np.random.Generator) -> float:
         raise DataError("cannot sample a threshold from no values")
     lo, hi = float(values.min()), float(values.max())
     return float(rng.uniform(lo, hi))
+
+
+def best_partition(x: np.ndarray, y: np.ndarray, cfg, rng: np.random.Generator) -> tuple[int, float, float]:
+    """``dtree.best_partition`` one feature at a time: draw the feature's
+    ``n_s`` thresholds, score them, keep its best (smallest threshold on
+    ties) and replace the best so far only on a strictly larger gain."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = len(y)
+    if n < 2 or len(np.unique(y)) < 2:
+        raise ValueError("best_partition needs at least 2 rows and 2 classes")
+    h_parent = entropy(np.bincount(y, minlength=2))
+    total_pos = int(y.sum())
+
+    best_feature, best_threshold, best_gain = -1, 0.0, -np.inf
+    is_pos = y == 1
+    for i in range(x.shape[1]):
+        col = x[:, i]
+        lo, hi = float(col.min()), float(col.max())
+        thresholds = rng.uniform(lo, hi, size=cfg.n_s)
+        left_mask = col[:, None] <= thresholds[None, :]
+        left_total = left_mask.sum(axis=0)
+        left_pos = (left_mask & is_pos[:, None]).sum(axis=0)
+        right_total = n - left_total
+        right_pos = total_pos - left_pos
+        weighted = (left_total / n) * _entropy_per_split(left_pos, left_total) + (
+            right_total / n
+        ) * _entropy_per_split(right_pos, right_total)
+        gains = h_parent - weighted
+        top = float(gains.max())
+        candidates = thresholds[gains == top]
+        thr = float(candidates.min())
+        if top > best_gain:
+            best_feature, best_threshold, best_gain = i, thr, top
+    return best_feature, best_threshold, max(best_gain, 0.0)
 
 
 def recompute(report) -> tuple[float, float]:

@@ -194,6 +194,11 @@ _target_cell = st.sampled_from(["0", "1", "1.0", "-0.0", '"1"', " 0 ", "+1", "0e
 # cells only Python's float() takes; the loader rejects them
 _float_only = st.sampled_from(["1_000", "\u0661", "2\u0665", "\uff17"])
 _name = st.text(st.sampled_from("abcxyz\u00e4\u00df"), min_size=1, max_size=4)
+# any text, or pieces that spell numbers, white space, quotes and line ends
+_header_name = st.text(max_size=6) | st.lists(
+    st.sampled_from(["1", "nan", "-0", "e5", " ", "\t", "\xa0", "\n", "\r", '"', ",", "a", "target"]), max_size=3
+).map("".join)
+_number_name = st.sampled_from(["0", "-1", "2.5", "1e5", "nan", "inf", ".5"])
 
 
 @st.composite
@@ -261,6 +266,53 @@ class TestNamesNeedingQuotes:
         assert back.feature_names == names
         np.testing.assert_array_equal(back.x, d.x)
         np.testing.assert_array_equal(back.y, d.y)
+
+
+    def test_feature_named_like_the_target_is_refused(self, tmp_path):
+        d = Dataset(np.array([[3.0, 1.0], [4.0, 2.0]]), np.array([0, 1]), ["target", "b"])
+        path = tmp_path / "same.csv"
+        with pytest.raises(DataError, match="'target' is also the target column's name"):
+            save_csv(d, path)
+        assert not path.exists()
+        save_csv(d, path, target_name="label")
+        assert load_csv(path, "label").feature_names == ["target", "b"]
+
+    def test_target_name_on_two_header_cells_is_refused(self, tmp_path):
+        path = _write(tmp_path, "target,b,target\n3.0,1.0,0\n4.0,2.0,1\n")
+        with pytest.raises(DataError, match="'target' names 2 columns"):
+            load_csv(path, "target")
+        assert load_csv(path, 2).feature_names == ["target", "b"]
+
+    @pytest.mark.parametrize("names", [[" a", "b"], ["a", "b "], ["a", "\tb"]])
+    def test_names_with_outer_white_space_are_refused(self, tmp_path, names):
+        d = Dataset(np.array([[3.0, 1.0], [4.0, 2.0]]), np.array([0, 1]), names)
+        with pytest.raises(DataError, match="leading or trailing white space"):
+            save_csv(d, tmp_path / "space.csv")
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        names=st.lists(_header_name, min_size=2, max_size=4) | st.lists(_number_name, min_size=2, max_size=4),
+        target=_header_name | _number_name,
+        rows=st.integers(1, 3),
+        values=st.lists(_finite | _edge, min_size=12, max_size=12),
+        labels=st.lists(st.integers(0, 1), min_size=3, max_size=3),
+    )
+    def test_every_accepted_header_reads_back(self, tmp_path, names, target, rows, values, labels):
+        # load_csv needs 2 features and a row; within that, any names that
+        # save_csv writes come back as they were, with the same arrays
+        x = np.array(values[: rows * len(names)], dtype=np.float64).reshape(rows, len(names))
+        d = Dataset(x, np.array(labels[:rows], dtype=np.int64), names)
+        path = tmp_path / "names.csv"
+        path.unlink(missing_ok=True)
+        try:
+            save_csv(d, path, target_name=target)
+        except DataError:
+            assert not path.exists()
+            return
+        back = load_csv(path, target)
+        assert back.feature_names == names
+        assert back.x.tobytes() == d.x.tobytes()
+        assert back.y.tobytes() == d.y.tobytes()
 
 
 class TestAgainstReferenceLoader:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ecnn import dtree
 from ecnn.dataset import Dataset
 from ecnn.dtree import (
     DtConfig,
@@ -16,6 +19,7 @@ from ecnn.dtree import (
 )
 from ecnn.errors import ConfigError, DataError
 from ecnn.util import derive_rng
+import reference
 from reference import sample_threshold
 
 
@@ -112,6 +116,85 @@ class TestBestPartition:
         b = best_partition(x, y, DtConfig(), derive_rng(7, "d"))
         assert a == b
 
+    def test_identical_columns_pick_the_lower_index(self):
+        # columns 1 and 3 both separate the classes at every threshold in
+        # [0, 1), so both reach the parent's entropy and tie
+        y = np.repeat([0, 1], 6)
+        x = np.zeros((12, 4))
+        x[:, 1] = x[:, 3] = y
+        x[:, 2] = np.arange(12) % 3
+        for seed in range(20):
+            feature, threshold, gain = best_partition(x, y, DtConfig(), derive_rng(seed, "tie"))
+            assert (feature, gain) == (1, 1.0)
+            assert 0.0 <= threshold < 1.0
+
+    def test_equal_gain_thresholds_pick_the_smallest(self):
+        y = np.repeat([0, 1], 5)
+        x = y[:, None].astype(np.float64)
+        for seed in range(20):
+            draws = derive_rng(seed, "thr").uniform(0.0, 1.0, size=25)
+            feature, threshold, gain = best_partition(x, y, DtConfig(n_s=25), derive_rng(seed, "thr"))
+            assert (feature, threshold, gain) == (0, float(draws.min()), 1.0)
+
+    def test_constant_column_never_beats_a_separating_one(self):
+        rng = np.random.default_rng(4)
+        y = np.repeat([0, 1], 20)
+        x = np.column_stack([np.full(40, 2.5), y + rng.uniform(0.0, 0.5, 40)])
+        for seed in range(50):
+            feature, _, gain = best_partition(x, y, DtConfig(n_s=3), derive_rng(seed, "const"))
+            assert feature == 1 and gain > 0.0
+
+    def test_single_draw_single_feature_matches_the_loop(self):
+        rng_data = np.random.default_rng(6)
+        for seed in range(20):
+            x = rng_data.normal(size=(15, 1))
+            y = np.arange(15) % 2
+            cfg = DtConfig(n_s=1)
+            got_rng, ref_rng = derive_rng(seed, "one"), derive_rng(seed, "one")
+            assert best_partition(x, y, cfg, got_rng) == reference.best_partition(x, y, cfg, ref_rng)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def _split_tasks(draw):
+    """A node's rows and labels (both classes present) whose columns are
+    drawn as continuous values, a few levels, constants, copies of an
+    earlier column or the labels themselves, so that gains and thresholds
+    tie within and across features."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.permutation(np.arange(n) % 2)
+    cols = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["normal", "levels", "constant", "copy", "labels"]))
+        if kind == "copy" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))])
+        elif kind == "constant":
+            cols.append(np.full(n, rng.normal()))
+        elif kind == "levels":
+            cols.append(rng.integers(0, 3, n).astype(np.float64))
+        elif kind == "labels":
+            cols.append(y * 2.0 - 0.5)
+        else:
+            cols.append(rng.normal(size=n))
+    return np.column_stack(cols), y
+
+
+class TestBestPartitionMatchesLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(task=_split_tasks(), n_s=st.integers(1, 30), block=st.sampled_from([1, 3, 7, 16, 64]),
+           seed=st.integers(0, 1000))
+    def test_same_split_and_stream(self, task, n_s, block, seed):
+        x, y = task
+        cfg = DtConfig(n_s=n_s)
+        got_rng, ref_rng = derive_rng(seed, "bp"), derive_rng(seed, "bp")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dtree, "_FEATURE_BLOCK", block)
+            got = best_partition(x, y, cfg, got_rng)
+        assert got == reference.best_partition(x, y, cfg, ref_rng)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 def _margin_task(seed, n=1000):
     """1-D threshold task whose margin covers 20% of the feature range."""
@@ -176,6 +259,18 @@ class TestBuild:
         m1 = build(d, DtConfig(), seed=42)
         m2 = build(d, DtConfig(), seed=42)
         assert m1.to_json() == m2.to_json()
+
+    def test_feature_block_changes_no_byte(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(300, 11))
+        y = (x[:, 2] + 0.5 * x[:, 7] + 0.3 * rng.normal(size=300) > 0).astype(np.int64)
+        d = Dataset(x, y, [f"f{j}" for j in range(11)])
+        models = []
+        for block in (16, 1, 3, 7):
+            monkeypatch.setattr(dtree, "_FEATURE_BLOCK", block)
+            models.append(build(d, DtConfig(p_min=0.02), 5).to_json())
+        assert models[0].count('"split"') > 5
+        assert models[1:] == models[:1] * 3
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -397,6 +397,23 @@ class TestBatchedGenerations:
             assert model.generation_log == models[0].generation_log
             assert [n.coeffs.tobytes() for n in model.neurons] == [n.coeffs.tobytes() for n in models[0].neurons]
 
+    @pytest.mark.parametrize("subsample", [0.5, 1.0])
+    def test_chunk_size_changes_no_byte(self, monkeypatch, subsample):
+        # chunks of 1 and 16 rows make every gather span several chunks
+        d_train, d_valid = _small_task(4)
+        row_bytes = 8 * (d_train.n + d_valid.n)
+        cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample)
+        models = [evolve(d_train, d_valid, cfg, 4)]
+        for rows in (1, 16, 37):
+            monkeypatch.setattr(gmdh, "_CHUNK_BYTES", rows * row_bytes)
+            models.append(evolve(d_train, d_valid, cfg, 4))
+        assert len(models[0].neurons) > 37
+        for model in models[1:]:
+            assert model.to_json() == models[0].to_json()
+            assert model.generation_log == models[0].generation_log
+            assert [n.coeffs.tobytes() for n in model.neurons] == [n.coeffs.tobytes() for n in models[0].neurons]
+            assert [n.performance for n in model.neurons] == [n.performance for n in models[0].neurons]
+
 
 class TestPredictAndSerialize:
     def _small_model(self, seed=0):
