@@ -312,7 +312,7 @@ def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_fla
 @cli.command("chi-sweep")
 @click.option("--data", "data_path", required=True)
 @click.option("--target", default="target", show_default=True)
-@click.option("--chis", default="1.25,1.5,1.75,2.0", show_default=True)
+@click.option("--chis", default=",".join(map(str, harness.DEFAULT_CHI_LIST)), show_default=True)
 @click.option("--delta", type=float, default=0.0015, show_default=True)
 @click.option("--max-steps", type=int, default=200, show_default=True)
 @click.option("--init-std", type=float, default=0.1, show_default=True)
@@ -329,14 +329,9 @@ def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, 
         raise ConfigError(f"--chis must be comma-separated numbers, got {chis!r}")
     if not chi_list:
         raise ConfigError("--chis must name at least one learning rate")
-    for chi in chi_list:
-        if not 0.0 < chi <= 2.0:
-            raise ConfigError(f"sweep learning rates must be in (0, 2], got {chi}")
     d = load_csv(data_path, _resolve_target(target))
-    cfg = TrainConfig(
-        chi=chi_list[0], delta=delta, max_steps=max_steps,
-        init_std=init_std, split_fraction=split_a,
-    )
+    # chi_sweep sets each rate in turn and rejects any outside (0, 2]
+    cfg = TrainConfig(delta=delta, max_steps=max_steps, init_std=init_std, split_fraction=split_a)
     results = harness.chi_sweep(d, chi_list, cfg, seed)
     trace_path = Path(f"{out}.chi_traces.csv")
     harness.write_chi_traces(results, trace_path)

@@ -12,10 +12,10 @@ A generation draws its pairs and subsamples from one random stream and
 fits all its offspring in batched 4x4 normal-equation solves
 (``fit_ls_batch``); ``fit_ls`` fits the seed neurons and every offspring
 whose system is too close to singular for the normal equations. Neuron
-outputs are kept in one chunked store: offspring read their parents'
-outputs on their fitting subsample straight from it, are scored on the
-validation rows first, and only the accepted ones are run on all the
-fitting rows.
+outputs are kept in one array, a row per neuron: offspring read their
+parents' outputs on their fitting subsample straight from it, are scored
+on the validation rows first, and only the accepted ones are run on all
+the fitting rows.
 """
 
 from __future__ import annotations
@@ -31,12 +31,14 @@ from .util import derive_rng
 
 # offspring fitted, scored and accepted together; no draw depends on it
 _BLOCK = 128
-# bytes per chunk of the output store; no byte of a model depends on it.
-# It is above glibc's largest dynamic mmap threshold (32 MiB), so each
-# chunk is mapped on its own and unmapped when freed, and freeing one does
+# bytes reserved for the output array; no byte of a model depends on it.
+# It is above glibc's largest dynamic mmap threshold (32 MiB), so the
+# array is mapped on its own and unmapped when freed, and freeing it does
 # not raise the threshold that keeps later large temporaries off the heap
-# (chunks of 31.5 MB left compare12's peak memory 1-5% higher)
-_CHUNK_BYTES = 64 << 20
+# (arrays of 31.5 MB left compare12's peak memory 1-5% higher). Pages are
+# committed only as rows are written; 256 MiB holds the 5,349 neurons of
+# 2,000 outputs that the largest measured population reached
+_RESERVE_BYTES = 256 << 20
 # a fit whose column-scaled normal equations have a smaller determinant
 # goes to ``lstsq``: above it, the condition number of that 4x4 system,
 # whose diagonal is all ones, is at most 4 * (4/3)**3 / 1e-8, about 1e9
@@ -112,25 +114,24 @@ class GmdhModel(Model):
 
     @property
     def validation_performance(self) -> float:
-        return self._by_id(self.output_id).performance
+        return next(n.performance for n in self.neurons if n.id == self.output_id)
 
-    def _by_id(self, neuron_id: int) -> PolyNeuron:
-        for n in self.neurons:
-            if n.id == neuron_id:
-                return n
-        raise KeyError(f"no neuron with id {neuron_id}")
+    def _selected(self) -> list[PolyNeuron]:
+        """The neurons of the selected subgraph in the order of ``neurons``:
+        id order when trained, file order when loaded."""
+        keep = set(self.selected_ids)
+        return [n for n in self.neurons if n.id in keep]
 
     def size(self) -> int:
         return len(self.selected_ids)
 
     def used_features(self) -> frozenset[int]:
-        feats = set()
-        for nid in self.selected_ids:
-            n = self._by_id(nid)
-            for src in (n.parent_a, n.parent_b):
-                if src is not None and src.kind == "feature":
-                    feats.add(src.index)
-        return frozenset(feats)
+        return frozenset(
+            src.index
+            for n in self._selected()
+            for src in (n.parent_a, n.parent_b)
+            if src is not None and src.kind == "feature"
+        )
 
     def forward(self, xn: np.ndarray) -> np.ndarray:
         """Raw polynomial score of the output neuron for normalized rows."""
@@ -142,11 +143,10 @@ class GmdhModel(Model):
                 return xn[:, src.index]
             return values[src.index]
 
-        for nid in self.selected_ids:
-            n = self._by_id(nid)
+        for n in self._selected():
             u1 = resolve(n.parent_a)
             u2 = resolve(n.parent_b) if n.parent_b is not None else None
-            values[nid] = poly_forward(n.coeffs, u1, u2)
+            values[n.id] = poly_forward(n.coeffs, u1, u2)
         return values[self.output_id]
 
     def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +168,7 @@ class GmdhModel(Model):
                     "coeffs": n.coeffs.tolist(),
                     "performance": float(n.performance),
                 }
-                for n in (self._by_id(nid) for nid in self.selected_ids)
+                for n in self._selected()
             ],
             "output_id": self.output_id,
             "norm": self.norm.to_dict(),
@@ -188,9 +188,11 @@ class GmdhModel(Model):
             )
             for nd in d["neurons"]
         ]
-        # a neuron reads features in range and only the neurons before it
+        # ids are unique, and a neuron reads features in range and only the
+        # neurons before it
         ids: set[int] = set()
         for n in neurons:
+            require(n.id not in ids, f"neuron id {n.id} repeats")
             for src in (n.parent_a, n.parent_b):
                 if src is not None:
                     ok = 0 <= src.index < n_features if src.kind == "feature" else src.index in ids
@@ -279,20 +281,9 @@ def _accuracy(scores: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> floa
     return float(np.mean((scores >= threshold).astype(np.int64) == y))
 
 
-def _ancestor_ids(neurons: list[PolyNeuron], root_id: int) -> list[int]:
-    by_id = {n.id: n for n in neurons}
-    seen: set[int] = set()
-    stack = [root_id]
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        n = by_id[nid]
-        for src in (n.parent_a, n.parent_b):
-            if src is not None and src.kind == "neuron":
-                stack.append(src.index)
-    return sorted(seen)
+def _ancestor_ids(mask: int) -> list[int]:
+    """The ids whose bits are set in an ancestor mask, in ascending order."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 def _forward_rows(w: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -342,7 +333,7 @@ def evolve(
     return GmdhModel(
         neurons=neurons,
         output_id=output.id,
-        selected_ids=_ancestor_ids(neurons, output.id),
+        selected_ids=_ancestor_ids(ancestors[output.id]),
         generation_log=log,
         norm=norm if norm is not None else NormParams.identity(d_train.m),
         n_features=d_train.m,
@@ -390,61 +381,14 @@ def fit_ls_batch(u1: np.ndarray, u2: np.ndarray, targets: np.ndarray) -> np.ndar
     return coeffs
 
 
-class _OutputStore:
-    """Every neuron's outputs, on the fitting rows and then on the
-    validation rows, one store row per neuron id.
-
-    Rows live in chunks of ``_CHUNK_BYTES``: growth adds a chunk and
-    copies none of the rows already stored, and a chunk's pages are
-    committed only as its rows are written.
-    """
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.rows = max(1, _CHUNK_BYTES // (8 * width))
-        self.chunks: list[np.ndarray] = []
-        self.size = 0
-
-    def append(self, rows: np.ndarray) -> None:
-        done = 0
-        while done < len(rows):
-            at = self.size % self.rows
-            if at == 0:
-                self.chunks.append(np.empty((self.rows, self.width)))
-            k = min(len(rows) - done, self.rows - at)
-            self.chunks[-1][at : at + k] = rows[done : done + k]
-            done += k
-            self.size += k
-
-    def take(self, ids: np.ndarray, cols: slice | np.ndarray) -> np.ndarray:
-        """Outputs of the neurons ``ids``, an array of any shape.
-
-        ``cols`` is either a slice, the same columns for every id, or an
-        index array that broadcasts against ``ids[..., None]``: then
-        ``out[..., j]`` is column ``cols[..., j]``, gathered by one flat
-        ``take`` per chunk.
-        """
-        chunk, row = np.divmod(ids, self.rows)
-        if isinstance(cols, slice):
-            width = len(range(*cols.indices(self.width)))
-
-            def part(c, held):
-                return self.chunks[c][row[held], cols]
-
-        else:
-            flat = (row * self.width)[..., None] + cols
-            width = flat.shape[-1]
-
-            def part(c, held):
-                return self.chunks[c].take(flat[held])
-
-        if len(self.chunks) == 1:
-            return part(0, ...)
-        out = np.empty(ids.shape + (width,))
-        for c in np.unique(chunk).tolist():
-            held = chunk == c
-            out[held] = part(c, held)
-        return out
+def _with_room(outs: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """``outs`` if it has room for ``extra`` rows after its first ``used``,
+    else a copy of those rows in an array at least twice as tall."""
+    if used + extra <= len(outs):
+        return outs
+    grown = np.empty((max(used + extra, 2 * len(outs)), outs.shape[1]))
+    grown[:used] = outs[:used]
+    return grown
 
 
 def _grow_population(
@@ -463,12 +407,15 @@ def _grow_population(
     drawn block by block in offspring order, so the block size does not
     change any draw.
 
-    Neuron outputs sit in an ``_OutputStore``. A block gathers from it
-    only its parents' outputs on the fitting rows it fits on, and on the
-    validation rows it is scored on; an offspring's outputs on all the
-    fitting rows are computed only once it is accepted. Every value is
-    computed as ``poly_forward`` would compute it, so the chunk size does
-    not change any byte either.
+    Neuron outputs sit in one array, a row per id holding the outputs on
+    the fitting rows and then on the validation rows. It is reserved at
+    ``_RESERVE_BYTES``, and only a population that outgrows that doubles
+    it by copying. A block gathers from it only its parents' outputs on
+    the fitting rows it fits on, and on the validation rows it is scored
+    on; an offspring's outputs on all the fitting rows are computed only
+    once it is accepted, and written straight into the array. Every value
+    is computed as ``poly_forward`` would compute it, so neither the
+    reservation nor a growth changes any byte either.
     """
     yt = d_train.y.astype(np.float64)
     yv = d_valid.y
@@ -476,16 +423,17 @@ def _grow_population(
     q = d_train.n
     x = np.concatenate([d_train.x, d_valid.x])
     fit_cols, valid_cols = slice(0, q), slice(q, None)
-    store = _OutputStore(len(x))
+    width = len(x)
+    outs = np.empty((max(1, _RESERVE_BYTES // (8 * width)), width))
     neurons: list[PolyNeuron] = []
     ancestors: list[int] = []
     for j in range(d_train.m):
         coeffs = fit_ls(
             d_train.x[:, j], None, yt, cfg.fit_subsample, derive_rng(base_seed, "seed-fit", j)
         )
-        out = poly_forward(coeffs, x[:, j])
-        store.append(out[None])
-        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, _accuracy(out[q:], yv)))
+        outs = _with_room(outs, j, 1)
+        outs[j] = poly_forward(coeffs, x[:, j])
+        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, _accuracy(outs[j, q:], yv)))
         ancestors.append(1 << j)
     performance = np.array([n.performance for n in neurons])
 
@@ -507,17 +455,19 @@ def _grow_population(
             parents = np.stack([first[start : start + _BLOCK], second[start : start + _BLOCK]])
             if count < q:
                 rows = np.argpartition(rng.random((parents.shape[1], q)), count - 1, axis=1)[:, :count]
-                u1, u2 = store.take(parents, rows)
+                u1, u2 = outs.take((parents * width)[..., None] + rows)
                 w = fit_ls_batch(u1, u2, yt[rows])
             else:
-                u1, u2 = store.take(parents, fit_cols)
+                u1, u2 = outs[parents, fit_cols]
                 w = fit_ls_batch(u1, u2, yt)
-            out_valid = _forward_rows(w, *store.take(parents, valid_cols))
+            out_valid = _forward_rows(w, *outs[parents, valid_cols])
             perf = np.count_nonzero((out_valid >= 0.5) == yv_true, axis=1) / len(yv)
             t = np.flatnonzero(perf > beaten[start : start + _BLOCK])
             if t.size:
-                out_fit = _forward_rows(w[t], *store.take(parents[:, t], fit_cols))
-                store.append(np.concatenate([out_fit, out_valid[t]], axis=1))
+                new = slice(len(neurons), len(neurons) + t.size)
+                outs = _with_room(outs, new.start, t.size)
+                outs[new, fit_cols] = _forward_rows(w[t], *outs[parents[:, t], fit_cols])
+                outs[new, valid_cols] = out_valid[t]
                 for coeffs, p, i, j in zip(w[t], perf[t].tolist(), *parents[:, t].tolist()):
                     nid = len(neurons)
                     neurons.append(PolyNeuron(nid, Source("neuron", i), Source("neuron", j), coeffs, p))

@@ -11,6 +11,7 @@ model file is a ``DataError`` and never a traceback.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +22,29 @@ from .util import atomic_write_text
 FORMAT_VERSION = 1
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _no_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a finite number")
+
+
 def read_json_doc(path: str | Path, kind: str = "model file") -> dict:
-    """The JSON object stored in a file; a missing or unreadable file, or
-    one holding anything else, is a DataError that names the ``kind`` of
-    file."""
+    """The JSON object stored in a file; a missing or unreadable file, one
+    holding anything else, or one with a number that is not finite
+    (``NaN``, ``Infinity`` or a literal like ``1e999``) is a DataError that
+    names the ``kind`` of file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{kind} not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(
+            path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_no_constant
+        )
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {kind} {path}: {exc}") from None
     if not isinstance(doc, dict):

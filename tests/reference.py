@@ -1,8 +1,9 @@
 """Plain reference forms that only the tests use: a neuron's output and
 residuals written from their definitions, the parts of a fitted weight
-vector, the inverse of a normalization, one threshold draw of the tree,
-the tree's split search one feature at a time, and the cross-validation
-summary recomputed from its folds."""
+vector, the inverse of a normalization, a GMDH neuron's ancestors found
+by walking its parent links, one threshold draw of the tree, the tree's
+split search one feature at a time, and the cross-validation summary
+recomputed from its folds."""
 
 from __future__ import annotations
 
@@ -57,6 +58,24 @@ def bias(fit) -> float:
 def invert(params, xn: np.ndarray) -> np.ndarray:
     """Raw values back from values normalized by ``NormParams`` ``params``."""
     return np.asarray(xn, dtype=np.float64) * params.std + params.mean
+
+
+def ancestor_ids(neurons, root_id: int) -> list[int]:
+    """Ids of the GMDH neuron ``root_id`` and of every neuron it reads
+    through its parent links, ascending."""
+    by_id = {n.id: n for n in neurons}
+    seen: set[int] = set()
+    stack = [root_id]
+    while stack:
+        nid = stack.pop()
+        if nid in seen:
+            continue
+        seen.add(nid)
+        n = by_id[nid]
+        for src in (n.parent_a, n.parent_b):
+            if src is not None and src.kind == "neuron":
+                stack.append(src.index)
+    return sorted(seen)
 
 
 def sample_threshold(values, rng: np.random.Generator) -> float:

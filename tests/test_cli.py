@@ -320,6 +320,7 @@ DOC_EDITS = {
     "wrong_type": ("ecnn", lambda doc: _set(doc, "neurons", 0, "weights", "heavy")),
     "extra_cascade_weight": ("ecnn", lambda doc: doc["neurons"][0]["weights"].append(0.5)),
     "short_feature_names": ("ecnn", lambda doc: doc["feature_names"].pop()),
+    "cascade_nan_weight": ("ecnn", lambda doc: _set(doc, "neurons", 0, "weights", 0, float("nan"))),
     "gmdh_forward_parent": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a",
                                                      {"kind": "neuron", "index": doc["output_id"]})),
     "gmdh_missing_output": ("gmdh", lambda doc: _set(doc, "output_id", 10**6)),
@@ -327,9 +328,14 @@ DOC_EDITS = {
     "gmdh_short_std": ("gmdh", lambda doc: doc["norm"]["std"].pop()),
     "gmdh_infinite_index": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a", "index",
                                                      float("inf"))),
+    "gmdh_infinite_coeff": ("gmdh", lambda doc: _set(doc, "neurons", 0, "coeffs", 0, float("inf"))),
+    "gmdh_negative_infinite_coeff": ("gmdh", lambda doc: _set(doc, "neurons", 0, "coeffs", 1, -float("inf"))),
+    "gmdh_duplicate_id": ("gmdh", lambda doc: doc["neurons"].append(
+        {**doc["neurons"][-1], "coeffs": [0.5, 0.0, 0.0, 0.0]})),
     "tree_split_feature": ("dt", lambda doc: _set(_first_split(doc["root"]), "feature", 5)),
     "tree_leaf_class": ("dt", lambda doc: _set(_first_split(doc["root"]), "left",
                                                {"leaf": {"class": 2, "counts": [1, 1]}})),
+    "tree_nan_threshold": ("dt", lambda doc: _set(_first_split(doc["root"]), "threshold", float("nan"))),
     "tree_no_features": ("dt", lambda doc: _set(doc, "n_features", "five")),
 }
 # case -> (family, edit of the saved model's JSON text); each must exit 3
@@ -337,6 +343,9 @@ MALFORMED = {
     "truncated": ("ecnn", lambda text: text[: len(text) // 2]),
     "json_scalar": ("ecnn", lambda text: "3"),
     "json_list": ("gmdh", lambda text: "[]"),
+    # json.dumps cannot write an overflowing literal: put one in by hand
+    "gmdh_overflowing_coeff": ("gmdh", lambda text: _doc_edit(
+        lambda doc: _set(doc, "neurons", 0, "coeffs", 0, 7e77))(text).replace("7e+77", "1e999")),
     **{case: (family, _doc_edit(edit)) for case, (family, edit) in DOC_EDITS.items()},
 }
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ecnn.gmdh import (
     poly_forward,
 )
 from ecnn.util import derive_rng, derive_seed
+from reference import ancestor_ids
 
 
 class TestPolyForward:
@@ -255,8 +258,8 @@ def _reference_evolve(d_train, d_valid, cfg, base_seed):
             failures += 1
         log.append((generation, best_perf, len(neurons)))
 
-    output = min(neurons, key=lambda n: (-n.performance, len(_ancestor_ids(neurons, n.id)), n.id))
-    return GmdhModel(neurons, output.id, _ancestor_ids(neurons, output.id), log,
+    output = min(neurons, key=lambda n: (-n.performance, len(ancestor_ids(neurons, n.id)), n.id))
+    return GmdhModel(neurons, output.id, ancestor_ids(neurons, output.id), log,
                      NormParams.identity(d_train.m), d_train.m)
 
 
@@ -361,9 +364,10 @@ class TestBatchedGenerations:
 
         neurons, ancestors, _ = gmdh._grow_population(d_train, d_valid, cfg, seed)
         for n in neurons:
-            ids = _ancestor_ids(neurons, n.id)
+            ids = ancestor_ids(neurons, n.id)
             assert ancestors[n.id] == sum(1 << a for a in ids)
             assert ancestors[n.id].bit_count() == len(ids)
+            assert _ancestor_ids(ancestors[n.id]) == ids
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_offspring_fits_need_no_lstsq(self, monkeypatch, seed):
@@ -398,14 +402,15 @@ class TestBatchedGenerations:
             assert [n.coeffs.tobytes() for n in model.neurons] == [n.coeffs.tobytes() for n in models[0].neurons]
 
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
-    def test_chunk_size_changes_no_byte(self, monkeypatch, subsample):
-        # chunks of 1 and 16 rows make every gather span several chunks
+    def test_growth_changes_no_byte(self, monkeypatch, subsample):
+        # a reservation of 1 row grows in the seed loop, and 16 and 37
+        # rows grow while a block of accepted offspring is written
         d_train, d_valid = _small_task(4)
         row_bytes = 8 * (d_train.n + d_valid.n)
         cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample)
         models = [evolve(d_train, d_valid, cfg, 4)]
         for rows in (1, 16, 37):
-            monkeypatch.setattr(gmdh, "_CHUNK_BYTES", rows * row_bytes)
+            monkeypatch.setattr(gmdh, "_RESERVE_BYTES", rows * row_bytes)
             models.append(evolve(d_train, d_valid, cfg, 4))
         assert len(models[0].neurons) > 37
         for model in models[1:]:
@@ -450,6 +455,28 @@ class TestPredictAndSerialize:
         s1, _ = model.predict_batch(d.x)
         s2, _ = loaded.predict_batch(d.x)
         np.testing.assert_array_equal(s1, s2)
+
+    def test_renumbered_ids_load_and_save_unchanged(self, tmp_path):
+        # ids are names, not list positions: a file whose ids are
+        # renumbered consistently, in no ascending order, is the same model
+        d, model = self._small_model(seed=7)
+        doc = model.to_json_dict()
+        assert len(doc["neurons"]) > 5
+        new_ids = np.random.default_rng(5).permutation(np.arange(100, 100 + 3 * len(doc["neurons"])))
+        renumber = {nd["id"]: int(i) for nd, i in zip(doc["neurons"], new_ids)}
+        assert sorted(renumber.values()) != list(renumber.values())
+        for nd in doc["neurons"]:
+            nd["id"] = renumber[nd["id"]]
+            for src in (nd["parent_a"], nd["parent_b"]):
+                if src is not None and src["kind"] == "neuron":
+                    src["index"] = renumber[src["index"]]
+        doc["output_id"] = renumber[doc["output_id"]]
+        path = tmp_path / "renumbered.model.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        loaded = GmdhModel.load(path)
+        assert loaded.predict_batch(d.x)[0].tobytes() == model.predict_batch(d.x)[0].tobytes()
+        assert loaded.used_features() == model.used_features()
+        assert loaded.to_json() == path.read_text()
 
     def test_evaluate_matches_manual(self):
         d, model = self._small_model(seed=2)
