@@ -430,15 +430,21 @@ def synth_generate(
     magnitudes = rng.uniform(0.5, 2.0, size=k)
     coeffs = signs * magnitudes
 
-    x = rng.standard_normal((n, m))
-    score = x[:, relevant] @ coeffs
-    # sigmoid(score) >= 0.5 exactly when score >= 0
-    y = (score >= 0.0).astype(np.int64)
+    try:
+        x = rng.standard_normal((n, m))
+        score = x[:, relevant] @ coeffs
+        # sigmoid(score) >= 0.5 exactly when score >= 0
+        y = (score >= 0.0).astype(np.int64)
 
-    if noise_std > 0:
-        x = x + rng.normal(0.0, noise_std, size=(n, m))
-    flips = rng.random(n) < label_flip
-    y = np.where(flips, 1 - y, y)
+        if noise_std > 0:
+            with np.errstate(over="ignore"):
+                x = x + rng.normal(0.0, noise_std, size=(n, m))
+            if not np.isfinite(x).all():
+                raise ConfigError(f"noise_std={noise_std} overflows the features (--noise-std)")
+        flips = rng.random(n) < label_flip
+        y = np.where(flips, 1 - y, y)
+    except MemoryError:
+        raise ConfigError(f"{n} rows by {m} features do not fit in memory (--n, --m)") from None
 
     names = [f"f{j}" for j in range(m)]
     truth = SynthTruth(relevant, coeffs.tolist(), seed, int(flips.sum()))

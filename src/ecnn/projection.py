@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, NumericError
 
@@ -92,12 +91,14 @@ class FitResult:
 
 
 def sigmoid(a):
-    """Logistic function 1/(1 + exp(-a)), elementwise.
+    """Logistic function 1/(1 + exp(-a)), elementwise, computed as
+    ``0.5 + 0.5 * tanh(a / 2)``.
 
-    Monotone, symmetric about 0 (``sigmoid(a) + sigmoid(-a) == 1``), and
-    saturating to exactly 0.0 / 1.0 in float for large ``|a|``.
+    Monotone, symmetric about 0 (``sigmoid(a) + sigmoid(-a) == 1``
+    exactly), and saturating to exactly 0.0 / 1.0 in float for large
+    ``|a|``. ``tanh`` cannot overflow, so no input raises a warning.
     """
-    out = expit(a)
+    out = 0.5 + 0.5 * np.tanh(0.5 * np.asarray(a, dtype=np.float64))
     if np.ndim(a) == 0:
         return float(out)
     return out
@@ -181,17 +182,23 @@ def fit_neuron(
     p_aug = u_a.shape[0]
     step = cfg.chi / float(np.sum(u_a * u_a))
     w = rng.normal(0.0, cfg.init_std, size=p_aug)
-    # work buffers: the same operations as ``projection_step`` and the
-    # norm of ``sigmoid`` outputs minus targets, in place
+    # The loop works on the doubled residual 2 * (sigmoid(z) - t), which
+    # is tanh(z / 2) - (2t - 1). Halving the inputs is exact, so
+    # ``w @ h_a`` is ``z / 2`` and ``h_a @ eta_a`` is ``u_a @ (eta_a / 2)``
+    # bit for bit: the update is ``projection_step``'s.
+    h_a = 0.5 * u_a
+    h_b = 0.5 * u_b
+    s_a = 2.0 * targets_a - 1.0
+    s_b = 2.0 * targets_b - 1.0
     eta_a = np.empty(u_a.shape[1])
     eta_b = np.empty(u_b.shape[1])
     delta_w = np.empty(p_aug)
 
     def validation_error(wv: np.ndarray) -> float:
-        np.matmul(wv, u_b, out=eta_b)
-        expit(eta_b, out=eta_b)
-        np.subtract(eta_b, targets_b, out=eta_b)
-        return math.sqrt(eta_b.dot(eta_b))
+        np.matmul(wv, h_b, out=eta_b)
+        np.tanh(eta_b, out=eta_b)
+        np.subtract(eta_b, s_b, out=eta_b)
+        return 0.5 * math.sqrt(eta_b.dot(eta_b))
 
     trace = [validation_error(w)]
     steps = 0
@@ -199,10 +206,10 @@ def fit_neuron(
         return FitResult(w, trace[0], 0, np.asarray(trace))
 
     for k in range(1, cfg.max_steps + 1):
-        np.matmul(w, u_a, out=eta_a)
-        expit(eta_a, out=eta_a)
-        eta_a -= targets_a
-        np.matmul(u_a, eta_a, out=delta_w)
+        np.matmul(w, h_a, out=eta_a)
+        np.tanh(eta_a, out=eta_a)
+        eta_a -= s_a
+        np.matmul(h_a, eta_a, out=delta_w)
         delta_w *= step
         w -= delta_w
         if not np.isfinite(w).all():

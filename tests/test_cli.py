@@ -86,6 +86,19 @@ class TestSynthCommand:
         )
         assert result.exit_code == 2
 
+    # Sizes whose allocation fails at once (petabytes), never one the OS could commit.
+    @pytest.mark.parametrize("flags, named", [
+        (["--n", "1000000000000000", "--m", "6"], "--n, --m"),
+        (["--n", "10", "--m", "1000000000000000"], "--n, --m"),
+        (["--n", "100", "--m", "6", "--noise-std", "1e308"], "--noise-std"),
+    ])
+    def test_flags_that_cannot_make_a_table(self, runner, tmp_path, flags, named):
+        out = tmp_path / "x"
+        result = runner.invoke(cli, ["synth", *flags, "--relevant", "0", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output and named in result.output
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrainCommand:
     def test_default_train_writes_model_and_manifest(self, runner, tmp_path):

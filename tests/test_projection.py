@@ -1,3 +1,6 @@
+import decimal
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +61,32 @@ class TestSigmoid:
     def test_saturation(self):
         assert sigmoid(1000.0) == 1.0
         assert sigmoid(-1000.0) == 0.0
+
+    def test_within_2_pow_minus_53_of_exact(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            np.linspace(-40, 40, 4001), rng.uniform(-40, 40, 20_000), [700, -700, 745, -745]
+        ])
+        got = sigmoid(x)
+        # oracle: 1/(1 + e^-x) to 50 digits for each float x
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            one = decimal.Decimal(1)
+            worst = max(
+                abs(decimal.Decimal(float(g)) - one / (one + (-decimal.Decimal(float(v))).exp()))
+                for g, v in zip(got, x)
+            )
+        assert worst <= decimal.Decimal(2.0**-53)
+
+    def test_edge_values(self):
+        assert sigmoid(math.inf) == 1.0
+        assert sigmoid(-math.inf) == 0.0
+        assert math.isnan(sigmoid(math.nan))
+        np.testing.assert_array_equal(sigmoid(np.array([-np.inf, np.inf])), [0.0, 1.0])
+
+    def test_symmetry_exact(self):
+        a = np.random.default_rng(1).uniform(-50, 50, 100_000)
+        assert np.all(sigmoid(a) + sigmoid(-a) == 1.0)
 
 
 class TestNeuronForward:
@@ -267,17 +296,26 @@ class TestFitNeuron:
 
 def _reference_fit(xa, ya, xb, yb, cfg, rng):
     """``fit_neuron`` written with the package's reference pieces: one
-    ``projection_step`` per step, validation error ``rse`` of ``sigmoid``
-    outputs. The fit must give the same bytes."""
+    ``projection_step`` per step, validation error ``rse`` of the
+    residual. The fit must give the same bytes.
+
+    The residual is ``sigmoid(z) - t`` written through ``tanh`` as
+    ``fit_neuron`` computes it: halving ``tanh(z / 2) - (2t - 1)`` is
+    exact, while ``(0.5 + 0.5 * tanh(z / 2)) - t`` rounds twice and can
+    differ in the last bit for ``t = 1``."""
+
+    def residual(z, t):
+        return 0.5 * (np.tanh(0.5 * z) - (2 * t - 1))
+
     u_a, u_b = augment_bias(xa), augment_bias(xb)
     w = rng.normal(0.0, cfg.init_std, size=u_a.shape[0])
-    trace = [rse(sigmoid(w @ u_b) - yb)]
+    trace = [rse(residual(w @ u_b, yb))]
     if cfg.epsilon is not None and trace[0] <= cfg.epsilon:
         return w, trace, 0
     steps = 0
     for k in range(1, cfg.max_steps + 1):
-        w = projection_step(w, u_a, sigmoid(w @ u_a) - ya, cfg.chi)
-        trace.append(rse(sigmoid(w @ u_b) - yb))
+        w = projection_step(w, u_a, residual(w @ u_a, ya), cfg.chi)
+        trace.append(rse(residual(w @ u_b, yb)))
         steps = k
         if cfg.epsilon is not None:
             if trace[-1] <= cfg.epsilon:
