@@ -353,15 +353,28 @@ def fit_normalize(d: Dataset) -> tuple[Dataset, NormParams]:
     Uses the population (1/n) variance so the fitted set itself comes out
     with variance exactly 1. Columns with sample deviation below
     ``CONSTANT_STD_EPS`` are mapped to zeros and flagged constant instead
-    of being dropped, so feature indices stay stable.
+    of being dropped, so feature indices stay stable. A column whose mean
+    or deviation overflows (values near the float limit) gets them again
+    from the column divided by its largest absolute value; one whose
+    normalized values still overflow is a DataError.
     """
     if d.n < 2:
         raise DataError(f"need at least 2 rows to normalize, got {d.n}")
-    mean = d.x.mean(axis=0)
-    std = d.x.std(axis=0)
-    constant = std < CONSTANT_STD_EPS
-    params = NormParams(mean, np.where(constant, 1.0, std), constant)
-    return Dataset(params.apply(d.x), d.y, list(d.feature_names)), params
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = d.x.mean(axis=0)
+        std = d.x.std(axis=0)
+        wide = ~(np.isfinite(mean) & np.isfinite(std))
+        if wide.any():
+            scale = np.abs(d.x[:, wide]).max(axis=0)
+            mean[wide] = (d.x[:, wide] / scale).mean(axis=0) * scale
+            std[wide] = (d.x[:, wide] / scale).std(axis=0) * scale
+        constant = std < CONSTANT_STD_EPS
+        params = NormParams(mean, np.where(constant, 1.0, std), constant)
+        xn = params.apply(d.x)
+    bad = np.flatnonzero(wide & ~np.isfinite(xn).all(axis=0))
+    if bad.size:
+        raise DataError(f"feature {d.feature_names[bad[0]]!r} spans too wide a range to normalize")
+    return Dataset(xn, d.y, list(d.feature_names)), params
 
 
 def split(d: Dataset, fraction_a: float, seed: int) -> SplitPair:

@@ -6,7 +6,8 @@ neurons with an interaction term, fitted by least squares on a random
 subsample of the fitting data; an offspring survives only if its
 validation accuracy strictly beats both parents. Evolution stops after a
 run of generations that fail to improve the population's best, and the
-best neuron (smallest ancestor subgraph on ties) becomes the output.
+best neuron (smallest ancestor subgraph on ties) becomes the output. The
+population grows as arrays; the model is the output's ancestor subgraph.
 
 A generation draws its pairs and subsamples from one random stream and
 fits all its offspring in batched 4x4 normal-equation solves
@@ -102,12 +103,11 @@ class GmdhConfig:
 
 @dataclass
 class GmdhModel(Model):
-    """Evolved network: full creation log plus the minimal subgraph that
-    feeds the output neuron."""
+    """Evolved network: the subgraph that feeds the output neuron, each
+    neuron after those it reads, and the generation log of its run."""
 
     neurons: list[PolyNeuron]
     output_id: int
-    selected_ids: list[int]
     generation_log: list[tuple[int, float, int]]  # (generation, best_performance, population_size)
     norm: NormParams
     n_features: int
@@ -116,19 +116,13 @@ class GmdhModel(Model):
     def validation_performance(self) -> float:
         return next(n.performance for n in self.neurons if n.id == self.output_id)
 
-    def _selected(self) -> list[PolyNeuron]:
-        """The neurons of the selected subgraph in the order of ``neurons``:
-        id order when trained, file order when loaded."""
-        keep = set(self.selected_ids)
-        return [n for n in self.neurons if n.id in keep]
-
     def size(self) -> int:
-        return len(self.selected_ids)
+        return len(self.neurons)
 
     def used_features(self) -> frozenset[int]:
         return frozenset(
             src.index
-            for n in self._selected()
+            for n in self.neurons
             for src in (n.parent_a, n.parent_b)
             if src is not None and src.kind == "feature"
         )
@@ -143,7 +137,7 @@ class GmdhModel(Model):
                 return xn[:, src.index]
             return values[src.index]
 
-        for n in self._selected():
+        for n in self.neurons:
             u1 = resolve(n.parent_a)
             u2 = resolve(n.parent_b) if n.parent_b is not None else None
             values[n.id] = poly_forward(n.coeffs, u1, u2)
@@ -155,7 +149,7 @@ class GmdhModel(Model):
         score = self.forward(self.norm.apply(self.check_rows(x)))
         return score, (score >= (0.5 if threshold is None else threshold)).astype(np.int64)
 
-    # -- serialization: the selected subgraph is the model -----------------
+    # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
         return {
@@ -168,7 +162,7 @@ class GmdhModel(Model):
                     "coeffs": n.coeffs.tolist(),
                     "performance": float(n.performance),
                 }
-                for n in self._selected()
+                for n in self.neurons
             ],
             "output_id": self.output_id,
             "norm": self.norm.to_dict(),
@@ -203,7 +197,6 @@ class GmdhModel(Model):
         return cls(
             neurons=neurons,
             output_id=output_id,
-            selected_ids=[n.id for n in neurons],
             generation_log=[],
             norm=NormParams.from_dict(d["norm"], n_features),
             n_features=n_features,
@@ -281,9 +274,15 @@ def _accuracy(scores: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> floa
     return float(np.mean((scores >= threshold).astype(np.int64) == y))
 
 
-def _ancestor_ids(mask: int) -> list[int]:
-    """The ids whose bits are set in an ancestor mask, in ascending order."""
-    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+def _ancestor_ids(parents: np.ndarray, nid: int) -> list[int]:
+    """Ids of neuron ``nid`` and of every neuron it reads, ascending, from
+    the (N, 2) parent ids of a population (-1 for a seed neuron)."""
+    seen, stack = {nid}, [nid]
+    while stack:
+        new = set(parents[stack.pop()].tolist()) - seen - {-1}
+        seen |= new
+        stack.extend(new)
+    return sorted(seen)
 
 
 def _forward_rows(w: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
@@ -325,15 +324,20 @@ def evolve(
         c0_count, c1_count = part.class_counts()
         if c0_count == 0 or c1_count == 0:
             raise DataError(f"{label} part contains a single class")
-    neurons, ancestors, log = _grow_population(d_train, d_valid, cfg, seed)
+    coeffs, parents, performance, log = _grow_population(d_train, d_valid, cfg, seed)
 
     # best performance wins; ties go to the smallest ancestor subgraph,
-    # then to the earliest-created neuron
-    output = min(neurons, key=lambda n: (-n.performance, ancestors[n.id].bit_count(), n.id))
+    # then to the earliest-created neuron, which ends its own subgraph
+    tied = np.flatnonzero(performance == performance.max()).tolist()
+    selected = min((_ancestor_ids(parents, nid) for nid in tied), key=len)
+    neurons = []
+    for i in selected:
+        a, b = parents[i].tolist()
+        sources = (Source("feature", i), None) if a < 0 else (Source("neuron", a), Source("neuron", b))
+        neurons.append(PolyNeuron(i, *sources, coeffs[i].copy(), float(performance[i])))
     return GmdhModel(
         neurons=neurons,
-        output_id=output.id,
-        selected_ids=_ancestor_ids(ancestors[output.id]),
+        output_id=selected[-1],
         generation_log=log,
         norm=norm if norm is not None else NormParams.identity(d_train.m),
         n_features=d_train.m,
@@ -393,10 +397,11 @@ def _with_room(outs: np.ndarray, used: int, extra: int) -> np.ndarray:
 
 def _grow_population(
     d_train: Dataset, d_valid: Dataset, cfg: GmdhConfig, base_seed: int
-) -> tuple[list[PolyNeuron], list[int], list[tuple[int, float, int]]]:
-    """Seed neurons and every accepted offspring in creation order (ids
-    are list positions), the ancestor subgraph of each neuron, itself
-    included, as a bit mask over ids, and the generation log.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, float, int]]]:
+    """Every neuron the run creates, in creation order (ids are row
+    numbers): its (N, 4) coefficients, its (N, 2) parent ids (-1 for the
+    seed neurons; seed neuron j reads feature j), its (N,) validation
+    performance, and the generation log.
 
     Generation g draws from one stream, ``derive_rng(base, "generation",
     g)``: first the K ordered pairs of distinct parents, ``i`` uniform and
@@ -425,54 +430,53 @@ def _grow_population(
     fit_cols, valid_cols = slice(0, q), slice(q, None)
     width = len(x)
     outs = np.empty((max(1, _RESERVE_BYTES // (8 * width)), width))
-    neurons: list[PolyNeuron] = []
-    ancestors: list[int] = []
+    coeff_blocks, seed_perf = [], []
     for j in range(d_train.m):
         coeffs = fit_ls(
             d_train.x[:, j], None, yt, cfg.fit_subsample, derive_rng(base_seed, "seed-fit", j)
         )
         outs = _with_room(outs, j, 1)
         outs[j] = poly_forward(coeffs, x[:, j])
-        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, _accuracy(outs[j, q:], yv)))
-        ancestors.append(1 << j)
-    performance = np.array([n.performance for n in neurons])
+        coeff_blocks.append(coeffs[None])
+        seed_perf.append(_accuracy(outs[j, q:], yv))
+    parent_blocks = [np.full((d_train.m, 2), -1)]
+    performance = np.array(seed_perf)
+    size = d_train.m
 
     k = cfg.offspring_per_generation
     count = q if cfg.fit_subsample >= 1.0 else int(round(cfg.fit_subsample * q))
     best_perf = float(performance.max())
-    log = [(0, best_perf, len(neurons))]
+    log = [(0, best_perf, size)]
     failures = 0
     generation = 0
     while failures < cfg.max_serial_failures:
         generation += 1
         rng = derive_rng(base_seed, "generation", generation)
-        pool_size = len(neurons)
-        first = rng.integers(pool_size, size=k)
-        second = (first + rng.integers(1, pool_size, size=k)) % pool_size
+        first = rng.integers(size, size=k)
+        second = (first + rng.integers(1, size, size=k)) % size
         beaten = np.maximum(performance[first], performance[second])
         accepted = []
         for start in range(0, k, _BLOCK):
-            parents = np.stack([first[start : start + _BLOCK], second[start : start + _BLOCK]])
+            pairs = np.stack([first[start : start + _BLOCK], second[start : start + _BLOCK]])
             if count < q:
-                rows = np.argpartition(rng.random((parents.shape[1], q)), count - 1, axis=1)[:, :count]
-                u1, u2 = outs.take((parents * width)[..., None] + rows)
+                rows = np.argpartition(rng.random((pairs.shape[1], q)), count - 1, axis=1)[:, :count]
+                u1, u2 = outs.take((pairs * width)[..., None] + rows)
                 w = fit_ls_batch(u1, u2, yt[rows])
             else:
-                u1, u2 = outs[parents, fit_cols]
+                u1, u2 = outs[pairs, fit_cols]
                 w = fit_ls_batch(u1, u2, yt)
-            out_valid = _forward_rows(w, *outs[parents, valid_cols])
+            out_valid = _forward_rows(w, *outs[pairs, valid_cols])
             perf = np.count_nonzero((out_valid >= 0.5) == yv_true, axis=1) / len(yv)
             t = np.flatnonzero(perf > beaten[start : start + _BLOCK])
             if t.size:
-                new = slice(len(neurons), len(neurons) + t.size)
-                outs = _with_room(outs, new.start, t.size)
-                outs[new, fit_cols] = _forward_rows(w[t], *outs[parents[:, t], fit_cols])
+                new = slice(size, size + t.size)
+                outs = _with_room(outs, size, t.size)
+                outs[new, fit_cols] = _forward_rows(w[t], *outs[pairs[:, t], fit_cols])
                 outs[new, valid_cols] = out_valid[t]
-                for coeffs, p, i, j in zip(w[t], perf[t].tolist(), *parents[:, t].tolist()):
-                    nid = len(neurons)
-                    neurons.append(PolyNeuron(nid, Source("neuron", i), Source("neuron", j), coeffs, p))
-                    ancestors.append(1 << nid | ancestors[i] | ancestors[j])
+                coeff_blocks.append(w[t])
+                parent_blocks.append(pairs[:, t].T)
                 accepted.append(perf[t])
+                size += t.size
 
         generation_best = -np.inf
         if accepted:
@@ -484,5 +488,5 @@ def _grow_population(
             failures = 0
         else:
             failures += 1
-        log.append((generation, best_perf, len(neurons)))
-    return neurons, ancestors, log
+        log.append((generation, best_perf, size))
+    return np.concatenate(coeff_blocks), np.concatenate(parent_blocks), performance, log

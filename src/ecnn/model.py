@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .util import atomic_write_text
 
 FORMAT_VERSION = 1
@@ -77,7 +77,12 @@ class Model:
         return float(np.mean(cls != d.y))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        """The model document; a number that is not finite, which
+        ``read_json_doc`` would refuse, is a NumericError."""
+        try:
+            return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NumericError(f"model holds a number that is not finite: {exc}") from None
 
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, self.to_json())

@@ -206,6 +206,44 @@ class TestTrainCommand:
         assert result.exit_code == 4
         assert "non-finite coefficients" in result.output
 
+    @pytest.mark.parametrize("method", ["ecnn", "gmdh", "dt"])
+    def test_features_near_the_float_limit_round_trip(self, runner, tmp_path, method):
+        # noise of std 1e300 overflows a plain deviation; training must
+        # still write finite numbers that evaluate reads back
+        task = tmp_path / "big"
+        result = _invoke(runner, [
+            "synth", "--n", "100", "--m", "4", "--relevant", "0", "--noise-std", "1e300",
+            "--seed", "1", "--out", str(task),
+        ])
+        assert result.exit_code == 0
+        out = tmp_path / method
+        result = runner.invoke(cli, [
+            "train", "--data", f"{task}.csv", "--method", method, "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        text = Path(f"{out}.model.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        result = runner.invoke(cli, ["evaluate", "--model", f"{out}.model.json", "--data", f"{task}.csv"])
+        assert result.exit_code == 0, result.output
+
+    def test_non_finite_model_exit_code(self, runner, tmp_path, monkeypatch):
+        # a model holding a NaN coefficient is a numeric failure, not a
+        # file that evaluate would refuse
+        real_evolve = gmdh.evolve
+
+        def nan_evolve(*args, **kwargs):
+            model = real_evolve(*args, **kwargs)
+            model.neurons[-1].coeffs[0] = np.nan
+            return model
+
+        monkeypatch.setattr(gmdh, "evolve", nan_evolve)
+        data = _make_data(tmp_path)
+        out = tmp_path / "x"
+        result = runner.invoke(cli, ["train", "--data", str(data), "--method", "gmdh", "--out", str(out)])
+        assert result.exit_code == 4
+        assert "not finite" in result.output
+        assert not Path(f"{out}.model.json").exists()
+
     def test_missing_output_directories_created(self, runner, tmp_path):
         data = _make_data(tmp_path)
         task = tmp_path / "nodir" / "sub" / "task"

@@ -434,6 +434,44 @@ class TestNormalize:
         dn, params = fit_normalize(d)
         np.testing.assert_allclose(params.apply(d.x), dn.x, atol=1e-12)
 
+    def test_ordinary_columns_keep_plain_mean_and_std(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(1e150, 3e149, size=(50, 3))
+        x[:, 1] = rng.normal(size=50)
+        d = Dataset(x, rng.integers(0, 2, 50), ["a", "b", "c"])
+        dn, params = fit_normalize(d)
+        assert params.mean.tobytes() == x.mean(axis=0).tobytes()
+        assert params.std.tobytes() == x.std(axis=0).tobytes()
+        assert dn.x.tobytes() == ((x - x.mean(axis=0)) / x.std(axis=0)).tobytes()
+
+    def test_column_near_the_float_limit(self):
+        # the squares of deviations near 1e300 overflow a plain std
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(60, 2))
+        x[:, 0] *= 1e300
+        d = Dataset(x, rng.integers(0, 2, 60), ["big", "b"])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(x[:, 0].std())
+        dn, params = fit_normalize(d)
+        assert np.isfinite(params.mean).all() and np.isfinite(params.std).all()
+        assert not params.constant.any()
+        assert params.std[1] == x[:, 1].std()
+        assert params.std[0] == pytest.approx(np.std(x[:, 0] / 1e300) * 1e300, rel=1e-12)
+        assert abs(dn.x[:, 0].mean()) < 1e-9 and abs(dn.x[:, 0].var() - 1.0) < 1e-9
+        np.testing.assert_allclose(invert(params, dn.x)[:, 0] / 1e300, x[:, 0] / 1e300, atol=1e-9)
+
+    def test_constant_column_near_the_float_limit_flagged(self):
+        x = np.array([[1.7e308, 1.0], [1.7e308, 2.0], [1.7e308, 3.0]])
+        dn, params = fit_normalize(Dataset(x, np.array([0, 1, 0]), ["a", "b"]))
+        assert params.constant.tolist() == [True, False]
+        assert not dn.x[:, 0].any()
+
+    def test_range_too_wide_to_normalize(self):
+        # deviations from the mean overflow even after rescaling
+        x = np.array([[1.7e308, 1.0], [-1.7e308, 2.0], [1.7e308, 3.0]])
+        with pytest.raises(DataError, match="feature 'wide' spans too wide a range"):
+            fit_normalize(Dataset(x, np.array([0, 1, 0]), ["wide", "b"]))
+
 
 class TestSplit:
     def test_balanced_even_split(self):

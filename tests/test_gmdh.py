@@ -154,15 +154,16 @@ class TestEvolve:
         cfg = GmdhConfig(offspring_per_generation=40, max_serial_failures=2, fit_subsample=1.0)
         model = evolve(d.subset(np.arange(150)), d.subset(np.arange(150, 300)), cfg, seed=1)
         assert model.validation_performance == 1.0
-        assert len(model.selected_ids) == 1
+        assert model.size() == 1
 
     def test_acceptance_beats_both_parents(self):
         d_train = _xor_like(300, seed=4)
         d_valid = _xor_like(300, seed=5)
         cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=2, fit_subsample=0.5)
-        model = evolve(d_train, d_valid, cfg, seed=2)
-        by_id = {n.id: n for n in model.neurons}
-        for n in model.neurons:
+        neurons, _ = _population(d_train, d_valid, cfg, seed=2)
+        assert len(neurons) > d_train.m
+        by_id = {n.id: n for n in neurons}
+        for n in neurons:
             if n.parent_b is None:
                 continue
             pa = by_id[n.parent_a.index].performance
@@ -182,9 +183,11 @@ class TestEvolve:
         d_valid = _xor_like(300, seed=9)
         cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=2, fit_subsample=1.0)
         model = evolve(d_train, d_valid, cfg, seed=4)
-        selected = set(model.selected_ids)
+        neurons, _ = _population(d_train, d_valid, cfg, seed=4)
+        selected = {n.id for n in model.neurons}
         assert model.output_id in selected
-        by_id = {n.id: n for n in model.neurons}
+        assert sorted(selected) == ancestor_ids(neurons, model.output_id)
+        by_id = {n.id: n for n in neurons}
         for nid in selected:
             n = by_id[nid]
             for src in (n.parent_a, n.parent_b):
@@ -206,12 +209,36 @@ class TestEvolve:
             GmdhConfig(fit_subsample=1.5)
 
 
+def _as_neurons(coeffs, parents, performance):
+    """The ``PolyNeuron``s, in id order, that population arrays describe:
+    row i holds neuron i's coefficients, parent ids (-1 for a seed neuron,
+    which reads feature i) and performance."""
+    assert coeffs.shape == (len(parents), 4) and parents.shape[1] == 2 and performance.shape == (len(parents),)
+    neurons = []
+    for nid, (a, b) in enumerate(parents.tolist()):
+        if a < 0:
+            assert b < 0
+            sources = (Source("feature", nid), None)
+        else:
+            sources = (Source("neuron", a), Source("neuron", b))
+        neurons.append(PolyNeuron(nid, *sources, coeffs[nid], float(performance[nid])))
+    return neurons
+
+
+def _population(d_train, d_valid, cfg, seed):
+    """Every neuron ``evolve`` creates, read from ``_grow_population``'s
+    arrays, and the generation log."""
+    coeffs, parents, performance, log = gmdh._grow_population(d_train, d_valid, cfg, seed)
+    return _as_neurons(coeffs, parents, performance), log
+
+
 def _reference_evolve(d_train, d_valid, cfg, base_seed):
     """The generation loop one offspring at a time, on the draws ``evolve``
     makes: each offspring takes its pair, then its own row of keys, from
     the generation's stream, is fitted by ``fit_ls`` (``lstsq``) on the
     rows its keys pick, scored and accepted in turn; the output is picked
-    by recomputing every neuron's ancestor subgraph."""
+    by recomputing every neuron's ancestor subgraph. Returns every neuron
+    created, the generation log, the output id and its subgraph's ids."""
     yt = d_train.y.astype(np.float64)
     yv = d_valid.y
     q = d_train.n
@@ -259,8 +286,7 @@ def _reference_evolve(d_train, d_valid, cfg, base_seed):
         log.append((generation, best_perf, len(neurons)))
 
     output = min(neurons, key=lambda n: (-n.performance, len(ancestor_ids(neurons, n.id)), n.id))
-    return GmdhModel(neurons, output.id, ancestor_ids(neurons, output.id), log,
-                     NormParams.identity(d_train.m), d_train.m)
+    return neurons, log, output.id, ancestor_ids(neurons, output.id)
 
 
 def _assert_close_fit(got, ref):
@@ -337,6 +363,43 @@ class TestFitLsBatch:
             gmdh.fit_ls_batch(u1, -u1, np.ones(10))
 
 
+class TestOutputChoice:
+    # seeds 0-2 (parents -1), then offspring 3-8 with these parent pairs;
+    # 4, 7 and 8 tie at the best performance, with subgraphs of 5, 3 and 3
+    PARENTS = np.array([[-1, -1], [-1, -1], [-1, -1], [0, 1], [3, 2], [0, 2], [5, 1], [1, 2], [0, 1]])
+    PERFORMANCE = np.array([0.5, 0.55, 0.6, 0.7, 0.9, 0.8, 0.85, 0.9, 0.9])
+
+    def test_smallest_subgraph_then_lowest_id(self, monkeypatch):
+        coeffs = np.arange(36, dtype=np.float64).reshape(9, 4)
+        log = [(0, 0.6, 3), (1, 0.9, 9)]
+        monkeypatch.setattr(gmdh, "_grow_population", lambda *args: (coeffs, self.PARENTS, self.PERFORMANCE, log))
+        d = Dataset(np.zeros((4, 3)), np.array([0, 1, 0, 1]), ["a", "b", "c"])
+        model = evolve(d, d, GmdhConfig(), seed=0)
+
+        neurons = _as_neurons(coeffs, self.PARENTS, self.PERFORMANCE)
+        for n in neurons:
+            assert _ancestor_ids(self.PARENTS, n.id) == ancestor_ids(neurons, n.id)
+        tied = [n.id for n in neurons if n.performance == 0.9]
+        assert tied == [4, 7, 8]
+        assert [len(ancestor_ids(neurons, i)) for i in tied] == [5, 3, 3]
+        ref = min(neurons, key=lambda n: (-n.performance, len(ancestor_ids(neurons, n.id)), n.id))
+        assert model.output_id == ref.id == 7
+        assert [n.id for n in model.neurons] == ancestor_ids(neurons, 7) == [1, 2, 7]
+        for n in model.neurons:
+            r = neurons[n.id]
+            assert (n.parent_a, n.parent_b, n.performance) == (r.parent_a, r.parent_b, r.performance)
+            assert n.coeffs.tobytes() == r.coeffs.tobytes()
+        assert model.generation_log == log
+        assert model.used_features() == {1, 2}
+
+
+def _assert_same_population(got, ref):
+    """Two ``_grow_population`` results hold the same bytes."""
+    for a, b in zip(got[:3], ref[:3]):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert got[3] == ref[3]
+
+
 class TestBatchedGenerations:
     @pytest.mark.parametrize("offspring", [1, 40])
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
@@ -346,28 +409,30 @@ class TestBatchedGenerations:
         cfg = GmdhConfig(offspring_per_generation=offspring, max_serial_failures=3,
                          fit_subsample=subsample)
         model = evolve(d_train, d_valid, cfg, seed)
-        ref = _reference_evolve(d_train, d_valid, cfg, seed)
-        assert model.generation_log == ref.generation_log
-        assert (model.output_id, model.selected_ids) == (ref.output_id, ref.selected_ids)
-        assert len(model.neurons) == len(ref.neurons)
-        for n, r in zip(model.neurons, ref.neurons):
+        neurons, log = _population(d_train, d_valid, cfg, seed)
+        ref_neurons, ref_log, ref_output, ref_selected = _reference_evolve(d_train, d_valid, cfg, seed)
+        assert model.generation_log == log == ref_log
+        assert (model.output_id, [n.id for n in model.neurons]) == (ref_output, ref_selected)
+        assert len(neurons) == len(ref_neurons)
+        for n, r in zip(neurons, ref_neurons):
             assert (n.id, n.parent_a, n.parent_b) == (r.id, r.parent_a, r.parent_b)
             assert n.performance == r.performance
             if n.parent_b is None:
                 assert n.coeffs.tobytes() == r.coeffs.tobytes()
             else:
                 _assert_close_fit(n.coeffs, r.coeffs)
+        for n in model.neurons:
+            p = neurons[n.id]
+            assert (n.parent_a, n.parent_b, n.performance) == (p.parent_a, p.parent_b, p.performance)
+            assert n.coeffs.tobytes() == p.coeffs.tobytes()
         if offspring == 1:
             # the path where a generation accepts no offspring ran
             sizes = [size for _, _, size in model.generation_log]
             assert any(b == a for a, b in zip(sizes, sizes[1:]))
 
-        neurons, ancestors, _ = gmdh._grow_population(d_train, d_valid, cfg, seed)
+        _, parents, _, _ = gmdh._grow_population(d_train, d_valid, cfg, seed)
         for n in neurons:
-            ids = ancestor_ids(neurons, n.id)
-            assert ancestors[n.id] == sum(1 << a for a in ids)
-            assert ancestors[n.id].bit_count() == len(ids)
-            assert _ancestor_ids(ancestors[n.id]) == ids
+            assert _ancestor_ids(parents, n.id) == ancestor_ids(neurons, n.id)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_offspring_fits_need_no_lstsq(self, monkeypatch, seed):
@@ -384,22 +449,23 @@ class TestBatchedGenerations:
         monkeypatch.setattr(gmdh, "fit_ls", counting_fit)
         d_train, d_valid = _small_task(seed)
         cfg = GmdhConfig(offspring_per_generation=200, max_serial_failures=3)
-        model = evolve(d_train, d_valid, cfg, seed)
-        assert len(model.neurons) > 2 * d_train.m
+        coeffs, *_ = gmdh._grow_population(d_train, d_valid, cfg, seed)
+        assert len(coeffs) > 2 * d_train.m
         assert calls == [True] * d_train.m
 
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
     def test_block_size_changes_no_byte(self, monkeypatch, subsample):
         d_train, d_valid = _small_task(3)
         cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample)
-        models = []
+        models, populations = [], []
         for block in (1, 7, 64, 90, 500):
             monkeypatch.setattr(gmdh, "_BLOCK", block)
             models.append(evolve(d_train, d_valid, cfg, 3))
-        for model in models[1:]:
+            populations.append(gmdh._grow_population(d_train, d_valid, cfg, 3))
+        for model, population in zip(models[1:], populations[1:]):
             assert model.to_json() == models[0].to_json()
             assert model.generation_log == models[0].generation_log
-            assert [n.coeffs.tobytes() for n in model.neurons] == [n.coeffs.tobytes() for n in models[0].neurons]
+            _assert_same_population(population, populations[0])
 
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
     def test_growth_changes_no_byte(self, monkeypatch, subsample):
@@ -409,15 +475,16 @@ class TestBatchedGenerations:
         row_bytes = 8 * (d_train.n + d_valid.n)
         cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample)
         models = [evolve(d_train, d_valid, cfg, 4)]
+        populations = [gmdh._grow_population(d_train, d_valid, cfg, 4)]
         for rows in (1, 16, 37):
             monkeypatch.setattr(gmdh, "_RESERVE_BYTES", rows * row_bytes)
             models.append(evolve(d_train, d_valid, cfg, 4))
-        assert len(models[0].neurons) > 37
-        for model in models[1:]:
+            populations.append(gmdh._grow_population(d_train, d_valid, cfg, 4))
+        assert len(populations[0][0]) > 37
+        for model, population in zip(models[1:], populations[1:]):
             assert model.to_json() == models[0].to_json()
             assert model.generation_log == models[0].generation_log
-            assert [n.coeffs.tobytes() for n in model.neurons] == [n.coeffs.tobytes() for n in models[0].neurons]
-            assert [n.performance for n in model.neurons] == [n.performance for n in models[0].neurons]
+            _assert_same_population(population, populations[0])
 
 
 class TestPredictAndSerialize:
@@ -431,7 +498,7 @@ class TestPredictAndSerialize:
 
     def test_constant_neuron_always_one_class(self):
         neuron = PolyNeuron(0, Source("feature", 0), None, np.array([0.6, 0, 0, 0]), 1.0)
-        model = GmdhModel([neuron], 0, [0], [], NormParams.identity(3), 3)
+        model = GmdhModel([neuron], 0, [], NormParams.identity(3), 3)
         for x in (np.zeros(3), np.array([5.0, -2.0, 1.0])):
             score, cls = model.predict_batch(x)
             assert cls[0] == 1 and score[0] == 0.6
@@ -477,6 +544,32 @@ class TestPredictAndSerialize:
         assert loaded.predict_batch(d.x)[0].tobytes() == model.predict_batch(d.x)[0].tobytes()
         assert loaded.used_features() == model.used_features()
         assert loaded.to_json() == path.read_text()
+
+    def test_trained_model_equals_its_reload(self, tmp_path):
+        # a trained model holds exactly its selected subgraph, as a loaded
+        # one does
+        d, model = self._small_model(seed=7)
+        assert model.size() > 5
+        path = tmp_path / "gmdh.model.json"
+        model.save(path)
+        loaded = GmdhModel.load(path)
+        assert loaded.output_id == model.output_id
+        assert len(loaded.neurons) == len(model.neurons)
+        for n, r in zip(model.neurons, loaded.neurons):
+            assert (n.id, n.parent_a, n.parent_b, n.performance) == (r.id, r.parent_a, r.parent_b, r.performance)
+            assert n.coeffs.tobytes() == r.coeffs.tobytes()
+        assert loaded.size() == model.size()
+        assert loaded.used_features() == model.used_features()
+        assert loaded.to_json() == model.to_json() == path.read_text()
+
+    def test_non_finite_coefficient_is_not_written(self, tmp_path):
+        # a model that read_json_doc would refuse is never written
+        _, model = self._small_model(seed=4)
+        model.neurons[-1].coeffs[0] = np.nan
+        path = tmp_path / "nan.model.json"
+        with pytest.raises(NumericError, match="not finite"):
+            model.save(path)
+        assert not path.exists()
 
     def test_evaluate_matches_manual(self):
         d, model = self._small_model(seed=2)
