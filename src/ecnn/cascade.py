@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import Dataset, NormParams, fit_normalize, split
 from .errors import ConfigError, DataError
 from .model import FORMAT_VERSION, Model, require
-from .projection import FitResult, TrainConfig, fit_neuron, sigmoid
+from .projection import TrainConfig, fit_neuron, sigmoid
 from .util import derive_rng, derive_seed
 
 
@@ -72,6 +72,11 @@ class CascadeNeuron:
     @property
     def bias(self) -> float:
         return float(self.weights[-1])
+
+    def output(self, u: np.ndarray) -> np.ndarray:
+        """Output on input rows ``u`` (one row per input, examples as
+        columns); training and prediction both compute it here."""
+        return sigmoid(self.weights[:-1] @ u + self.bias)
 
 
 @dataclass
@@ -129,14 +134,8 @@ class CascadeModel(Model):
         xn = np.atleast_2d(np.asarray(xn, dtype=np.float64))
         z = np.empty((xn.shape[0], len(self.neurons)))
         for r, neuron in enumerate(self.neurons):
-            rows = []
-            for src in neuron.inputs:
-                if src.kind == "feature":
-                    rows.append(xn[:, src.index])
-                else:
-                    rows.append(z[:, src.index])
-            u = np.vstack(rows) if rows else np.zeros((0, xn.shape[0]))
-            z[:, r] = sigmoid(neuron.weights[:-1] @ u + neuron.bias)
+            rows = [(xn if src.kind == "feature" else z)[:, src.index] for src in neuron.inputs]
+            z[:, r] = neuron.output(np.vstack(rows) if rows else np.zeros((0, xn.shape[0])))
         return z
 
     def forward(self, xn: np.ndarray) -> np.ndarray:
@@ -234,29 +233,17 @@ def rank_features(d_a: Dataset, d_b: Dataset, cfg: GrowthConfig, seed: int) -> l
     return sorted(scores, key=lambda t: (t[1], t[0]))
 
 
-def assemble_candidate_inputs(model: CascadeModel, feature_j: int, xn: np.ndarray) -> np.ndarray:
-    """Input matrix for a candidate at the next layer: one row per earlier
-    hidden output, then the base feature, then feature ``feature_j``.
+def assemble_candidate_inputs(
+    hidden: list[np.ndarray], xn: np.ndarray, base_feature: int, feature_j: int
+) -> np.ndarray:
+    """Input matrix for a candidate at the next layer: the rows ``hidden``
+    (the accepted neurons' outputs on ``xn``, in layer order), then the
+    base feature, then feature ``feature_j``.
 
     ``xn`` holds normalized rows; the result has examples as columns, with
     no bias row (the trainer appends it).
     """
-    xn = np.atleast_2d(np.asarray(xn, dtype=np.float64))
-    if feature_j == model.base_feature or feature_j in model.used_features():
-        raise ValueError(f"feature {feature_j} is already wired into the model")
-    z = model.hidden_outputs(xn) if model.neurons else np.zeros((xn.shape[0], 0))
-    rows = [z[:, r] for r in range(z.shape[1])]
-    rows.append(xn[:, model.base_feature])
-    rows.append(xn[:, feature_j])
-    return np.vstack(rows)
-
-
-def _candidate_wiring(n_hidden: int, base_feature: int, feature_j: int) -> tuple[InputSource, ...]:
-    return (
-        *(InputSource.hidden(r) for r in range(n_hidden)),
-        InputSource.feature(base_feature),
-        InputSource.feature(feature_j),
-    )
+    return np.vstack([*hidden, xn[:, base_feature], xn[:, feature_j]])
 
 
 def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
@@ -288,50 +275,44 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
     if not math.isfinite(c0):
         raise DataError("every feature is degenerate; nothing to train on")
 
-    model = CascadeModel(
-        base_feature=base_feature,
-        neurons=[],
-        c0=c0,
-        norm=norm,
-        feature_names=list(d.feature_names),
-    )
     xa, ya = d_a.x, d_a.y.astype(np.float64)
     xb, yb = d_b.x, d_b.y.astype(np.float64)
 
-    prev_criterion = c0
+    # an accepted neuron is frozen, so its outputs on parts A and B are
+    # kept instead of recomputed for every later candidate
+    neurons: list[CascadeNeuron] = []
+    hidden_a: list[np.ndarray] = []
+    hidden_b: list[np.ndarray] = []
     failures = 0
-    fallback: tuple[float, CascadeNeuron] | None = None
+    fallback: CascadeNeuron | None = None
     for feature_j, score_j in ranking[1:]:
         if not math.isfinite(score_j):
             break  # degenerate features sort last; nothing usable remains
-        layer = len(model.neurons) + 1
-        u_a = assemble_candidate_inputs(model, feature_j, xa)
-        u_b = assemble_candidate_inputs(model, feature_j, xb)
-        best: FitResult | None = None
-        for attempt in range(cfg.restarts_per_candidate):
-            rng = derive_rng(seed, "candidate", layer, feature_j, attempt)
-            res = fit_neuron(u_a, ya, u_b, yb, cfg.trainer, rng)
-            if best is None or res.criterion < best.criterion:
-                best = res
-        neuron = CascadeNeuron(
-            layer=layer,
-            inputs=_candidate_wiring(layer - 1, base_feature, feature_j),
-            weights=best.weights,
-            criterion=best.criterion,
+        layer = len(neurons) + 1
+        u_a = assemble_candidate_inputs(hidden_a, xa, base_feature, feature_j)
+        u_b = assemble_candidate_inputs(hidden_b, xb, base_feature, feature_j)
+        fits = (
+            fit_neuron(u_a, ya, u_b, yb, cfg.trainer, derive_rng(seed, "candidate", layer, feature_j, attempt))
+            for attempt in range(cfg.restarts_per_candidate)
         )
-        if best.criterion < prev_criterion:
-            model.neurons.append(neuron)
-            prev_criterion = best.criterion
+        best = min(fits, key=lambda res: res.criterion)  # the first of equal criteria wins
+        wiring = (*map(InputSource.hidden, range(layer - 1)),
+                  InputSource.feature(base_feature), InputSource.feature(feature_j))
+        neuron = CascadeNeuron(layer, wiring, best.weights, best.criterion)
+        if best.criterion < (neurons[-1].criterion if neurons else c0):
+            neurons.append(neuron)
+            hidden_a.append(neuron.output(u_a))
+            hidden_b.append(neuron.output(u_b))
             failures = 0
         else:
-            if not model.neurons and (fallback is None or best.criterion < fallback[0]):
-                fallback = (best.criterion, neuron)
+            if not neurons and (fallback is None or best.criterion < fallback.criterion):
+                fallback = neuron
             failures += 1
             if cfg.max_failed_attempts is not None and failures >= cfg.max_failed_attempts:
                 break
 
-    if not model.neurons:
+    if not neurons:
         if fallback is None:
             raise DataError("no candidate neuron could be formed")
-        model.neurons.append(fallback[1])
-    return model
+        neurons = [fallback]
+    return CascadeModel(base_feature, neurons, c0, norm, list(d.feature_names))

@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -92,6 +93,17 @@ def _write_manifest(
     return path
 
 
+def _check_out(out: str) -> None:
+    """Refuse, before any work, an output prefix that does not end in a name
+    (a path separator, ``.`` or ``..``) or whose directory cannot be made."""
+    if os.path.basename(out) in ("", ".", ".."):
+        raise ConfigError(f"--out must end in a file name prefix, got {out!r}")
+    try:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out!r}: cannot create directory {exc.filename!r}: {exc.strerror}")
+
+
 def _resolve_target(target: str) -> str | int:
     try:
         return int(target)
@@ -142,6 +154,7 @@ def cli() -> None:
 @_handles_errors
 def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
     """Generate a synthetic feature-selection dataset plus its ground truth."""
+    _check_out(out)
     started = time.time()
     try:
         relevant_idx = [int(tok) for tok in relevant.split(",") if tok.strip() != ""]
@@ -222,6 +235,7 @@ def _with_train_options(fn):
 @_handles_errors
 def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, **cfg_flags) -> None:
     """Train a classifier and save the best model plus a run manifest."""
+    _check_out(out)
     started = time.time()
     d = load_csv(data_path, _resolve_target(target))
     d_test = load_csv(test_data, _resolve_target(target)) if test_data else None
@@ -267,6 +281,8 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
 @_handles_errors
 def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
     """Score a saved model on a dataset: error rate and confusion counts."""
+    if out is not None:
+        _check_out(out)
     started = time.time()
     if not math.isfinite(threshold):
         raise ConfigError(f"--threshold must be finite, got {threshold}")
@@ -291,6 +307,7 @@ def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
 @_handles_errors
 def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_flags) -> None:
     """Cross-validated comparison of the cascade model and both baselines."""
+    _check_out(out)
     started = time.time()
     d = load_csv(data_path, _resolve_target(target))
     reports = []
@@ -322,6 +339,7 @@ def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_fla
 @_handles_errors
 def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, seed, out) -> None:
     """Validation-error traces of one neuron fitted at several learning rates."""
+    _check_out(out)
     started = time.time()
     try:
         chi_list = [float(tok) for tok in chis.split(",") if tok.strip() != ""]

@@ -1,9 +1,10 @@
 """Plain reference forms that only the tests use: a neuron's output and
 residuals written from their definitions, the parts of a fitted weight
-vector, the inverse of a normalization, a GMDH neuron's ancestors found
-by walking its parent links, one threshold draw of the tree, the tree's
-split search one feature at a time, and the cross-validation summary
-recomputed from its folds."""
+vector, the inverse of a normalization, a cascade candidate's inputs found
+by running the whole cascade, a GMDH neuron's ancestors found by walking
+its parent links, one threshold draw of the tree, the tree's split search
+one feature at a time, and the cross-validation summary recomputed from
+its folds."""
 
 from __future__ import annotations
 
@@ -58,6 +59,21 @@ def bias(fit) -> float:
 def invert(params, xn: np.ndarray) -> np.ndarray:
     """Raw values back from values normalized by ``NormParams`` ``params``."""
     return np.asarray(xn, dtype=np.float64) * params.std + params.mean
+
+
+def candidate_inputs(model, feature_j: int, xn: np.ndarray) -> np.ndarray:
+    """Input matrix for a candidate at the next layer of the cascade
+    ``model``, found by running every neuron of the model on the normalized
+    rows ``xn``: one row per hidden output, then the base feature, then
+    feature ``feature_j``. A feature the model already reads is refused."""
+    xn = np.atleast_2d(np.asarray(xn, dtype=np.float64))
+    if feature_j == model.base_feature or feature_j in model.used_features():
+        raise ValueError(f"feature {feature_j} is already wired into the model")
+    z = model.hidden_outputs(xn) if model.neurons else np.zeros((xn.shape[0], 0))
+    rows = [z[:, r] for r in range(z.shape[1])]
+    rows.append(xn[:, model.base_feature])
+    rows.append(xn[:, feature_j])
+    return np.vstack(rows)
 
 
 def ancestor_ids(neurons, root_id: int) -> list[int]:

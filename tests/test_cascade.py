@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ecnn import harness
+from ecnn import cascade, harness
 from ecnn.cascade import (
     CascadeModel,
     CascadeNeuron,
@@ -17,7 +18,7 @@ from ecnn.dataset import Dataset, NormParams, fit_normalize, split, synth_genera
 from ecnn.errors import ConfigError, DataError
 from ecnn.projection import TrainConfig
 from ecnn.util import derive_seed
-from reference import error_vector, rse
+from reference import candidate_inputs, error_vector, rse
 
 
 def _normalized_halves(d, fraction=0.5, seed=0):
@@ -81,38 +82,117 @@ class TestRankFeatures:
         assert math.isinf(ranking[-1][1])
 
 
+def _perfect_single_feature_task():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(300, 4))
+    y = (x[:, 1] > 0).astype(np.int64)
+    x[:, 1] = np.where(y == 1, x[:, 1] + 5.0, x[:, 1] - 5.0)
+    return Dataset(x, y, list("abcd"))
+
+
+def _kept_rows(model, xn):
+    """Hidden rows built the way ``train`` builds them: each neuron's
+    output on its own assembled inputs, appended as it is accepted."""
+    hidden = []
+    for neuron in model.neurons:
+        u = assemble_candidate_inputs(hidden, xn, model.base_feature, neuron.inputs[-1].index)
+        hidden.append(neuron.output(u))
+    return hidden
+
+
+def _recorded_calls(monkeypatch, d, cfg, seed):
+    """Train with ``assemble_candidate_inputs`` wrapped; returns the model
+    and every call's (hidden row count, xn, base, feature, result)."""
+    calls = []
+    assemble = cascade.assemble_candidate_inputs
+
+    def wrapped(hidden, xn, base_feature, feature_j):
+        u = assemble(hidden, xn, base_feature, feature_j)
+        calls.append((len(hidden), xn, base_feature, feature_j, u))
+        return u
+
+    monkeypatch.setattr(cascade, "assemble_candidate_inputs", wrapped)
+    return train(d, cfg, seed), calls
+
+
 class TestAssembleCandidateInputs:
     def test_first_layer_two_rows(self):
         model = _toy_model(layers=0)
         xn = np.random.default_rng(0).normal(size=(7, 4))
-        u = assemble_candidate_inputs(model, 3, xn)
+        u = assemble_candidate_inputs([], xn, 1, 3)
         assert u.shape == (2, 7)
         np.testing.assert_array_equal(u[0], xn[:, 1])
         np.testing.assert_array_equal(u[1], xn[:, 3])
+        np.testing.assert_array_equal(u, candidate_inputs(model, 3, xn))
 
     def test_deeper_layer_stacks_hidden_outputs(self):
-        model = _toy_model(m=6, layers=3)
+        model = _toy_model(m=6, layers=3, fill=0.2)
         xn = np.random.default_rng(1).normal(size=(5, 6))
-        u = assemble_candidate_inputs(model, 5, xn)
-        assert u.shape == (5, 5)  # z1, z2, z3, base, fresh
         z = model.hidden_outputs(xn)
-        np.testing.assert_allclose(u[0], z[:, 0])
-        np.testing.assert_allclose(u[2], z[:, 2])
+        u = assemble_candidate_inputs([z[:, 0], z[:, 1], z[:, 2]], xn, 1, 5)
+        assert u.shape == (5, 5)  # z1, z2, z3, base, fresh
+        np.testing.assert_array_equal(u[0], z[:, 0])
+        np.testing.assert_array_equal(u[2], z[:, 2])
         np.testing.assert_array_equal(u[3], xn[:, 1])
         np.testing.assert_array_equal(u[4], xn[:, 5])
+        # rows kept neuron by neuron equal a run of the whole cascade
+        hidden = _kept_rows(model, xn)
+        np.testing.assert_array_equal(
+            assemble_candidate_inputs(hidden, xn, 1, 5), candidate_inputs(model, 5, xn)
+        )
 
     def test_zero_weights_give_half_outputs(self):
         model = _toy_model(m=5, layers=2, fill=0.0)
         xn = np.random.default_rng(2).normal(size=(4, 5))
-        u = assemble_candidate_inputs(model, 4, xn)
+        u = assemble_candidate_inputs(_kept_rows(model, xn), xn, 1, 4)
         np.testing.assert_array_equal(u[0], np.full(4, 0.5))
         np.testing.assert_array_equal(u[1], np.full(4, 0.5))
 
-    def test_used_feature_rejected(self):
+    def test_used_feature_rejected(self, monkeypatch):
+        # the assembly no longer checks: the ranking offers each feature
+        # once, so no call in training names a feature already wired in
         model = _toy_model(m=4, layers=1)
-        xn = np.zeros((3, 4))
         with pytest.raises(ValueError):
-            assemble_candidate_inputs(model, model.base_feature, xn)
+            candidate_inputs(model, model.base_feature, np.zeros((3, 4)))
+        d, _ = synth_generate(300, 8, [1, 3], 0.1, 0.05, seed=5)
+        model, calls = _recorded_calls(monkeypatch, d, GrowthConfig(), 5)
+        for n_hidden, _, base, feature_j, _ in calls:
+            wired = {n.inputs[-1].index for n in model.neurons[:n_hidden]}
+            assert base == model.base_feature
+            assert feature_j != base and feature_j not in wired
+
+
+class TestKeptOutputs:
+    """``train`` keeps each accepted neuron's outputs on parts A and B; every
+    candidate's inputs must equal, bit for bit, those found by running the
+    cascade of the neurons accepted before it."""
+
+    @pytest.mark.parametrize("case", ["default", "restarts", "max_failed", "fallback"])
+    def test_every_call_matches_a_run_of_the_cascade(self, monkeypatch, case):
+        if case == "fallback":
+            d, cfg, seed = _perfect_single_feature_task(), GrowthConfig(), 1
+        else:
+            d, _ = synth_generate(400, 12, [0, 4, 7, 9], 0.2, 0.05, seed=0)
+            cfg = {"default": GrowthConfig(), "restarts": GrowthConfig(restarts_per_candidate=2),
+                   "max_failed": GrowthConfig(max_failed_attempts=2)}[case]
+            seed = 0
+        model, calls = _recorded_calls(monkeypatch, d, cfg, seed)
+        accepted = model.criterion_trace()[-1] < model.c0
+        assert accepted == (case != "fallback")
+        assert len(calls) % 2 == 0  # parts A and B, once per candidate
+        # every ranked feature is tried unless the rejection limit stops growth
+        assert (len(calls) // 2 < d.m - 1) == (case == "max_failed")
+        for (n_a, xa, _, j_a, u_a), (n_b, xb, _, j_b, u_b) in zip(calls[::2], calls[1::2]):
+            assert (n_a, j_a) == (n_b, j_b)
+            assert xa.shape[0] + xb.shape[0] == d.n
+            so_far = dataclasses.replace(model, neurons=model.neurons[:n_a] if accepted else [])
+            np.testing.assert_array_equal(u_a, candidate_inputs(so_far, j_a, xa))
+            np.testing.assert_array_equal(u_b, candidate_inputs(so_far, j_b, xb))
+        if accepted:
+            assert calls[-1][0] in (len(model.neurons), len(model.neurons) - 1)
+        else:
+            assert {n for n, *_ in calls} == {0}
+            assert len(model.neurons) == 1 and model.neurons[0].criterion >= model.c0
 
 
 class TestTrain:
@@ -124,11 +204,7 @@ class TestTrain:
         assert model.used_features() & {2, 7}
 
     def test_perfect_single_feature_task(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(300, 4))
-        y = (x[:, 1] > 0).astype(np.int64)
-        x[:, 1] = np.where(y == 1, x[:, 1] + 5.0, x[:, 1] - 5.0)
-        d = Dataset(x, y, list("abcd"))
+        d = _perfect_single_feature_task()
         model = train(d, GrowthConfig(), seed=1)
         assert model.error_rate(d) == 0.0
 

@@ -545,6 +545,33 @@ class TestNonFiniteAndOutOfRangeFlags:
         assert not Path(f"{out}.manifest.json").exists()
 
 
+class TestBadOutPrefix:
+    """An output prefix that names no file, or whose directory cannot be
+    made, is refused before any work: exit 2, no traceback, nothing written."""
+
+    @pytest.mark.parametrize("command", ["synth", "train", "evaluate", "compare", "chi-sweep"])
+    @pytest.mark.parametrize("prefix", ["data.csv/x", "sub/", "sub/.", "."])
+    def test_exit_code_2(self, runner, tmp_path, monkeypatch, command, prefix):
+        monkeypatch.chdir(tmp_path)
+        _make_data(tmp_path, n=60, m=4, name="data.csv")
+        assert _invoke(runner, ["train", "--data", "data.csv", "--method", "dt",
+                                "--out", "dt"]).exit_code == 0
+        args = {
+            "synth": ["synth", "--n", "60", "--m", "4", "--relevant", "0"],
+            "train": ["train", "--data", "data.csv", "--method", "dt", "--restarts", "2"],
+            "evaluate": ["evaluate", "--model", "dt.model.json", "--data", "data.csv"],
+            "compare": ["compare", "--data", "data.csv", "--folds", "2", "--inner-runs", "1"],
+            "chi-sweep": ["chi-sweep", "--data", "data.csv"],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        result = runner.invoke(cli, args + ["--out", prefix])
+        assert result.exit_code == 2, result.output
+        assert "config error: --out" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_utf8_files_under_an_ascii_locale(tmp_path):
     """Data, model, report and manifest files are UTF-8 whatever the locale."""
     data = tmp_path / "data.csv"
