@@ -3,7 +3,7 @@ GMDH polynomial-network and randomized decision-tree baselines and a
 benchmarking harness."""
 
 from . import cascade, dataset, dtree, gmdh, harness
-from .cascade import CascadeModel, CascadeNeuron, GrowthConfig, InputSource
+from .cascade import CascadeModel, CascadeNeuron, GrowthConfig
 from .dataset import (
     Dataset,
     NormParams,
@@ -37,7 +37,6 @@ __all__ = [
     "GmdhConfig",
     "GmdhModel",
     "GrowthConfig",
-    "InputSource",
     "NormParams",
     "NumericError",
     "RestartReport",

@@ -23,51 +23,16 @@ from .projection import TrainConfig, fit_neuron, sigmoid
 from .util import derive_rng, derive_seed
 
 
-@dataclass(frozen=True)
-class InputSource:
-    """One input of a cascade neuron: a raw feature column or the output
-    of an earlier hidden neuron."""
-
-    kind: str  # "feature" or "hidden"
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("feature", "hidden"):
-            raise ValueError(f"unknown input kind {self.kind!r}")
-
-    @classmethod
-    def feature(cls, j: int) -> "InputSource":
-        return cls("feature", int(j))
-
-    @classmethod
-    def hidden(cls, layer_index: int) -> "InputSource":
-        return cls("hidden", int(layer_index))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "index": self.index}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InputSource":
-        return cls(d["kind"], int(d["index"]))
-
-
 @dataclass
 class CascadeNeuron:
-    """An accepted neuron: its layer, input wiring, weights (bias last),
-    and the validation criterion it achieved."""
+    """An accepted neuron: the fresh feature it adds, its weights (bias
+    last) and the validation criterion it achieved. The neuron at layer r
+    reads the r - 1 earlier hidden outputs, the base feature and then
+    ``feature``, so it has r + 2 weights."""
 
-    layer: int
-    inputs: tuple[InputSource, ...]
+    feature: int
     weights: np.ndarray
     criterion: float
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.weights.shape != (len(self.inputs) + 1,):
-            raise ValueError(
-                f"{len(self.inputs)} inputs need {len(self.inputs) + 1} weights "
-                f"(bias last), got {self.weights.shape}"
-            )
 
     @property
     def bias(self) -> float:
@@ -77,6 +42,16 @@ class CascadeNeuron:
         """Output on input rows ``u`` (one row per input, examples as
         columns); training and prediction both compute it here."""
         return sigmoid(self.weights[:-1] @ u + self.bias)
+
+
+def _wiring(layer: int, base_feature: int, feature: int) -> list[dict]:
+    """The inputs of the neuron at ``layer`` as a model file lists them:
+    every earlier hidden output, the base feature, then its fresh feature."""
+    return [
+        *({"kind": "hidden", "index": k} for k in range(layer - 1)),
+        {"kind": "feature", "index": base_feature},
+        {"kind": "feature", "index": feature},
+    ]
 
 
 @dataclass
@@ -118,24 +93,20 @@ class CascadeModel(Model):
         return len(self.neurons)
 
     def used_features(self) -> frozenset[int]:
-        used = set()
-        for neuron in self.neurons:
-            for src in neuron.inputs:
-                if src.kind == "feature":
-                    used.add(src.index)
-        return frozenset(used)
+        return frozenset({self.base_feature, *(n.feature for n in self.neurons)})
 
     def criterion_trace(self) -> tuple[float, ...]:
         return (self.c0, *(n.criterion for n in self.neurons))
 
     def hidden_outputs(self, xn: np.ndarray) -> np.ndarray:
-        """Outputs of every neuron on normalized rows ``xn``; column r is
-        the output of the neuron at layer r+1."""
+        """Outputs of every neuron on normalized rows ``xn``, each neuron
+        reading the rows growth stacked for it; column r is the output of
+        the neuron at layer r+1."""
         xn = np.atleast_2d(np.asarray(xn, dtype=np.float64))
         z = np.empty((xn.shape[0], len(self.neurons)))
         for r, neuron in enumerate(self.neurons):
-            rows = [(xn if src.kind == "feature" else z)[:, src.index] for src in neuron.inputs]
-            z[:, r] = neuron.output(np.vstack(rows) if rows else np.zeros((0, xn.shape[0])))
+            u = np.vstack([*z[:, :r].T, xn[:, self.base_feature], xn[:, neuron.feature]])
+            z[:, r] = neuron.output(u)
         return z
 
     def forward(self, xn: np.ndarray) -> np.ndarray:
@@ -161,13 +132,13 @@ class CascadeModel(Model):
             "c0": float(self.c0),
             "neurons": [
                 {
-                    "layer": n.layer,
-                    "inputs": [s.to_dict() for s in n.inputs],
+                    "layer": r,
+                    "inputs": _wiring(r, self.base_feature, n.feature),
                     "bias": n.bias,
                     "weights": n.weights[:-1].tolist(),
                     "criterion": float(n.criterion),
                 }
-                for n in self.neurons
+                for r, n in enumerate(self.neurons, start=1)
             ],
             "threshold": self.threshold,
         }
@@ -175,22 +146,18 @@ class CascadeModel(Model):
     @classmethod
     def _decode(cls, d: dict) -> "CascadeModel":
         names = list(d["feature_names"])
-        neurons = [
-            CascadeNeuron(
-                layer=int(nd["layer"]),
-                inputs=tuple(InputSource.from_dict(sd) for sd in nd["inputs"]),
-                weights=np.asarray([*nd["weights"], nd["bias"]], dtype=np.float64),
-                criterion=float(nd["criterion"]),
-            )
-            for nd in d["neurons"]
-        ]
-        # a neuron reads features in range and only the neurons before it
-        for r, neuron in enumerate(neurons):
-            for src in neuron.inputs:
-                limit = len(names) if src.kind == "feature" else r
-                require(0 <= src.index < limit, f"neuron {r + 1} reads {src.kind} {src.index}")
         base_feature = int(d["base_feature"])
         require(0 <= base_feature < len(names), f"base feature {base_feature} out of range")
+        # the neuron at layer r is wired in the cascade pattern to a
+        # feature in range, and has a weight for each of its r + 1 inputs
+        neurons = []
+        for r, nd in enumerate(d["neurons"], start=1):
+            feature = int(nd["inputs"][-1]["index"])
+            wired = nd["layer"] == r and nd["inputs"] == _wiring(r, base_feature, feature)
+            require(wired and 0 <= feature < len(names), f"neuron {r} is not wired as cascade layer {r}")
+            weights = np.asarray([*nd["weights"], nd["bias"]], dtype=np.float64)
+            require(weights.shape == (r + 2,), f"neuron {r} needs {r + 1} weights and a bias")
+            neurons.append(CascadeNeuron(feature, weights, float(nd["criterion"])))
         return cls(
             base_feature=base_feature,
             neurons=neurons,
@@ -296,9 +263,7 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
             for attempt in range(cfg.restarts_per_candidate)
         )
         best = min(fits, key=lambda res: res.criterion)  # the first of equal criteria wins
-        wiring = (*map(InputSource.hidden, range(layer - 1)),
-                  InputSource.feature(base_feature), InputSource.feature(feature_j))
-        neuron = CascadeNeuron(layer, wiring, best.weights, best.criterion)
+        neuron = CascadeNeuron(feature_j, best.weights, best.criterion)
         if best.criterion < (neurons[-1].criterion if neurons else c0):
             neurons.append(neuron)
             hidden_a.append(neuron.output(u_a))

@@ -93,15 +93,20 @@ def _write_manifest(
     return path
 
 
-def _check_out(out: str) -> None:
+def _check_out(out: str, *suffixes: str) -> None:
     """Refuse, before any work, an output prefix that does not end in a name
-    (a path separator, ``.`` or ``..``) or whose directory cannot be made."""
+    (a path separator, ``.`` or ``..``), whose directory cannot be made, or
+    where a file the command writes (``out`` followed by one of
+    ``suffixes``, or the manifest) is an existing directory."""
     if os.path.basename(out) in ("", ".", ".."):
         raise ConfigError(f"--out must end in a file name prefix, got {out!r}")
     try:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out {out!r}: cannot create directory {exc.filename!r}: {exc.strerror}")
+    for path in (out + suffix for suffix in (*suffixes, ".manifest.json")):
+        if os.path.isdir(path):
+            raise ConfigError(f"--out {out!r}: the output file {path!r} is a directory")
 
 
 def _resolve_target(target: str) -> str | int:
@@ -154,7 +159,7 @@ def cli() -> None:
 @_handles_errors
 def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
     """Generate a synthetic feature-selection dataset plus its ground truth."""
-    _check_out(out)
+    _check_out(out, ".csv", ".truth.json")
     started = time.time()
     try:
         relevant_idx = [int(tok) for tok in relevant.split(",") if tok.strip() != ""]
@@ -235,7 +240,8 @@ def _with_train_options(fn):
 @_handles_errors
 def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, **cfg_flags) -> None:
     """Train a classifier and save the best model plus a run manifest."""
-    _check_out(out)
+    reports = [f".{name}.csv" for name in harness.RESTART_REPORTS] if restarts > 1 else []
+    _check_out(out, ".model.json", *reports)
     started = time.time()
     d = load_csv(data_path, _resolve_target(target))
     d_test = load_csv(test_data, _resolve_target(target)) if test_data else None
@@ -282,7 +288,7 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
 def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
     """Score a saved model on a dataset: error rate and confusion counts."""
     if out is not None:
-        _check_out(out)
+        _check_out(out, ".metrics.json")
     started = time.time()
     if not math.isfinite(threshold):
         raise ConfigError(f"--threshold must be finite, got {threshold}")
@@ -307,7 +313,7 @@ def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
 @_handles_errors
 def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_flags) -> None:
     """Cross-validated comparison of the cascade model and both baselines."""
-    _check_out(out)
+    _check_out(out, ".cv_report.csv")
     started = time.time()
     d = load_csv(data_path, _resolve_target(target))
     reports = []
@@ -339,7 +345,7 @@ def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_fla
 @_handles_errors
 def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, seed, out) -> None:
     """Validation-error traces of one neuron fitted at several learning rates."""
-    _check_out(out)
+    _check_out(out, ".chi_traces.csv")
     started = time.time()
     try:
         chi_list = [float(tok) for tok in chis.split(",") if tok.strip() != ""]

@@ -46,46 +46,6 @@ _RESERVE_BYTES = 256 << 20
 _MIN_SCALED_DET = 1e-8
 
 
-@dataclass(frozen=True)
-class Source:
-    """Input of a polynomial neuron: a raw feature or an earlier neuron."""
-
-    kind: str  # "feature" or "neuron"
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("feature", "neuron"):
-            raise ValueError(f"unknown source kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "index": self.index}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Source":
-        return cls(d["kind"], int(d["index"]))
-
-
-@dataclass
-class PolyNeuron:
-    """Two-input polynomial unit ``w0 + w1*u1 + w2*u2 + w3*u1*u2``.
-
-    Seed neurons have ``parent_b`` of None and reduce to ``w0 + w1*u1``.
-    Parents always precede the neuron in creation order, so id order is a
-    topological order.
-    """
-
-    id: int
-    parent_a: Source
-    parent_b: Source | None
-    coeffs: np.ndarray
-    performance: float
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        if self.coeffs.shape != (4,):
-            raise ValueError(f"coeffs must be a 4-vector, got {self.coeffs.shape}")
-
-
 @dataclass
 class GmdhConfig:
     offspring_per_generation: int = 500
@@ -103,45 +63,48 @@ class GmdhConfig:
 
 @dataclass
 class GmdhModel(Model):
-    """Evolved network: the subgraph that feeds the output neuron, each
-    neuron after those it reads, and the generation log of its run."""
+    """Evolved network: the subgraph that feeds the output neuron, as
+    parallel arrays with a row per neuron, each after those it reads, and
+    the generation log of its run.
 
-    neurons: list[PolyNeuron]
+    Row s holds the neuron with id ``neurons[s]``: its inputs ``inputs[s]``,
+    its polynomial ``coeffs[s]`` (``w0 + w1*u1 + w2*u2 + w3*u1*u2``) and its
+    validation ``performance[s]``. An input below ``n_features`` is that
+    feature, ``n_features + t`` is the neuron in row t, and -1 marks a
+    missing second input: such a neuron, as every seed neuron is, reduces
+    to ``w0 + w1*u1``.
+    """
+
+    neurons: np.ndarray  # (k,) ids
+    inputs: np.ndarray  # (k, 2)
+    coeffs: np.ndarray  # (k, 4)
+    performance: np.ndarray  # (k,)
     output_id: int
     generation_log: list[tuple[int, float, int]]  # (generation, best_performance, population_size)
     norm: NormParams
     n_features: int
 
     @property
+    def _output_row(self) -> int:
+        return self.neurons.tolist().index(self.output_id)
+
+    @property
     def validation_performance(self) -> float:
-        return next(n.performance for n in self.neurons if n.id == self.output_id)
+        return float(self.performance[self._output_row])
 
     def size(self) -> int:
         return len(self.neurons)
 
     def used_features(self) -> frozenset[int]:
-        return frozenset(
-            src.index
-            for n in self.neurons
-            for src in (n.parent_a, n.parent_b)
-            if src is not None and src.kind == "feature"
-        )
+        return frozenset(i for i in self.inputs.ravel().tolist() if 0 <= i < self.n_features)
 
     def forward(self, xn: np.ndarray) -> np.ndarray:
         """Raw polynomial score of the output neuron for normalized rows."""
         xn = np.atleast_2d(np.asarray(xn, dtype=np.float64))
-        values: dict[int, np.ndarray] = {}
-
-        def resolve(src: Source) -> np.ndarray:
-            if src.kind == "feature":
-                return xn[:, src.index]
-            return values[src.index]
-
-        for n in self.neurons:
-            u1 = resolve(n.parent_a)
-            u2 = resolve(n.parent_b) if n.parent_b is not None else None
-            values[n.id] = poly_forward(n.coeffs, u1, u2)
-        return values[self.output_id]
+        values = list(xn.T)
+        for (a, b), coeffs in zip(self.inputs.tolist(), self.coeffs):
+            values.append(poly_forward(coeffs, values[a], values[b] if b >= 0 else None))
+        return values[self.n_features + self._output_row]
 
     def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Raw scores and classes (score at or above ``threshold``, default
@@ -152,17 +115,28 @@ class GmdhModel(Model):
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        ids = self.neurons.tolist()
+
+        def source(i: int) -> dict | None:
+            if i < 0:
+                return None
+            if i < self.n_features:
+                return {"kind": "feature", "index": i}
+            return {"kind": "neuron", "index": ids[i - self.n_features]}
+
         return {
             "format_version": FORMAT_VERSION,
             "neurons": [
                 {
-                    "id": n.id,
-                    "parent_a": n.parent_a.to_dict(),
-                    "parent_b": None if n.parent_b is None else n.parent_b.to_dict(),
-                    "coeffs": n.coeffs.tolist(),
-                    "performance": float(n.performance),
+                    "id": nid,
+                    "parent_a": source(a),
+                    "parent_b": source(b),
+                    "coeffs": coeffs,
+                    "performance": perf,
                 }
-                for n in self.neurons
+                for nid, (a, b), coeffs, perf in zip(
+                    ids, self.inputs.tolist(), self.coeffs.tolist(), self.performance.tolist()
+                )
             ],
             "output_id": self.output_id,
             "norm": self.norm.to_dict(),
@@ -172,30 +146,35 @@ class GmdhModel(Model):
     @classmethod
     def _decode(cls, d: dict) -> "GmdhModel":
         n_features = int(d["n_features"])
-        neurons = [
-            PolyNeuron(
-                id=int(nd["id"]),
-                parent_a=Source.from_dict(nd["parent_a"]),
-                parent_b=None if nd["parent_b"] is None else Source.from_dict(nd["parent_b"]),
-                coeffs=np.asarray(nd["coeffs"], dtype=np.float64),
-                performance=float(nd["performance"]),
-            )
-            for nd in d["neurons"]
-        ]
+        docs = d["neurons"]
         # ids are unique, and a neuron reads features in range and only the
         # neurons before it
-        ids: set[int] = set()
-        for n in neurons:
-            require(n.id not in ids, f"neuron id {n.id} repeats")
-            for src in (n.parent_a, n.parent_b):
-                if src is not None:
-                    ok = 0 <= src.index < n_features if src.kind == "feature" else src.index in ids
-                    require(ok, f"neuron {n.id} reads {src.kind} {src.index}")
-            ids.add(n.id)
+        rows: dict[int, int] = {}
+        inputs = []
+
+        def source(nid: int, src: dict) -> int:
+            index = int(src["index"])
+            if src["kind"] == "feature":
+                require(0 <= index < n_features, f"neuron {nid} reads feature {index}")
+                return index
+            require(src["kind"] == "neuron" and index in rows, f"neuron {nid} reads {src['kind']} {index}")
+            return n_features + rows[index]
+
+        for nd in docs:
+            nid = int(nd["id"])
+            require(nid not in rows, f"neuron id {nid} repeats")
+            b = nd["parent_b"]
+            inputs.append((source(nid, nd["parent_a"]), -1 if b is None else source(nid, b)))
+            rows[nid] = len(rows)
+        coeffs = np.asarray([nd["coeffs"] for nd in docs], dtype=np.float64)
+        require(coeffs.shape == (len(docs), 4), "coeffs must be 4-vectors")
         output_id = int(d["output_id"])
-        require(output_id in ids, f"output_id {output_id} names no neuron")
+        require(output_id in rows, f"output_id {output_id} names no neuron")
         return cls(
-            neurons=neurons,
+            neurons=np.array(list(rows), dtype=np.int64),
+            inputs=np.array(inputs, dtype=np.int64).reshape(-1, 2),
+            coeffs=coeffs,
+            performance=np.array([float(nd["performance"]) for nd in docs]),
             output_id=output_id,
             generation_log=[],
             norm=NormParams.from_dict(d["norm"], n_features),
@@ -329,15 +308,17 @@ def evolve(
     # best performance wins; ties go to the smallest ancestor subgraph,
     # then to the earliest-created neuron, which ends its own subgraph
     tied = np.flatnonzero(performance == performance.max()).tolist()
-    selected = min((_ancestor_ids(parents, nid) for nid in tied), key=len)
-    neurons = []
-    for i in selected:
-        a, b = parents[i].tolist()
-        sources = (Source("feature", i), None) if a < 0 else (Source("neuron", a), Source("neuron", b))
-        neurons.append(PolyNeuron(i, *sources, coeffs[i].copy(), float(performance[i])))
+    selected = np.array(min((_ancestor_ids(parents, nid) for nid in tied), key=len))
+    # an offspring reads the rows of its parents; seed neuron j reads feature j
+    inputs = d_train.m + np.searchsorted(selected, parents[selected])
+    seed = selected < d_train.m
+    inputs[seed] = np.column_stack([selected[seed], np.full(seed.sum(), -1)])
     return GmdhModel(
-        neurons=neurons,
-        output_id=selected[-1],
+        neurons=selected,
+        inputs=inputs,
+        coeffs=coeffs[selected],
+        performance=performance[selected],
+        output_id=int(selected[-1]),
         generation_log=log,
         norm=norm if norm is not None else NormParams.identity(d_train.m),
         n_features=d_train.m,

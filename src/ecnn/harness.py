@@ -25,6 +25,8 @@ from .projection import FitResult, TrainConfig, fit_neuron
 from .util import atomic_write_text, csv_line, derive_rng, derive_seed
 
 DEFAULT_CHI_LIST = (1.25, 1.5, 1.75, 2.0)
+# the tables ``write_restart_reports`` writes, each to ``<prefix><name>.csv``
+RESTART_REPORTS = ("restart_report", "feature_freq", "size_hist", "error_hist")
 # share of the training rows that GMDH and the tree hold out to validate
 VALID_FRACTION = 0.5
 
@@ -181,8 +183,7 @@ def write_restart_reports(
     (model-size counts summing to the number of successful runs) and
     error_hist.csv (per-run train/test errors).
     """
-    out_dir = Path(out_dir)
-    paths: dict[str, Path] = {}
+    paths = {name: Path(out_dir) / f"{prefix}{name}.csv" for name in RESTART_REPORTS}
 
     rows = ["run,seed,status,criterion,train_error,test_error,model_size,features,criterion_trace"]
     for r in report.records:
@@ -192,7 +193,6 @@ def write_restart_reports(
             f"{r.run},{r.seed},{r.status},{_fmt(r.criterion)},{_fmt(r.train_error)},"
             f"{_fmt(r.test_error)},{r.model_size},{feats},{trace}"
         )
-    paths["restart_report"] = out_dir / f"{prefix}restart_report.csv"
     atomic_write_text(paths["restart_report"], "\n".join(rows) + "\n")
 
     ok = [r for r in report.records if r.status == "ok"]
@@ -204,7 +204,6 @@ def write_restart_reports(
     for j in sorted(freq):
         name = feature_names[j] if feature_names else f"f{j}"
         rows.append(csv_line([j, name, freq[j]]))
-    paths["feature_freq"] = out_dir / f"{prefix}feature_freq.csv"
     atomic_write_text(paths["feature_freq"], "\n".join(rows) + "\n")
 
     sizes: dict[int, int] = {}
@@ -213,13 +212,11 @@ def write_restart_reports(
     rows = ["model_size,count"]
     for s in sorted(sizes):
         rows.append(f"{s},{sizes[s]}")
-    paths["size_hist"] = out_dir / f"{prefix}size_hist.csv"
     atomic_write_text(paths["size_hist"], "\n".join(rows) + "\n")
 
     rows = ["run,train_error,test_error"]
     for r in ok:
         rows.append(f"{r.run},{_fmt(r.train_error)},{_fmt(r.test_error)}")
-    paths["error_hist"] = out_dir / f"{prefix}error_hist.csv"
     atomic_write_text(paths["error_hist"], "\n".join(rows) + "\n")
     return paths
 

@@ -35,9 +35,9 @@ def _no_constant(name: str) -> float:
 
 def read_json_doc(path: str | Path, kind: str = "model file") -> dict:
     """The JSON object stored in a file; a missing or unreadable file, one
-    holding anything else, or one with a number that is not finite
-    (``NaN``, ``Infinity`` or a literal like ``1e999``) is a DataError that
-    names the ``kind`` of file."""
+    holding anything else, one nested too deeply to parse, or one with a
+    number that is not finite (``NaN``, ``Infinity`` or a literal like
+    ``1e999``) is a DataError that names the ``kind`` of file."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"{kind} not found: {path}")
@@ -45,7 +45,7 @@ def read_json_doc(path: str | Path, kind: str = "model file") -> dict:
         doc = json.loads(
             path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_no_constant
         )
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise DataError(f"cannot read {kind} {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path} does not hold a JSON object")
@@ -93,12 +93,13 @@ class Model:
 
     @classmethod
     def from_json_dict(cls, doc: dict):
-        """Decode a model document; a missing key, a wrong type or a value
-        out of range raises ``DataError``."""
+        """Decode a model document; a missing key, a wrong type, a value
+        out of range or nesting too deep to decode raises ``DataError``."""
         require(isinstance(doc, dict), "not a JSON object")
         try:
             version = doc["format_version"]
             require(version == FORMAT_VERSION, f"format_version {version!r} is not {FORMAT_VERSION}")
             return cls._decode(doc)
-        except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
+                RecursionError) as exc:
             raise DataError(f"malformed model file: {type(exc).__name__}: {exc}") from None

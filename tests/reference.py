@@ -78,8 +78,9 @@ def candidate_inputs(model, feature_j: int, xn: np.ndarray) -> np.ndarray:
 
 def ancestor_ids(neurons, root_id: int) -> list[int]:
     """Ids of the GMDH neuron ``root_id`` and of every neuron it reads
-    through its parent links, ascending."""
-    by_id = {n.id: n for n in neurons}
+    through its parent links, ascending; ``neurons`` are listed as a model
+    file lists them."""
+    by_id = {n["id"]: n for n in neurons}
     seen: set[int] = set()
     stack = [root_id]
     while stack:
@@ -88,9 +89,9 @@ def ancestor_ids(neurons, root_id: int) -> list[int]:
             continue
         seen.add(nid)
         n = by_id[nid]
-        for src in (n.parent_a, n.parent_b):
-            if src is not None and src.kind == "neuron":
-                stack.append(src.index)
+        for src in (n["parent_a"], n["parent_b"]):
+            if src is not None and src["kind"] == "neuron":
+                stack.append(src["index"])
     return sorted(seen)
 
 

@@ -118,14 +118,14 @@ def test_criterion_4_acceptance_rule_structure():
         model = record.model
         trace = model.criterion_trace()
         chains_ok &= all(b < a for a, b in zip(trace, trace[1:]))
-        for idx, neuron in enumerate(model.neurons):
+        for idx, neuron in enumerate(model.to_json_dict()["neurons"]):
             r = idx + 1
-            hidden = neuron.inputs[: r - 1]
-            wiring_ok &= len(neuron.inputs) == r + 1
-            wiring_ok &= all(s.kind == "hidden" and s.index == k for k, s in enumerate(hidden))
-            wiring_ok &= neuron.inputs[-2].kind == "feature"
-            wiring_ok &= neuron.inputs[-2].index == model.base_feature
-            wiring_ok &= neuron.inputs[-1].kind == "feature"
+            hidden = neuron["inputs"][: r - 1]
+            wiring_ok &= len(neuron["inputs"]) == r + 1
+            wiring_ok &= all(s["kind"] == "hidden" and s["index"] == k for k, s in enumerate(hidden))
+            wiring_ok &= neuron["inputs"][-2]["kind"] == "feature"
+            wiring_ok &= neuron["inputs"][-2]["index"] == model.base_feature
+            wiring_ok &= neuron["inputs"][-1]["kind"] == "feature"
     sizes = {record.model_size for record in rep.records}
     elapsed = time.time() - started
     ok = chains_ok and wiring_ok and len(sizes) >= 2 and elapsed < 120.0

@@ -7,9 +7,7 @@ import pytest
 from ecnn import cascade, harness
 from ecnn.cascade import (
     CascadeModel,
-    CascadeNeuron,
     GrowthConfig,
-    InputSource,
     assemble_candidate_inputs,
     rank_features,
     train,
@@ -28,17 +26,21 @@ def _normalized_halves(d, fraction=0.5, seed=0):
 
 
 def _toy_model(m=4, base=1, layers=2, fill=0.0):
+    """A cascade whose neuron at layer r adds feature ``base + r`` and has
+    every weight ``fill``, decoded from the neurons a model file lists."""
     neurons = []
     for r in range(1, layers + 1):
-        inputs = (
-            *(InputSource.hidden(k) for k in range(r - 1)),
-            InputSource.feature(base),
-            InputSource.feature(base + r),
-        )
-        weights = np.full(r + 2, fill)
-        neurons.append(CascadeNeuron(r, inputs, weights, criterion=1.0 / r))
-    return CascadeModel(base, neurons, c0=2.0, norm=NormParams.identity(m),
-                        feature_names=[f"f{j}" for j in range(m)])
+        inputs = [
+            *({"kind": "hidden", "index": k} for k in range(r - 1)),
+            {"kind": "feature", "index": base},
+            {"kind": "feature", "index": base + r},
+        ]
+        neurons.append({"layer": r, "inputs": inputs, "bias": fill, "weights": [fill] * (r + 1),
+                        "criterion": 1.0 / r})
+    return CascadeModel.from_json_dict({
+        "format_version": 1, "base_feature": base, "feature_names": [f"f{j}" for j in range(m)],
+        "norm": NormParams.identity(m).to_dict(), "c0": 2.0, "neurons": neurons, "threshold": 0.5,
+    })
 
 
 class TestRankFeatures:
@@ -94,8 +96,8 @@ def _kept_rows(model, xn):
     """Hidden rows built the way ``train`` builds them: each neuron's
     output on its own assembled inputs, appended as it is accepted."""
     hidden = []
-    for neuron in model.neurons:
-        u = assemble_candidate_inputs(hidden, xn, model.base_feature, neuron.inputs[-1].index)
+    for neuron, listed in zip(model.neurons, model.to_json_dict()["neurons"]):
+        u = assemble_candidate_inputs(hidden, xn, model.base_feature, listed["inputs"][-1]["index"])
         hidden.append(neuron.output(u))
     return hidden
 
@@ -157,7 +159,7 @@ class TestAssembleCandidateInputs:
         d, _ = synth_generate(300, 8, [1, 3], 0.1, 0.05, seed=5)
         model, calls = _recorded_calls(monkeypatch, d, GrowthConfig(), 5)
         for n_hidden, _, base, feature_j, _ in calls:
-            wired = {n.inputs[-1].index for n in model.neurons[:n_hidden]}
+            wired = {n.feature for n in model.neurons[:n_hidden]}
             assert base == model.base_feature
             assert feature_j != base and feature_j not in wired
 
@@ -211,19 +213,19 @@ class TestTrain:
     def test_wiring_shape_invariant(self):
         d, _ = synth_generate(400, 8, [0, 5], 0.1, 0.05, seed=4)
         model = train(d, GrowthConfig(), seed=4)
-        for idx, neuron in enumerate(model.neurons):
+        for idx, neuron in enumerate(model.to_json_dict()["neurons"]):
             r = idx + 1
-            assert neuron.layer == r
-            assert len(neuron.inputs) == r + 1
-            hidden = neuron.inputs[: r - 1]
-            assert all(s.kind == "hidden" and s.index == k for k, s in enumerate(hidden))
-            assert neuron.inputs[-2] == InputSource.feature(model.base_feature)
-            assert neuron.inputs[-1].kind == "feature"
+            assert neuron["layer"] == r
+            assert len(neuron["inputs"]) == r + 1
+            hidden = neuron["inputs"][: r - 1]
+            assert all(s == {"kind": "hidden", "index": k} for k, s in enumerate(hidden))
+            assert neuron["inputs"][-2] == {"kind": "feature", "index": model.base_feature}
+            assert neuron["inputs"][-1] == {"kind": "feature", "index": model.neurons[idx].feature}
 
     def test_distinct_fresh_features(self):
         d, _ = synth_generate(400, 8, [1, 3], 0.1, 0.05, seed=5)
         model = train(d, GrowthConfig(), seed=5)
-        fresh = [n.inputs[-1].index for n in model.neurons]
+        fresh = [n.feature for n in model.neurons]
         assert len(fresh) == len(set(fresh))
         assert model.base_feature not in fresh
 
@@ -235,10 +237,10 @@ class TestTrain:
         pair = split(dn, cfg.trainer.split_fraction, derive_seed(6, "split"))
         d_b = dn.subset(pair.b_indices)
         z = model.hidden_outputs(d_b.x)
-        for idx, neuron in enumerate(model.neurons):
+        for neuron, listed in zip(model.neurons, model.to_json_dict()["neurons"]):
             rows = []
-            for src in neuron.inputs:
-                rows.append(d_b.x[:, src.index] if src.kind == "feature" else z[:, src.index])
+            for src in listed["inputs"]:
+                rows.append(d_b.x[:, src["index"]] if src["kind"] == "feature" else z[:, src["index"]])
             recomputed = rse(
                 error_vector(np.vstack(rows), neuron.weights[:-1], neuron.bias, d_b.y.astype(float))
             )

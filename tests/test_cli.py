@@ -233,7 +233,7 @@ class TestTrainCommand:
 
         def nan_evolve(*args, **kwargs):
             model = real_evolve(*args, **kwargs)
-            model.neurons[-1].coeffs[0] = np.nan
+            model.coeffs[-1, 0] = np.nan
             return model
 
         monkeypatch.setattr(gmdh, "evolve", nan_evolve)
@@ -350,6 +350,31 @@ def _set(doc, *path_and_value):
     doc[key] = value
 
 
+def _cascade_layers(doc, layers=3):
+    """Extend a one-neuron cascade document to ``layers`` neurons wired in
+    the cascade pattern, each adding a feature not yet read."""
+    base, fresh = doc["base_feature"], doc["neurons"][0]["inputs"][-1]["index"]
+    free = [j for j in range(len(doc["feature_names"])) if j not in (base, fresh)]
+    for r in range(len(doc["neurons"]) + 1, layers + 1):
+        inputs = [*({"kind": "hidden", "index": k} for k in range(r - 1)),
+                  {"kind": "feature", "index": base}, {"kind": "feature", "index": free.pop(0)}]
+        doc["neurons"].append({"layer": r, "inputs": inputs, "bias": 0.1, "weights": [0.5] * (r + 1),
+                               "criterion": 1.0 / r})
+    return doc
+
+
+def _swap(items, i, j):
+    items[i], items[j] = items[j], items[i]
+
+
+def _deep_tree(depth):
+    """A tree file whose root has ``depth`` splits down its left side."""
+    leaf = '{"leaf": {"class": 1, "counts": [1, 1]}}'
+    split = '{"split": {"feature": 0, "threshold": 0.5, "left": '
+    return ('{"format_version": 1, "n_features": 5, "root": ' + split * depth + leaf
+            + (', "right": ' + leaf + "}}") * depth + "}")
+
+
 def _doc_edit(edit):
     """A text edit that applies ``edit`` to the decoded document."""
     def apply(text):
@@ -372,6 +397,13 @@ DOC_EDITS = {
     "extra_cascade_weight": ("ecnn", lambda doc: doc["neurons"][0]["weights"].append(0.5)),
     "short_feature_names": ("ecnn", lambda doc: doc["feature_names"].pop()),
     "cascade_nan_weight": ("ecnn", lambda doc: _set(doc, "neurons", 0, "weights", 0, float("nan"))),
+    # files that break the cascade pattern, which the decoder once read
+    "cascade_hidden_out_of_order": ("ecnn", lambda doc: _swap(_cascade_layers(doc)["neurons"][2]["inputs"],
+                                                              0, 1)),
+    "cascade_base_not_second_to_last": ("ecnn", lambda doc: _swap(doc["neurons"][0]["inputs"], 0, 1)),
+    "cascade_layer_not_position": ("ecnn", lambda doc: _set(doc, "neurons", 0, "layer", 2)),
+    "cascade_weights_not_layer_plus_1": ("ecnn", lambda doc: [doc["neurons"][0][key].pop(0)
+                                                              for key in ("inputs", "weights")]),
     "gmdh_forward_parent": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a",
                                                      {"kind": "neuron", "index": doc["output_id"]})),
     "gmdh_missing_output": ("gmdh", lambda doc: _set(doc, "output_id", 10**6)),
@@ -381,6 +413,7 @@ DOC_EDITS = {
                                                      float("inf"))),
     "gmdh_infinite_coeff": ("gmdh", lambda doc: _set(doc, "neurons", 0, "coeffs", 0, float("inf"))),
     "gmdh_negative_infinite_coeff": ("gmdh", lambda doc: _set(doc, "neurons", 0, "coeffs", 1, -float("inf"))),
+    "gmdh_null_parent_a": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a", None)),
     "gmdh_duplicate_id": ("gmdh", lambda doc: doc["neurons"].append(
         {**doc["neurons"][-1], "coeffs": [0.5, 0.0, 0.0, 0.0]})),
     "tree_split_feature": ("dt", lambda doc: _set(_first_split(doc["root"]), "feature", 5)),
@@ -394,6 +427,8 @@ MALFORMED = {
     "truncated": ("ecnn", lambda text: text[: len(text) // 2]),
     "json_scalar": ("ecnn", lambda text: "3"),
     "json_list": ("gmdh", lambda text: "[]"),
+    "json_nested_100000_deep": ("dt", lambda text: '{"root": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+    "tree_3000_splits_deep": ("dt", lambda text: _deep_tree(3000)),
     # json.dumps cannot write an overflowing literal: put one in by hand
     "gmdh_overflowing_coeff": ("gmdh", lambda text: _doc_edit(
         lambda doc: _set(doc, "neurons", 0, "coeffs", 0, 7e77))(text).replace("7e+77", "1e999")),
@@ -418,6 +453,16 @@ class TestMalformedModelFiles:
             kind, model = load_any_model(path)
             assert kind == family
             assert model.to_json() == path.read_text()
+
+    def test_deeper_cascade_pattern_loads(self, runner, tmp_path, saved_models):
+        # the file that cascade_hidden_out_of_order breaks is read as it is
+        data, paths = saved_models
+        doc = _cascade_layers(json.loads(paths["ecnn"].read_text()))
+        good = tmp_path / "deep.model.json"
+        good.write_text(json.dumps(doc, indent=2) + "\n")
+        result = runner.invoke(cli, ["evaluate", "--model", str(good), "--data", str(data)])
+        assert result.exit_code == 0, result.output
+        assert load_any_model(good)[1].to_json() == good.read_text()
 
 
 def _locations(node):
@@ -546,16 +591,22 @@ class TestNonFiniteAndOutOfRangeFlags:
 
 
 class TestBadOutPrefix:
-    """An output prefix that names no file, or whose directory cannot be
-    made, is refused before any work: exit 2, no traceback, nothing written."""
+    """An output prefix that names no file, whose directory cannot be made,
+    or where a file the command writes is an existing directory, is refused
+    before any work: exit 2, no traceback, nothing written."""
 
     @pytest.mark.parametrize("command", ["synth", "train", "evaluate", "compare", "chi-sweep"])
-    @pytest.mark.parametrize("prefix", ["data.csv/x", "sub/", "sub/.", "."])
+    @pytest.mark.parametrize("prefix", ["data.csv/x", "sub/", "sub/.", ".", "taken"])
     def test_exit_code_2(self, runner, tmp_path, monkeypatch, command, prefix):
         monkeypatch.chdir(tmp_path)
         _make_data(tmp_path, n=60, m=4, name="data.csv")
         assert _invoke(runner, ["train", "--data", "data.csv", "--method", "dt",
                                 "--out", "dt"]).exit_code == 0
+        if prefix == "taken":
+            # a file the command would write is an existing directory
+            (tmp_path / {"synth": "taken.truth.json", "train": "taken.size_hist.csv",
+                         "evaluate": "taken.metrics.json", "compare": "taken.cv_report.csv",
+                         "chi-sweep": "taken.manifest.json"}[command]).mkdir()
         args = {
             "synth": ["synth", "--n", "60", "--m", "4", "--relevant", "0"],
             "train": ["train", "--data", "data.csv", "--method", "dt", "--restarts", "2"],
@@ -570,6 +621,15 @@ class TestBadOutPrefix:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_model_file_is_a_directory(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _make_data(tmp_path, n=60, m=4, name="data.csv")
+        Path("y.model.json").mkdir()
+        result = runner.invoke(cli, ["train", "--data", "data.csv", "--method", "dt", "--out", "y"])
+        assert result.exit_code == 2, result.output
+        assert "config error: --out" in result.output and "y.model.json" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "y.model.json"]
 
 
 def test_utf8_files_under_an_ascii_locale(tmp_path):

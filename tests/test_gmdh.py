@@ -9,8 +9,6 @@ from ecnn import gmdh
 from ecnn.gmdh import (
     GmdhConfig,
     GmdhModel,
-    PolyNeuron,
-    Source,
     _ancestor_ids,
     evolve,
     fit_ls,
@@ -162,13 +160,13 @@ class TestEvolve:
         cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=2, fit_subsample=0.5)
         neurons, _ = _population(d_train, d_valid, cfg, seed=2)
         assert len(neurons) > d_train.m
-        by_id = {n.id: n for n in neurons}
+        by_id = {n["id"]: n for n in neurons}
         for n in neurons:
-            if n.parent_b is None:
+            if n["parent_b"] is None:
                 continue
-            pa = by_id[n.parent_a.index].performance
-            pb = by_id[n.parent_b.index].performance
-            assert n.performance > max(pa, pb)
+            pa = by_id[n["parent_a"]["index"]]["performance"]
+            pb = by_id[n["parent_b"]["index"]]["performance"]
+            assert n["performance"] > max(pa, pb)
 
     def test_best_performance_non_decreasing(self):
         d_train = _xor_like(300, seed=6)
@@ -184,16 +182,16 @@ class TestEvolve:
         cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=2, fit_subsample=1.0)
         model = evolve(d_train, d_valid, cfg, seed=4)
         neurons, _ = _population(d_train, d_valid, cfg, seed=4)
-        selected = {n.id for n in model.neurons}
+        selected = set(model.neurons.tolist())
         assert model.output_id in selected
         assert sorted(selected) == ancestor_ids(neurons, model.output_id)
-        by_id = {n.id: n for n in neurons}
+        by_id = {n["id"]: n for n in neurons}
         for nid in selected:
             n = by_id[nid]
-            for src in (n.parent_a, n.parent_b):
-                if src is not None and src.kind == "neuron":
-                    assert src.index in selected
-                    assert src.index < nid  # acyclic by creation order
+            for src in (n["parent_a"], n["parent_b"]):
+                if src is not None and src["kind"] == "neuron":
+                    assert src["index"] in selected
+                    assert src["index"] < nid  # acyclic by creation order
 
     def test_single_class_part_rejected(self):
         x = np.random.default_rng(10).normal(size=(30, 3))
@@ -209,19 +207,38 @@ class TestEvolve:
             GmdhConfig(fit_subsample=1.5)
 
 
+def _neuron(nid, parent_a, parent_b, coeffs, performance):
+    """A GMDH neuron as a model file lists it; a parent is ``("feature", j)``,
+    ``("neuron", id)`` or None."""
+    def source(parent):
+        return None if parent is None else {"kind": parent[0], "index": parent[1]}
+
+    return {"id": nid, "parent_a": source(parent_a), "parent_b": source(parent_b),
+            "coeffs": np.asarray(coeffs, dtype=np.float64).tolist(), "performance": float(performance)}
+
+
+def _coeff_bytes(neuron):
+    return np.asarray(neuron["coeffs"], dtype=np.float64).tobytes()
+
+
+def _links(neuron):
+    return neuron["parent_a"], neuron["parent_b"], neuron["performance"]
+
+
 def _as_neurons(coeffs, parents, performance):
-    """The ``PolyNeuron``s, in id order, that population arrays describe:
-    row i holds neuron i's coefficients, parent ids (-1 for a seed neuron,
-    which reads feature i) and performance."""
+    """The neurons, in id order and as a model file lists them, that
+    population arrays describe: row i holds neuron i's coefficients,
+    parent ids (-1 for a seed neuron, which reads feature i) and
+    performance."""
     assert coeffs.shape == (len(parents), 4) and parents.shape[1] == 2 and performance.shape == (len(parents),)
     neurons = []
     for nid, (a, b) in enumerate(parents.tolist()):
         if a < 0:
             assert b < 0
-            sources = (Source("feature", nid), None)
+            sources = (("feature", nid), None)
         else:
-            sources = (Source("neuron", a), Source("neuron", b))
-        neurons.append(PolyNeuron(nid, *sources, coeffs[nid], float(performance[nid])))
+            sources = (("neuron", a), ("neuron", b))
+        neurons.append(_neuron(nid, *sources, coeffs[nid], performance[nid]))
     return neurons
 
 
@@ -251,10 +268,10 @@ def _reference_evolve(d_train, d_valid, cfg, base_seed):
     for j in range(d_train.m):
         coeffs = fit_ls(d_train.x[:, j], None, yt, cfg.fit_subsample, derive_rng(base_seed, "seed-fit", j))
         ov = poly_forward(coeffs, d_valid.x[:, j])
-        neurons.append(PolyNeuron(j, Source("feature", j), None, coeffs, accuracy(ov)))
+        neurons.append(_neuron(j, ("feature", j), None, coeffs, accuracy(ov)))
         out_train.append(poly_forward(coeffs, d_train.x[:, j]))
         out_valid.append(ov)
-    best_perf = max(n.performance for n in neurons)
+    best_perf = max(n["performance"] for n in neurons)
     log = [(0, best_perf, len(neurons))]
     failures = generation = 0
     while failures < cfg.max_serial_failures:
@@ -272,10 +289,10 @@ def _reference_evolve(d_train, d_valid, cfg, base_seed):
             coeffs = fit_ls(out_train[i][rows], out_train[j][rows], yt[rows], 1.0)
             ov = poly_forward(coeffs, out_valid[i], out_valid[j])
             perf = accuracy(ov)
-            if perf > max(neurons[i].performance, neurons[j].performance):
+            if perf > max(neurons[i]["performance"], neurons[j]["performance"]):
                 accepted.append((coeffs, i, j, perf, poly_forward(coeffs, out_train[i], out_train[j]), ov))
         for coeffs, i, j, perf, ot, ov in accepted:
-            neurons.append(PolyNeuron(len(neurons), Source("neuron", i), Source("neuron", j), coeffs, perf))
+            neurons.append(_neuron(len(neurons), ("neuron", i), ("neuron", j), coeffs, perf))
             out_train.append(ot)
             out_valid.append(ov)
         generation_best = max((a[3] for a in accepted), default=-np.inf)
@@ -285,13 +302,14 @@ def _reference_evolve(d_train, d_valid, cfg, base_seed):
             failures += 1
         log.append((generation, best_perf, len(neurons)))
 
-    output = min(neurons, key=lambda n: (-n.performance, len(ancestor_ids(neurons, n.id)), n.id))
-    return neurons, log, output.id, ancestor_ids(neurons, output.id)
+    output = min(neurons, key=lambda n: (-n["performance"], len(ancestor_ids(neurons, n["id"])), n["id"]))
+    return neurons, log, output["id"], ancestor_ids(neurons, output["id"])
 
 
 def _assert_close_fit(got, ref):
     """The stated tolerance of the batched solve: every coefficient within
     1e-8 of the largest coefficient of the ``lstsq`` answer."""
+    got, ref = np.asarray(got, dtype=np.float64), np.asarray(ref, dtype=np.float64)
     assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max(), (got, ref)
 
 
@@ -378,17 +396,21 @@ class TestOutputChoice:
 
         neurons = _as_neurons(coeffs, self.PARENTS, self.PERFORMANCE)
         for n in neurons:
-            assert _ancestor_ids(self.PARENTS, n.id) == ancestor_ids(neurons, n.id)
-        tied = [n.id for n in neurons if n.performance == 0.9]
+            assert _ancestor_ids(self.PARENTS, n["id"]) == ancestor_ids(neurons, n["id"])
+        tied = [n["id"] for n in neurons if n["performance"] == 0.9]
         assert tied == [4, 7, 8]
         assert [len(ancestor_ids(neurons, i)) for i in tied] == [5, 3, 3]
-        ref = min(neurons, key=lambda n: (-n.performance, len(ancestor_ids(neurons, n.id)), n.id))
-        assert model.output_id == ref.id == 7
-        assert [n.id for n in model.neurons] == ancestor_ids(neurons, 7) == [1, 2, 7]
-        for n in model.neurons:
-            r = neurons[n.id]
-            assert (n.parent_a, n.parent_b, n.performance) == (r.parent_a, r.parent_b, r.performance)
-            assert n.coeffs.tobytes() == r.coeffs.tobytes()
+        ref = min(neurons, key=lambda n: (-n["performance"], len(ancestor_ids(neurons, n["id"])), n["id"]))
+        assert model.output_id == ref["id"] == 7
+        assert model.neurons.tolist() == ancestor_ids(neurons, 7) == [1, 2, 7]
+        # seeds 1 and 2 read features 1 and 2; neuron 7 reads the neurons
+        # in rows 0 and 1, which come after the 3 features
+        assert model.inputs.tolist() == [[1, -1], [2, -1], [3, 4]]
+        assert model.coeffs.tobytes() == coeffs[[1, 2, 7]].tobytes()
+        for n in model.to_json_dict()["neurons"]:
+            r = neurons[n["id"]]
+            assert _links(n) == _links(r)
+            assert _coeff_bytes(n) == _coeff_bytes(r)
         assert model.generation_log == log
         assert model.used_features() == {1, 2}
 
@@ -412,19 +434,19 @@ class TestBatchedGenerations:
         neurons, log = _population(d_train, d_valid, cfg, seed)
         ref_neurons, ref_log, ref_output, ref_selected = _reference_evolve(d_train, d_valid, cfg, seed)
         assert model.generation_log == log == ref_log
-        assert (model.output_id, [n.id for n in model.neurons]) == (ref_output, ref_selected)
+        assert (model.output_id, model.neurons.tolist()) == (ref_output, ref_selected)
         assert len(neurons) == len(ref_neurons)
         for n, r in zip(neurons, ref_neurons):
-            assert (n.id, n.parent_a, n.parent_b) == (r.id, r.parent_a, r.parent_b)
-            assert n.performance == r.performance
-            if n.parent_b is None:
-                assert n.coeffs.tobytes() == r.coeffs.tobytes()
+            assert (n["id"], n["parent_a"], n["parent_b"]) == (r["id"], r["parent_a"], r["parent_b"])
+            assert n["performance"] == r["performance"]
+            if n["parent_b"] is None:
+                assert _coeff_bytes(n) == _coeff_bytes(r)
             else:
-                _assert_close_fit(n.coeffs, r.coeffs)
-        for n in model.neurons:
-            p = neurons[n.id]
-            assert (n.parent_a, n.parent_b, n.performance) == (p.parent_a, p.parent_b, p.performance)
-            assert n.coeffs.tobytes() == p.coeffs.tobytes()
+                _assert_close_fit(n["coeffs"], r["coeffs"])
+        for n in model.to_json_dict()["neurons"]:
+            p = neurons[n["id"]]
+            assert _links(n) == _links(p)
+            assert _coeff_bytes(n) == _coeff_bytes(p)
         if offspring == 1:
             # the path where a generation accepts no offspring ran
             sizes = [size for _, _, size in model.generation_log]
@@ -432,7 +454,7 @@ class TestBatchedGenerations:
 
         _, parents, _, _ = gmdh._grow_population(d_train, d_valid, cfg, seed)
         for n in neurons:
-            assert _ancestor_ids(parents, n.id) == ancestor_ids(neurons, n.id)
+            assert _ancestor_ids(parents, n["id"]) == ancestor_ids(neurons, n["id"])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_offspring_fits_need_no_lstsq(self, monkeypatch, seed):
@@ -497,8 +519,8 @@ class TestPredictAndSerialize:
         return d, model
 
     def test_constant_neuron_always_one_class(self):
-        neuron = PolyNeuron(0, Source("feature", 0), None, np.array([0.6, 0, 0, 0]), 1.0)
-        model = GmdhModel([neuron], 0, [], NormParams.identity(3), 3)
+        model = GmdhModel(np.array([0]), np.array([[0, -1]]), np.array([[0.6, 0, 0, 0]]), np.array([1.0]),
+                          0, [], NormParams.identity(3), 3)
         for x in (np.zeros(3), np.array([5.0, -2.0, 1.0])):
             score, cls = model.predict_batch(x)
             assert cls[0] == 1 and score[0] == 0.6
@@ -555,9 +577,9 @@ class TestPredictAndSerialize:
         loaded = GmdhModel.load(path)
         assert loaded.output_id == model.output_id
         assert len(loaded.neurons) == len(model.neurons)
-        for n, r in zip(model.neurons, loaded.neurons):
-            assert (n.id, n.parent_a, n.parent_b, n.performance) == (r.id, r.parent_a, r.parent_b, r.performance)
-            assert n.coeffs.tobytes() == r.coeffs.tobytes()
+        for name in ("neurons", "inputs", "coeffs", "performance"):
+            n, r = getattr(model, name), getattr(loaded, name)
+            assert (n.dtype, n.shape, n.tobytes()) == (r.dtype, r.shape, r.tobytes())
         assert loaded.size() == model.size()
         assert loaded.used_features() == model.used_features()
         assert loaded.to_json() == model.to_json() == path.read_text()
@@ -565,7 +587,7 @@ class TestPredictAndSerialize:
     def test_non_finite_coefficient_is_not_written(self, tmp_path):
         # a model that read_json_doc would refuse is never written
         _, model = self._small_model(seed=4)
-        model.neurons[-1].coeffs[0] = np.nan
+        model.coeffs[-1, 0] = np.nan
         path = tmp_path / "nan.model.json"
         with pytest.raises(NumericError, match="not finite"):
             model.save(path)

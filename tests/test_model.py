@@ -84,3 +84,12 @@ class TestTreeBatchRouting:
         assert model.size() == len(splits) == len(model.leaves()) - 1
         assert model.used_features() == {feature for feature, _ in splits}
         assert dtree.evaluate(model, d) == model.error_rate(d)
+
+
+def test_too_deep_document_is_a_data_error():
+    # a tree nested deeper than the recursion limit, as a decoded document
+    node = {"leaf": {"class": 0, "counts": [1, 1]}}
+    for _ in range(3000):
+        node = {"split": {"feature": 0, "threshold": 0.5, "left": node, "right": node}}
+    with pytest.raises(DataError, match="RecursionError"):
+        dtree.DtModel.from_json_dict({"format_version": 1, "n_features": 2, "root": node})
