@@ -95,15 +95,18 @@ def _write_manifest(
 
 def _check_out(out: str, *suffixes: str) -> None:
     """Refuse, before any work, an output prefix that does not end in a name
-    (a path separator, ``.`` or ``..``), whose directory cannot be made, or
-    where a file the command writes (``out`` followed by one of
-    ``suffixes``, or the manifest) is an existing directory."""
+    (a path separator, ``.`` or ``..``), whose nearest existing ancestor is
+    not a directory this process can write to, or where a file the command
+    writes (``out`` followed by one of ``suffixes``, or the manifest) is an
+    existing directory. Nothing is created here: the first file written
+    creates the missing directories, so a refused command leaves none."""
     if os.path.basename(out) in ("", ".", ".."):
         raise ConfigError(f"--out must end in a file name prefix, got {out!r}")
-    try:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {out!r}: cannot create directory {exc.filename!r}: {exc.strerror}")
+    ancestor = Path(out).parent
+    while not os.path.lexists(ancestor):
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {out!r}: {str(ancestor)!r} is not a directory this process can write to")
     for path in (out + suffix for suffix in (*suffixes, ".manifest.json")):
         if os.path.isdir(path):
             raise ConfigError(f"--out {out!r}: the output file {path!r} is a directory")
@@ -207,19 +210,21 @@ def _build_adapter(method, chi, delta, epsilon, init_std, split_a, max_steps,
 _train_options = [
     click.option("--data", "data_path", required=True, help="Training dataset CSV."),
     click.option("--target", default="target", show_default=True, help="Target column name or index."),
-    click.option("--chi", type=float, default=1.9, show_default=True),
-    click.option("--delta", type=float, default=0.0015, show_default=True),
-    click.option("--epsilon", type=float, default=None, help="Known noise level stop (off by default)."),
-    click.option("--init-std", type=float, default=0.1, show_default=True),
-    click.option("--split-a", type=float, default=0.5, show_default=True, help="Fitting-part fraction."),
-    click.option("--max-steps", type=int, default=200, show_default=True),
-    click.option("--candidate-restarts", type=int, default=1, show_default=True),
-    click.option("--max-failed-attempts", type=int, default=None),
-    click.option("--offspring", type=int, default=500, show_default=True),
-    click.option("--max-failures", type=int, default=5, show_default=True),
-    click.option("--subsample", type=float, default=0.5, show_default=True),
-    click.option("--ns", type=int, default=25, show_default=True),
-    click.option("--pmin", type=float, default=0.06, show_default=True),
+    click.option("--chi", type=float, default=TrainConfig.chi, show_default=True),
+    click.option("--delta", type=float, default=TrainConfig.delta, show_default=True),
+    click.option("--epsilon", type=float, default=TrainConfig.epsilon, help="Known noise level stop (off by default)."),
+    click.option("--init-std", type=float, default=TrainConfig.init_std, show_default=True),
+    click.option("--split-a", type=float, default=TrainConfig.split_fraction, show_default=True,
+                 help="Fitting-part fraction."),
+    click.option("--max-steps", type=int, default=TrainConfig.max_steps, show_default=True),
+    click.option("--candidate-restarts", type=int, default=cascade.GrowthConfig.restarts_per_candidate,
+                 show_default=True),
+    click.option("--max-failed-attempts", type=int, default=cascade.GrowthConfig.max_failed_attempts),
+    click.option("--offspring", type=int, default=gmdh.GmdhConfig.offspring_per_generation, show_default=True),
+    click.option("--max-failures", type=int, default=gmdh.GmdhConfig.max_serial_failures, show_default=True),
+    click.option("--subsample", type=float, default=gmdh.GmdhConfig.fit_subsample, show_default=True),
+    click.option("--ns", type=int, default=dtree.DtConfig.n_s, show_default=True),
+    click.option("--pmin", type=float, default=dtree.DtConfig.p_min, show_default=True),
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--jobs", type=int, default=1, show_default=True, envvar="ECNN_JOBS"),
 ]
@@ -336,10 +341,10 @@ def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_fla
 @click.option("--data", "data_path", required=True)
 @click.option("--target", default="target", show_default=True)
 @click.option("--chis", default=",".join(map(str, harness.DEFAULT_CHI_LIST)), show_default=True)
-@click.option("--delta", type=float, default=0.0015, show_default=True)
-@click.option("--max-steps", type=int, default=200, show_default=True)
-@click.option("--init-std", type=float, default=0.1, show_default=True)
-@click.option("--split-a", type=float, default=0.5, show_default=True)
+@click.option("--delta", type=float, default=TrainConfig.delta, show_default=True)
+@click.option("--max-steps", type=int, default=TrainConfig.max_steps, show_default=True)
+@click.option("--init-std", type=float, default=TrainConfig.init_std, show_default=True)
+@click.option("--split-a", type=float, default=TrainConfig.split_fraction, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True, help="Output prefix; writes <out>.chi_traces.csv.")
 @_handles_errors

@@ -96,10 +96,6 @@ class NormParams:
         self.std = np.asarray(self.std, dtype=np.float64)
         self.constant = np.asarray(self.constant, dtype=bool)
 
-    @classmethod
-    def identity(cls, m: int) -> "NormParams":
-        return cls(np.zeros(m), np.ones(m), np.zeros(m, dtype=bool))
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         out = (x - self.mean) / self.std
@@ -144,15 +140,6 @@ class SynthTruth:
     seed: int
     flip_count: int
 
-    def score(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return x[:, self.relevant] @ np.asarray(self.coefficients)
-
-    def labels_for(self, x: np.ndarray) -> np.ndarray:
-        """Labels the generating rule itself assigns: 1 iff the linear score
-        puts the sigmoid at or above 0.5, i.e. iff the score is >= 0."""
-        return (self.score(x) >= 0.0).astype(np.int64)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -164,22 +151,8 @@ class SynthTruth:
             indent=2,
         ) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "SynthTruth":
-        d = json.loads(text)
-        return cls(
-            [int(j) for j in d["relevant"]],
-            [float(c) for c in d["coefficients"]],
-            int(d["seed"]),
-            int(d["flip_count"]),
-        )
-
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, self.to_json())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SynthTruth":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _is_number(cell: str) -> bool:

@@ -145,23 +145,6 @@ def entropy(counts) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def info_gain(parent_labels, left_labels, right_labels) -> float:
-    """Entropy drop achieved by partitioning parent into left/right."""
-    parent = np.asarray(parent_labels, dtype=np.int64)
-    left = np.asarray(left_labels, dtype=np.int64)
-    right = np.asarray(right_labels, dtype=np.int64)
-    if len(parent) == 0:
-        raise DataError("information gain of an empty parent is undefined")
-    if len(left) + len(right) != len(parent):
-        raise ValueError("left and right must partition the parent")
-    h_parent = entropy(np.bincount(parent, minlength=2))
-    weighted = 0.0
-    for side in (left, right):
-        if len(side):
-            weighted += len(side) / len(parent) * entropy(np.bincount(side, minlength=2))
-    return h_parent - weighted
-
-
 def _entropy_per_split(pos: np.ndarray, total: np.ndarray) -> np.ndarray:
     # vectorized binary entropy for arrays of (positive, total) counts
     with np.errstate(divide="ignore", invalid="ignore"):

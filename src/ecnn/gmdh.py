@@ -249,10 +249,6 @@ def fit_ls(
     return coeffs
 
 
-def _accuracy(scores: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> float:
-    return float(np.mean((scores >= threshold).astype(np.int64) == y))
-
-
 def _ancestor_ids(parents: np.ndarray, nid: int) -> list[int]:
     """Ids of neuron ``nid`` and of every neuron it reads, ascending, from
     the (N, 2) parent ids of a population (-1 for a seed neuron)."""
@@ -285,7 +281,7 @@ def evolve(
     d_valid: Dataset,
     cfg: GmdhConfig,
     seed: int,
-    norm: NormParams | None = None,
+    norm: NormParams,
 ) -> GmdhModel:
     """Run the evolutionary construction.
 
@@ -295,7 +291,9 @@ def evolve(
     ``offspring_per_generation`` matings of distinct population members;
     offspring join the population only when they beat both parents, and
     the run ends after ``max_serial_failures`` consecutive generations
-    that leave the population best unchanged.
+    that leave the population best unchanged. ``norm`` is the
+    normalization both parts were made with; the model applies it to the
+    raw rows it scores.
     """
     if d_train.m != d_valid.m:
         raise ValueError("train and validation parts disagree on feature count")
@@ -320,7 +318,7 @@ def evolve(
         performance=performance[selected],
         output_id=int(selected[-1]),
         generation_log=log,
-        norm=norm if norm is not None else NormParams.identity(d_train.m),
+        norm=norm,
         n_features=d_train.m,
     )
 
@@ -419,7 +417,7 @@ def _grow_population(
         outs = _with_room(outs, j, 1)
         outs[j] = poly_forward(coeffs, x[:, j])
         coeff_blocks.append(coeffs[None])
-        seed_perf.append(_accuracy(outs[j, q:], yv))
+        seed_perf.append(np.count_nonzero((outs[j, q:] >= 0.5) == yv_true) / len(yv))
     parent_blocks = [np.full((d_train.m, 2), -1)]
     performance = np.array(seed_perf)
     size = d_train.m

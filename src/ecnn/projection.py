@@ -104,32 +104,6 @@ def sigmoid(a):
     return out
 
 
-def projection_step(w: np.ndarray, inputs: np.ndarray, errors: np.ndarray, chi: float) -> np.ndarray:
-    """One weight update: ``w - chi * inputs @ errors / ||inputs||_F^2``.
-
-    ``inputs`` is the (p, q) matrix of fitting examples as columns (with a
-    constant-1 row already appended if a bias is being fit). The Frobenius
-    norm of the whole matrix scales the step.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    inputs = np.asarray(inputs, dtype=np.float64)
-    errors = np.asarray(errors, dtype=np.float64)
-    if inputs.ndim != 2 or w.shape != (inputs.shape[0],) or errors.shape != (inputs.shape[1],):
-        raise ValueError(
-            f"shape mismatch: weights {w.shape}, inputs {inputs.shape}, errors {errors.shape}"
-        )
-    norm_sq = float(np.sum(inputs * inputs))
-    if norm_sq == 0.0:
-        raise NumericError("projection step undefined for an all-zero input matrix")
-    return w - (chi / norm_sq) * (inputs @ errors)
-
-
-def augment_bias(inputs: np.ndarray) -> np.ndarray:
-    """Append a constant-1 row so the bias trains like any other weight."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    return np.vstack([inputs, np.ones((1, inputs.shape[1]))])
-
-
 def fit_neuron(
     inputs_a: np.ndarray,
     targets_a: np.ndarray,
@@ -177,15 +151,17 @@ def fit_neuron(
     if not np.any(inputs_a):
         raise NumericError("cannot fit a neuron on an all-zero input matrix")
 
-    u_a = augment_bias(inputs_a)
-    u_b = augment_bias(inputs_b)
+    # a constant-1 row, so that the bias trains like any other weight
+    u_a = np.vstack([inputs_a, np.ones((1, inputs_a.shape[1]))])
+    u_b = np.vstack([inputs_b, np.ones((1, inputs_b.shape[1]))])
     p_aug = u_a.shape[0]
     step = cfg.chi / float(np.sum(u_a * u_a))
     w = rng.normal(0.0, cfg.init_std, size=p_aug)
     # The loop works on the doubled residual 2 * (sigmoid(z) - t), which
     # is tanh(z / 2) - (2t - 1). Halving the inputs is exact, so
     # ``w @ h_a`` is ``z / 2`` and ``h_a @ eta_a`` is ``u_a @ (eta_a / 2)``
-    # bit for bit: the update is ``projection_step``'s.
+    # bit for bit: the update is the projection rule
+    # ``w - chi * u_a @ (sigmoid(w @ u_a) - t_a) / ||u_a||_F^2``.
     h_a = 0.5 * u_a
     h_b = 0.5 * u_b
     s_a = 2.0 * targets_a - 1.0

@@ -1,17 +1,24 @@
 """Plain reference forms that only the tests use: a neuron's output and
-residuals written from their definitions, the parts of a fitted weight
-vector, the inverse of a normalization, a cascade candidate's inputs found
-by running the whole cascade, a GMDH neuron's ancestors found by walking
-its parent links, one threshold draw of the tree, the tree's split search
-one feature at a time, and the cross-validation summary recomputed from
-its folds."""
+residuals written from their definitions, one projection update as its
+formula reads, the bias row a fit appends, the parts of a fitted weight
+vector, the identity normalization and the inverse of a normalization,
+the labels of a synthetic task's generating rule and its ``truth.json``
+read back, a cascade candidate's inputs found by running the whole
+cascade, a GMDH neuron's ancestors found by walking its parent links, the
+information gain of one split, one threshold draw of the tree, the tree's
+split search one feature at a time, and the cross-validation summary
+recomputed from its folds."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
+from ecnn.dataset import NormParams, SynthTruth
 from ecnn.dtree import _entropy_per_split, entropy
-from ecnn.errors import DataError
+from ecnn.errors import DataError, NumericError
 from ecnn.projection import sigmoid
 
 
@@ -46,6 +53,32 @@ def rse(eta) -> float:
     return float(np.linalg.norm(np.asarray(eta, dtype=np.float64)))
 
 
+def projection_step(w: np.ndarray, inputs: np.ndarray, errors: np.ndarray, chi: float) -> np.ndarray:
+    """One weight update: ``w - chi * inputs @ errors / ||inputs||_F^2``.
+
+    ``inputs`` is the (p, q) matrix of fitting examples as columns (with a
+    constant-1 row already appended if a bias is being fit). The Frobenius
+    norm of the whole matrix scales the step.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    inputs = np.asarray(inputs, dtype=np.float64)
+    errors = np.asarray(errors, dtype=np.float64)
+    if inputs.ndim != 2 or w.shape != (inputs.shape[0],) or errors.shape != (inputs.shape[1],):
+        raise ValueError(
+            f"shape mismatch: weights {w.shape}, inputs {inputs.shape}, errors {errors.shape}"
+        )
+    norm_sq = float(np.sum(inputs * inputs))
+    if norm_sq == 0.0:
+        raise NumericError("projection step undefined for an all-zero input matrix")
+    return w - (chi / norm_sq) * (inputs @ errors)
+
+
+def augment_bias(inputs: np.ndarray) -> np.ndarray:
+    """Append a constant-1 row so the bias trains like any other weight."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    return np.vstack([inputs, np.ones((1, inputs.shape[1]))])
+
+
 def input_weights(fit) -> np.ndarray:
     """The input weights of a ``FitResult``: all but the last component."""
     return fit.weights[:-1]
@@ -56,9 +89,33 @@ def bias(fit) -> float:
     return float(fit.weights[-1])
 
 
+def identity_norm(m: int) -> NormParams:
+    """The normalization of ``m`` columns that changes no value."""
+    return NormParams(np.zeros(m), np.ones(m), np.zeros(m, dtype=bool))
+
+
 def invert(params, xn: np.ndarray) -> np.ndarray:
     """Raw values back from values normalized by ``NormParams`` ``params``."""
     return np.asarray(xn, dtype=np.float64) * params.std + params.mean
+
+
+def truth_labels(truth: SynthTruth, x: np.ndarray) -> np.ndarray:
+    """Labels the generating rule of ``truth`` itself assigns to the rows
+    ``x``: 1 iff the linear score puts the sigmoid at or above 0.5, i.e.
+    iff the score is >= 0."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return (x[:, truth.relevant] @ np.asarray(truth.coefficients) >= 0.0).astype(np.int64)
+
+
+def read_truth(path: str | Path) -> SynthTruth:
+    """The ``SynthTruth`` a ``truth.json`` file holds."""
+    d = json.loads(Path(path).read_text(encoding="utf-8"))
+    return SynthTruth(
+        [int(j) for j in d["relevant"]],
+        [float(c) for c in d["coefficients"]],
+        int(d["seed"]),
+        int(d["flip_count"]),
+    )
 
 
 def candidate_inputs(model, feature_j: int, xn: np.ndarray) -> np.ndarray:
@@ -93,6 +150,23 @@ def ancestor_ids(neurons, root_id: int) -> list[int]:
             if src is not None and src["kind"] == "neuron":
                 stack.append(src["index"])
     return sorted(seen)
+
+
+def info_gain(parent_labels, left_labels, right_labels) -> float:
+    """Entropy drop achieved by partitioning parent into left/right."""
+    parent = np.asarray(parent_labels, dtype=np.int64)
+    left = np.asarray(left_labels, dtype=np.int64)
+    right = np.asarray(right_labels, dtype=np.int64)
+    if len(parent) == 0:
+        raise DataError("information gain of an empty parent is undefined")
+    if len(left) + len(right) != len(parent):
+        raise ValueError("left and right must partition the parent")
+    h_parent = entropy(np.bincount(parent, minlength=2))
+    weighted = 0.0
+    for side in (left, right):
+        if len(side):
+            weighted += len(side) / len(parent) * entropy(np.bincount(side, minlength=2))
+    return h_parent - weighted
 
 
 def sample_threshold(values, rng: np.random.Generator) -> float:

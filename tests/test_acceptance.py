@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import csv
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from click.testing import CliRunner
 from ecnn import cascade, dtree, gmdh, harness
 from ecnn.cli import cli
 from ecnn.dataset import Dataset, save_csv, synth_generate
-from ecnn.dtree import DtConfig, build, entropy, evaluate as dt_evaluate, info_gain
+from ecnn.dtree import DtConfig, build, entropy, evaluate as dt_evaluate
 from ecnn.gmdh import GmdhConfig, evolve, fit_ls, poly_forward
 from ecnn.harness import chi_sweep, multi_restart
-from ecnn.projection import TrainConfig, fit_neuron, projection_step
+from ecnn.projection import TrainConfig, fit_neuron
 from ecnn.util import derive_rng
+from reference import identity_norm, info_gain, truth_labels
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -54,19 +56,26 @@ def _separable_1d(seed: int, n: int = 8):
 
 
 def test_criterion_1_projection_rule_oracle():
-    """1000 random update instances match an independent naive reference."""
+    """1000 random instances of the first step ``fit_neuron`` takes match
+    an independent naive reference of the update rule."""
     started = time.time()
     rng = np.random.default_rng(1)
     worst = 0.0
-    for _ in range(1000):
+    for k in range(1000):
         p = int(rng.integers(1, 8))
         q = int(rng.integers(1, 12))
-        w = rng.normal(size=p)
-        u = rng.normal(size=(p, q))
-        eta = rng.normal(size=q)
+        x = rng.normal(size=(p, q))
+        t = rng.integers(0, 2, size=q).astype(float)
         chi = float(rng.uniform(0.1, 2.0))
-        diff = np.max(np.abs(projection_step(w, u, eta, chi) - _naive_step(w, u, eta, chi)))
-        worst = max(worst, diff)
+        s = float(rng.uniform(0.1, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a chi outside (1, 2] warns
+            cfg = TrainConfig(chi=chi, max_steps=1, init_std=s)
+        w = fit_neuron(x, t, x, t, cfg, np.random.default_rng(k)).weights
+        w0 = np.random.default_rng(k).normal(0.0, s, p + 1)
+        u = np.vstack([x, np.ones(q)])
+        eta = 1.0 / (1.0 + np.exp(-(w0 @ u))) - t
+        worst = max(worst, np.max(np.abs(w - _naive_step(w0, u, eta, chi))))
     elapsed = time.time() - started
     _report(1, worst < 1e-12 and elapsed < 5.0,
             f"max deviation {worst:.2e} over 1000 instances in {elapsed:.2f}s")
@@ -151,7 +160,7 @@ def test_criterion_5_feature_recovery():
     for seed in seeds:
         d, truth = synth_generate(3000, 72, relevant, 0.1, 0.05, seed)
         d_clean, _ = synth_generate(3000, 72, relevant, 0.1, 0.0, seed)
-        pred = truth.labels_for(d.x[2000:])
+        pred = truth_labels(truth, d.x[2000:])
         oracle_errors.append(float(np.mean(pred != d_clean.y[2000:])))
     oracle_ok = max(oracle_errors) <= 0.07
 
@@ -202,7 +211,7 @@ def test_criterion_6_gmdh_recovery():
         return Dataset(x, y, [f"f{j}" for j in range(4)])
 
     cfg = GmdhConfig(offspring_per_generation=60, max_serial_failures=3, fit_subsample=1.0)
-    model = evolve(xor_corners(400, 61), xor_corners(400, 62), cfg, seed=6)
+    model = evolve(xor_corners(400, 61), xor_corners(400, 62), cfg, seed=6, norm=identity_norm(4))
     perf = model.validation_performance
     elapsed = time.time() - started
     ok = residual < 1e-8 and perf >= 0.98 and elapsed < 60.0

@@ -12,11 +12,11 @@ from ecnn.cascade import (
     rank_features,
     train,
 )
-from ecnn.dataset import Dataset, NormParams, fit_normalize, split, synth_generate
+from ecnn.dataset import Dataset, fit_normalize, split, synth_generate
 from ecnn.errors import ConfigError, DataError
 from ecnn.projection import TrainConfig
 from ecnn.util import derive_seed
-from reference import candidate_inputs, error_vector, rse
+from reference import candidate_inputs, error_vector, identity_norm, rse
 
 
 def _normalized_halves(d, fraction=0.5, seed=0):
@@ -39,7 +39,7 @@ def _toy_model(m=4, base=1, layers=2, fill=0.0):
                         "criterion": 1.0 / r})
     return CascadeModel.from_json_dict({
         "format_version": 1, "base_feature": base, "feature_names": [f"f{j}" for j in range(m)],
-        "norm": NormParams.identity(m).to_dict(), "c0": 2.0, "neurons": neurons, "threshold": 0.5,
+        "norm": identity_norm(m).to_dict(), "c0": 2.0, "neurons": neurons, "threshold": 0.5,
     })
 
 

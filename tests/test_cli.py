@@ -126,6 +126,14 @@ class TestTrainCommand:
         kind, _ = load_any_model(f"{out}.model.json")
         assert kind == "dt"
 
+    def test_gmdh_defaults(self, runner, tmp_path):
+        data = _make_data(tmp_path)
+        out = tmp_path / "gmrun"
+        result = _invoke(runner, ["train", "--data", str(data), "--method", "gmdh", "--out", str(out)])
+        assert result.exit_code == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        _assert_manifest_config(manifest, gmdh.GmdhConfig(), "gmdh", 1, 0)
+
     def test_gmdh_train(self, runner, tmp_path):
         data = _make_data(tmp_path, n=200)
         out = tmp_path / "gm"
@@ -591,9 +599,10 @@ class TestNonFiniteAndOutOfRangeFlags:
 
 
 class TestBadOutPrefix:
-    """An output prefix that names no file, whose directory cannot be made,
-    or where a file the command writes is an existing directory, is refused
-    before any work: exit 2, no traceback, nothing written."""
+    """An output prefix that names no file, whose nearest existing ancestor
+    is not a directory, or where a file the command writes is an existing
+    directory, is refused before any work: exit 2, no traceback, nothing
+    written."""
 
     @pytest.mark.parametrize("command", ["synth", "train", "evaluate", "compare", "chi-sweep"])
     @pytest.mark.parametrize("prefix", ["data.csv/x", "sub/", "sub/.", ".", "taken"])
@@ -630,6 +639,26 @@ class TestBadOutPrefix:
         assert result.exit_code == 2, result.output
         assert "config error: --out" in result.output and "y.model.json" in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "y.model.json"]
+
+
+    @pytest.mark.parametrize("code, args", [
+        (2, ["synth", "--n", "60", "--m", "4", "--relevant", "x"]),
+        (3, ["train", "--data", "missing.csv"]),
+        (2, ["train", "--data", "data.csv", "--chi", "nan"]),
+        (3, ["evaluate", "--model", "missing.model.json", "--data", "data.csv"]),
+        (2, ["evaluate", "--model", "missing.model.json", "--data", "data.csv", "--threshold", "nan"]),
+        (3, ["compare", "--data", "missing.csv"]),
+        (2, ["compare", "--data", "data.csv", "--jobs", "0"]),
+        (3, ["chi-sweep", "--data", "missing.csv"]),
+        (2, ["chi-sweep", "--data", "data.csv", "--chis", "3.0"]),
+    ])
+    def test_refused_command_leaves_no_directory(self, runner, tmp_path, monkeypatch, code, args):
+        monkeypatch.chdir(tmp_path)
+        _make_data(tmp_path, n=60, m=4, name="data.csv")
+        result = runner.invoke(cli, args + ["--out", "newdir/sub/x"])
+        assert result.exit_code == code, result.output
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
 def test_utf8_files_under_an_ascii_locale(tmp_path):

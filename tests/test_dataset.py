@@ -13,10 +13,9 @@ from ecnn.dataset import (
     save_csv,
     split,
     synth_generate,
-    SynthTruth,
 )
 from ecnn.errors import ConfigError, DataError
-from reference import invert
+from reference import invert, read_truth, truth_labels
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -519,12 +518,12 @@ class TestSplit:
 class TestSynthGenerate:
     def test_noise_free_task_separable_by_generating_score(self):
         d, truth = synth_generate(500, 72, [9, 22, 35, 59], 0.0, 0.0, seed=7)
-        np.testing.assert_array_equal(truth.labels_for(d.x), d.y)
+        np.testing.assert_array_equal(truth_labels(truth, d.x), d.y)
         assert truth.flip_count == 0
 
     def test_half_flip_agreement_near_half(self):
         d, truth = synth_generate(2000, 10, [0, 1], 0.0, 0.5, seed=8)
-        agree = np.mean(truth.labels_for(d.x) == d.y)
+        agree = np.mean(truth_labels(truth, d.x) == d.y)
         assert 0.45 <= agree <= 0.55
 
     def test_same_seed_identical(self):
@@ -540,7 +539,7 @@ class TestSynthGenerate:
 
     def test_flip_count_recorded(self):
         d, truth = synth_generate(1000, 5, [2], 0.0, 0.25, seed=14)
-        disagreements = int(np.sum(truth.labels_for(d.x) != d.y))
+        disagreements = int(np.sum(truth_labels(truth, d.x) != d.y))
         assert truth.flip_count == disagreements
 
     def test_empty_relevant_rejected(self):
@@ -559,4 +558,4 @@ class TestSynthGenerate:
         _, truth = synth_generate(100, 6, [1, 3], 0.1, 0.05, seed=21)
         path = tmp_path / "truth.json"
         truth.save(path)
-        assert SynthTruth.load(path) == truth
+        assert read_truth(path) == truth

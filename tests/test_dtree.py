@@ -15,12 +15,11 @@ from ecnn.dtree import (
     dt_predict,
     entropy,
     evaluate,
-    info_gain,
 )
 from ecnn.errors import ConfigError, DataError
 from ecnn.util import derive_rng
 import reference
-from reference import sample_threshold
+from reference import info_gain, sample_threshold
 
 
 class TestEntropy:

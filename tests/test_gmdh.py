@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ecnn.dataset import Dataset, NormParams, fit_normalize, split, synth_generate
+from ecnn.dataset import Dataset, fit_normalize, split, synth_generate
 from ecnn.errors import ConfigError, DataError, NumericError
 from ecnn import gmdh
 from ecnn.gmdh import (
@@ -15,7 +15,7 @@ from ecnn.gmdh import (
     poly_forward,
 )
 from ecnn.util import derive_rng, derive_seed
-from reference import ancestor_ids
+from reference import ancestor_ids, identity_norm
 
 
 class TestPolyForward:
@@ -140,7 +140,7 @@ class TestEvolve:
         d_train = _xor_like(400, seed=1)
         d_valid = _xor_like(400, seed=2)
         cfg = GmdhConfig(offspring_per_generation=60, max_serial_failures=3, fit_subsample=1.0)
-        model = evolve(d_train, d_valid, cfg, seed=0)
+        model = evolve(d_train, d_valid, cfg, seed=0, norm=identity_norm(d_train.m))
         assert model.validation_performance >= 0.98
 
     def test_single_feature_task_gives_one_neuron(self):
@@ -150,7 +150,7 @@ class TestEvolve:
         x[:, 2] = np.where(y == 1, x[:, 2] + 3.0, x[:, 2] - 3.0)  # wide margin
         d = Dataset(x, y, [f"f{j}" for j in range(5)])
         cfg = GmdhConfig(offspring_per_generation=40, max_serial_failures=2, fit_subsample=1.0)
-        model = evolve(d.subset(np.arange(150)), d.subset(np.arange(150, 300)), cfg, seed=1)
+        model = evolve(d.subset(np.arange(150)), d.subset(np.arange(150, 300)), cfg, seed=1, norm=identity_norm(5))
         assert model.validation_performance == 1.0
         assert model.size() == 1
 
@@ -172,7 +172,7 @@ class TestEvolve:
         d_train = _xor_like(300, seed=6)
         d_valid = _xor_like(300, seed=7)
         cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=3, fit_subsample=0.5)
-        model = evolve(d_train, d_valid, cfg, seed=3)
+        model = evolve(d_train, d_valid, cfg, seed=3, norm=identity_norm(d_train.m))
         bests = [b for _, b, _ in model.generation_log]
         assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:]))
 
@@ -180,7 +180,7 @@ class TestEvolve:
         d_train = _xor_like(300, seed=8)
         d_valid = _xor_like(300, seed=9)
         cfg = GmdhConfig(offspring_per_generation=50, max_serial_failures=2, fit_subsample=1.0)
-        model = evolve(d_train, d_valid, cfg, seed=4)
+        model = evolve(d_train, d_valid, cfg, seed=4, norm=identity_norm(d_train.m))
         neurons, _ = _population(d_train, d_valid, cfg, seed=4)
         selected = set(model.neurons.tolist())
         assert model.output_id in selected
@@ -198,7 +198,7 @@ class TestEvolve:
         d_bad = Dataset(x, np.zeros(30, dtype=np.int64), ["a", "b", "c"])
         d_ok = Dataset(x, np.arange(30) % 2, ["a", "b", "c"])
         with pytest.raises(DataError):
-            evolve(d_bad, d_ok, GmdhConfig(), seed=0)
+            evolve(d_bad, d_ok, GmdhConfig(), seed=0, norm=identity_norm(3))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -392,7 +392,7 @@ class TestOutputChoice:
         log = [(0, 0.6, 3), (1, 0.9, 9)]
         monkeypatch.setattr(gmdh, "_grow_population", lambda *args: (coeffs, self.PARENTS, self.PERFORMANCE, log))
         d = Dataset(np.zeros((4, 3)), np.array([0, 1, 0, 1]), ["a", "b", "c"])
-        model = evolve(d, d, GmdhConfig(), seed=0)
+        model = evolve(d, d, GmdhConfig(), seed=0, norm=identity_norm(3))
 
         neurons = _as_neurons(coeffs, self.PARENTS, self.PERFORMANCE)
         for n in neurons:
@@ -430,7 +430,7 @@ class TestBatchedGenerations:
         d_train, d_valid = _small_task(seed)
         cfg = GmdhConfig(offspring_per_generation=offspring, max_serial_failures=3,
                          fit_subsample=subsample)
-        model = evolve(d_train, d_valid, cfg, seed)
+        model = evolve(d_train, d_valid, cfg, seed, identity_norm(d_train.m))
         neurons, log = _population(d_train, d_valid, cfg, seed)
         ref_neurons, ref_log, ref_output, ref_selected = _reference_evolve(d_train, d_valid, cfg, seed)
         assert model.generation_log == log == ref_log
@@ -482,7 +482,7 @@ class TestBatchedGenerations:
         models, populations = [], []
         for block in (1, 7, 64, 90, 500):
             monkeypatch.setattr(gmdh, "_BLOCK", block)
-            models.append(evolve(d_train, d_valid, cfg, 3))
+            models.append(evolve(d_train, d_valid, cfg, 3, identity_norm(d_train.m)))
             populations.append(gmdh._grow_population(d_train, d_valid, cfg, 3))
         for model, population in zip(models[1:], populations[1:]):
             assert model.to_json() == models[0].to_json()
@@ -496,11 +496,11 @@ class TestBatchedGenerations:
         d_train, d_valid = _small_task(4)
         row_bytes = 8 * (d_train.n + d_valid.n)
         cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample)
-        models = [evolve(d_train, d_valid, cfg, 4)]
+        models = [evolve(d_train, d_valid, cfg, 4, identity_norm(d_train.m))]
         populations = [gmdh._grow_population(d_train, d_valid, cfg, 4)]
         for rows in (1, 16, 37):
             monkeypatch.setattr(gmdh, "_RESERVE_BYTES", rows * row_bytes)
-            models.append(evolve(d_train, d_valid, cfg, 4))
+            models.append(evolve(d_train, d_valid, cfg, 4, identity_norm(d_train.m)))
             populations.append(gmdh._grow_population(d_train, d_valid, cfg, 4))
         assert len(populations[0][0]) > 37
         for model, population in zip(models[1:], populations[1:]):
@@ -520,7 +520,7 @@ class TestPredictAndSerialize:
 
     def test_constant_neuron_always_one_class(self):
         model = GmdhModel(np.array([0]), np.array([[0, -1]]), np.array([[0.6, 0, 0, 0]]), np.array([1.0]),
-                          0, [], NormParams.identity(3), 3)
+                          0, [], identity_norm(3), 3)
         for x in (np.zeros(3), np.array([5.0, -2.0, 1.0])):
             score, cls = model.predict_batch(x)
             assert cls[0] == 1 and score[0] == 0.6

@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecnn.errors import ConfigError, NumericError
-from ecnn.projection import (
-    TrainConfig,
-    augment_bias,
-    fit_neuron,
-    projection_step,
-    sigmoid,
-)
+from ecnn.projection import TrainConfig, fit_neuron, sigmoid
 from ecnn.util import derive_rng
-from reference import bias, error_vector, input_weights, neuron_forward, rse
+from reference import (
+    augment_bias,
+    bias,
+    error_vector,
+    input_weights,
+    neuron_forward,
+    projection_step,
+    rse,
+)
 
 
 class ZeroInit:
