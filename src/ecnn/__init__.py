@@ -7,7 +7,6 @@ from .cascade import CascadeModel, CascadeNeuron, GrowthConfig
 from .dataset import (
     Dataset,
     NormParams,
-    SplitPair,
     SynthTruth,
     fit_normalize,
     load_csv,
@@ -40,7 +39,6 @@ __all__ = [
     "NormParams",
     "NumericError",
     "RestartReport",
-    "SplitPair",
     "SynthTruth",
     "TrainConfig",
     "cascade",

@@ -100,12 +100,12 @@ class CascadeModel(Model):
 
     def hidden_outputs(self, xn: np.ndarray) -> np.ndarray:
         """Outputs of every neuron on normalized rows ``xn``, each neuron
-        reading the rows growth stacked for it; column r is the output of
-        the neuron at layer r+1."""
+        reading the rows ``assemble_candidate_inputs`` stacks for it, as in
+        growth; column r is the output of the neuron at layer r+1."""
         xn = np.atleast_2d(np.asarray(xn, dtype=np.float64))
         z = np.empty((xn.shape[0], len(self.neurons)))
         for r, neuron in enumerate(self.neurons):
-            u = np.vstack([*z[:, :r].T, xn[:, self.base_feature], xn[:, neuron.feature]])
+            u = assemble_candidate_inputs([*z[:, :r].T], xn, self.base_feature, neuron.feature)
             z[:, r] = neuron.output(u)
         return z
 
@@ -178,8 +178,6 @@ def rank_features(d_a: Dataset, d_b: Dataset, cfg: GrowthConfig, seed: int) -> l
     to the lower index. Features that carry no signal at all (all-zero
     columns, e.g. flagged constants) rank last with an infinite score.
     """
-    if d_a.n == 0 or d_b.n == 0:
-        raise DataError("both split parts must be non-empty")
     ya = d_a.y.astype(np.float64)
     yb = d_b.y.astype(np.float64)
     scores: list[tuple[int, float]] = []
@@ -203,9 +201,9 @@ def rank_features(d_a: Dataset, d_b: Dataset, cfg: GrowthConfig, seed: int) -> l
 def assemble_candidate_inputs(
     hidden: list[np.ndarray], xn: np.ndarray, base_feature: int, feature_j: int
 ) -> np.ndarray:
-    """Input matrix for a candidate at the next layer: the rows ``hidden``
-    (the accepted neurons' outputs on ``xn``, in layer order), then the
-    base feature, then feature ``feature_j``.
+    """Input rows of the next layer's neuron, in growth and in prediction:
+    ``hidden`` (the earlier neurons' outputs on ``xn``, in layer order),
+    then the base feature, then feature ``feature_j``.
 
     ``xn`` holds normalized rows; the result has examples as columns, with
     no bias row (the trainer appends it).
@@ -229,9 +227,7 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
         raise DataError(f"need at least 2 features, got {d.m}")
 
     dn, norm = fit_normalize(d)
-    pair = split(dn, cfg.trainer.split_fraction, derive_seed(seed, "split"))
-    d_a = dn.subset(pair.a_indices)
-    d_b = dn.subset(pair.b_indices)
+    d_a, d_b = split(dn, cfg.trainer.split_fraction, derive_seed(seed, "split"))
     for part, label in ((d_a, "fitting"), (d_b, "validation")):
         c0_count, c1_count = part.class_counts()
         if c0_count == 0 or c1_count == 0:

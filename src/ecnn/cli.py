@@ -258,10 +258,7 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
     best.model.save(model_path)
     artifacts = [model_path]
     if restarts > 1:
-        paths = harness.write_restart_reports(
-            report, Path(out).parent, d.feature_names, prefix=Path(out).name + "."
-        )
-        artifacts.extend(paths.values())
+        artifacts.extend(harness.write_restart_reports(report, out, d.feature_names).values())
 
     results = {
         "best_run": report.best_run,

@@ -122,15 +122,6 @@ class NormParams:
 
 
 @dataclass
-class SplitPair:
-    """Disjoint row-index partition of a dataset into a fitting part A and
-    a validation part B."""
-
-    a_indices: np.ndarray
-    b_indices: np.ndarray
-
-
-@dataclass
 class SynthTruth:
     """Ground truth behind a synthetic dataset: which features matter and
     the linear score that generated the labels."""
@@ -140,19 +131,14 @@ class SynthTruth:
     seed: int
     flip_count: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "relevant": list(self.relevant),
-                "coefficients": list(self.coefficients),
-                "seed": self.seed,
-                "flip_count": self.flip_count,
-            },
-            indent=2,
-        ) + "\n"
-
     def save(self, path: str | Path) -> None:
-        atomic_write_text(path, self.to_json())
+        doc = {
+            "relevant": list(self.relevant),
+            "coefficients": list(self.coefficients),
+            "seed": self.seed,
+            "flip_count": self.flip_count,
+        }
+        atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _is_number(cell: str) -> bool:
@@ -350,8 +336,8 @@ def fit_normalize(d: Dataset) -> tuple[Dataset, NormParams]:
     return Dataset(xn, d.y, list(d.feature_names)), params
 
 
-def split(d: Dataset, fraction_a: float, seed: int) -> SplitPair:
-    """Stratified random partition into parts A and B.
+def split(d: Dataset, fraction_a: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Stratified random partition into parts A and B, in ``d``'s row order.
 
     Each class is shuffled and divided so both parts keep at least one
     member of every class that has two or more examples; a singleton class
@@ -378,7 +364,7 @@ def split(d: Dataset, fraction_a: float, seed: int) -> SplitPair:
     b = np.sort(np.concatenate(b_parts))
     if len(a) == 0 or len(b) == 0:
         raise DataError(f"fraction_a={fraction_a} leaves an empty part for n={d.n}")
-    return SplitPair(a, b)
+    return d.subset(a), d.subset(b)
 
 
 def synth_generate(
@@ -401,6 +387,8 @@ def synth_generate(
     recording the relevant columns, coefficients, and realized flip count.
     """
     relevant = sorted(set(int(j) for j in relevant))
+    if m < 2:
+        raise ConfigError(f"need at least 2 features to train on, got m={m} (--m)")
     if not relevant:
         raise ConfigError("relevant feature set must not be empty")
     if relevant[0] < 0 or relevant[-1] >= m:

@@ -68,12 +68,9 @@ class DtModel(Model):
                 stack += [node.right, node.left]
         return out
 
-    def leaves(self) -> list[Leaf]:
-        return [node for node in self.nodes() if isinstance(node, Leaf)]
-
     def size(self) -> int:
         """Number of splits."""
-        return len(self.nodes()) - len(self.leaves())
+        return sum(isinstance(node, Split) for node in self.nodes())
 
     def used_features(self) -> frozenset[int]:
         return frozenset(node.feature for node in self.nodes() if isinstance(node, Split))

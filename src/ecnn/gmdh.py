@@ -191,8 +191,6 @@ def poly_forward(coeffs: np.ndarray, u1, u2=None):
     if u2 is not None:
         u2 = np.asarray(u2, dtype=np.float64)
         out = out + w2 * u2 + w3 * u1 * u2
-    if np.ndim(out) == 0:
-        return float(out)
     return out
 
 
@@ -295,8 +293,6 @@ def evolve(
     normalization both parts were made with; the model applies it to the
     raw rows it scores.
     """
-    if d_train.m != d_valid.m:
-        raise ValueError("train and validation parts disagree on feature count")
     for part, label in ((d_train, "fitting"), (d_valid, "validation")):
         c0_count, c1_count = part.class_counts()
         if c0_count == 0 or c1_count == 0:

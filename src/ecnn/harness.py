@@ -25,7 +25,7 @@ from .projection import FitResult, TrainConfig, fit_neuron
 from .util import atomic_write_text, csv_line, derive_rng, derive_seed
 
 DEFAULT_CHI_LIST = (1.25, 1.5, 1.75, 2.0)
-# the tables ``write_restart_reports`` writes, each to ``<prefix><name>.csv``
+# the tables ``write_restart_reports`` writes, each to ``<prefix>.<name>.csv``
 RESTART_REPORTS = ("restart_report", "feature_freq", "size_hist", "error_hist")
 # share of the training rows that GMDH and the tree hold out to validate
 VALID_FRACTION = 0.5
@@ -57,18 +57,14 @@ def _train_ecnn(d: Dataset, seed: int, cfg: cascade.GrowthConfig) -> Trained:
 
 def _train_gmdh(d: Dataset, seed: int, cfg: gmdh.GmdhConfig) -> Trained:
     dn, norm = fit_normalize(d)
-    pair = split(dn, 1.0 - VALID_FRACTION, derive_seed(seed, "gmdh-split"))
-    model = gmdh.evolve(
-        dn.subset(pair.a_indices), dn.subset(pair.b_indices), cfg, seed=seed, norm=norm
-    )
+    d_fit, d_valid = split(dn, 1.0 - VALID_FRACTION, derive_seed(seed, "gmdh-split"))
+    model = gmdh.evolve(d_fit, d_valid, cfg, seed=seed, norm=norm)
     trace = tuple(best for _, best, _ in model.generation_log)
     return Trained(model, 1.0 - model.validation_performance, trace)
 
 
 def _train_dt(d: Dataset, seed: int, cfg: dtree.DtConfig) -> Trained:
-    pair = split(d, 1.0 - VALID_FRACTION, derive_seed(seed, "dt-split"))
-    d_fit = d.subset(pair.a_indices)
-    d_valid = d.subset(pair.b_indices)
+    d_fit, d_valid = split(d, 1.0 - VALID_FRACTION, derive_seed(seed, "dt-split"))
     model = dtree.build(d_fit, cfg, seed=seed)
     return Trained(model, model.error_rate(d_valid))
 
@@ -174,16 +170,16 @@ def _fmt(v: float) -> str:
 
 
 def write_restart_reports(
-    report: RestartReport, out_dir: str | Path, feature_names: list[str] | None = None, prefix: str = ""
+    report: RestartReport, prefix: str | Path, feature_names: list[str] | None = None
 ) -> dict[str, Path]:
     """Emit the per-run table plus histogram source files.
 
-    Writes restart_report.csv (one row per run), feature_freq.csv (how
-    often each feature was used across successful runs), size_hist.csv
-    (model-size counts summing to the number of successful runs) and
-    error_hist.csv (per-run train/test errors).
+    Writes ``<prefix>.<name>.csv`` for each name: restart_report (one row
+    per run), feature_freq (how often each feature was used across
+    successful runs), size_hist (model-size counts summing to the number
+    of successful runs) and error_hist (per-run train/test errors).
     """
-    paths = {name: Path(out_dir) / f"{prefix}{name}.csv" for name in RESTART_REPORTS}
+    paths = {name: Path(f"{prefix}.{name}.csv") for name in RESTART_REPORTS}
 
     rows = ["run,seed,status,criterion,train_error,test_error,model_size,features,criterion_trace"]
     for r in report.records:
@@ -309,9 +305,7 @@ def chi_sweep(
         if not 0.0 < chi <= 2.0:
             raise ConfigError(f"sweep learning rates must be in (0, 2], got {chi}")
     dn, _ = fit_normalize(d)
-    pair = split(dn, cfg.split_fraction, derive_seed(seed, "split"))
-    d_a = dn.subset(pair.a_indices)
-    d_b = dn.subset(pair.b_indices)
+    d_a, d_b = split(dn, cfg.split_fraction, derive_seed(seed, "split"))
     inputs_a = d_a.x.T
     inputs_b = d_b.x.T
     ya = d_a.y.astype(np.float64)

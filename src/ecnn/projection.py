@@ -98,10 +98,7 @@ def sigmoid(a):
     exactly), and saturating to exactly 0.0 / 1.0 in float for large
     ``|a|``. ``tanh`` cannot overflow, so no input raises a warning.
     """
-    out = 0.5 + 0.5 * np.tanh(0.5 * np.asarray(a, dtype=np.float64))
-    if np.ndim(a) == 0:
-        return float(out)
-    return out
+    return 0.5 + 0.5 * np.tanh(0.5 * np.asarray(a, dtype=np.float64))
 
 
 def fit_neuron(

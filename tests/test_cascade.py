@@ -21,8 +21,7 @@ from reference import candidate_inputs, error_vector, identity_norm, rse
 
 def _normalized_halves(d, fraction=0.5, seed=0):
     dn, _ = fit_normalize(d)
-    pair = split(dn, fraction, seed)
-    return dn.subset(pair.a_indices), dn.subset(pair.b_indices)
+    return split(dn, fraction, seed)
 
 
 def _toy_model(m=4, base=1, layers=2, fill=0.0):
@@ -234,8 +233,7 @@ class TestTrain:
         cfg = GrowthConfig()
         model = train(d, cfg, seed=6)
         dn, _ = fit_normalize(d)
-        pair = split(dn, cfg.trainer.split_fraction, derive_seed(6, "split"))
-        d_b = dn.subset(pair.b_indices)
+        _, d_b = split(dn, cfg.trainer.split_fraction, derive_seed(6, "split"))
         z = model.hidden_outputs(d_b.x)
         for neuron, listed in zip(model.neurons, model.to_json_dict()["neurons"]):
             rows = []

@@ -91,6 +91,7 @@ class TestSynthCommand:
         (["--n", "1000000000000000", "--m", "6"], "--n, --m"),
         (["--n", "10", "--m", "1000000000000000"], "--n, --m"),
         (["--n", "100", "--m", "6", "--noise-std", "1e308"], "--noise-std"),
+        (["--n", "20", "--m", "1"], "--m"),
     ])
     def test_flags_that_cannot_make_a_table(self, runner, tmp_path, flags, named):
         out = tmp_path / "x"

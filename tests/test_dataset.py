@@ -472,42 +472,61 @@ class TestNormalize:
             fit_normalize(Dataset(x, np.array([0, 1, 0]), ["wide", "b"]))
 
 
+def _with_row_ids(d):
+    """``d`` with its row numbers as an extra first column, so each part
+    that ``split`` returns tells which rows it holds."""
+    x = np.column_stack([np.arange(d.n, dtype=np.float64), d.x])
+    return Dataset(x, d.y, ["row", *d.feature_names])
+
+
+def _row_ids(part):
+    return part.x[:, 0].astype(np.int64)
+
+
 class TestSplit:
     def test_balanced_even_split(self):
         y = np.array([0] * 50 + [1] * 50)
         d = Dataset(np.random.default_rng(0).normal(size=(100, 2)), y, ["a", "b"])
-        pair = split(d, 0.5, seed=1)
-        assert len(pair.a_indices) == 50 and len(pair.b_indices) == 50
-        for part in (pair.a_indices, pair.b_indices):
-            counts = np.bincount(d.y[part], minlength=2)
-            assert counts[0] == 25 and counts[1] == 25
+        d_a, d_b = split(d, 0.5, seed=1)
+        assert d_a.n == 50 and d_b.n == 50
+        for part in (d_a, d_b):
+            assert part.class_counts() == (25, 25)
 
     def test_same_seed_identical(self):
         d, _ = synth_generate(80, 4, [0], 0.0, 0.0, seed=2)
-        p1 = split(d, 0.3, seed=9)
-        p2 = split(d, 0.3, seed=9)
-        np.testing.assert_array_equal(p1.a_indices, p2.a_indices)
-        np.testing.assert_array_equal(p1.b_indices, p2.b_indices)
+        for first, second in zip(split(d, 0.3, seed=9), split(d, 0.3, seed=9)):
+            np.testing.assert_array_equal(first.x, second.x)
+            np.testing.assert_array_equal(first.y, second.y)
 
     def test_tiny_stratified(self):
         d = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 0, 1, 1]), ["a", "b"])
-        pair = split(d, 0.5, seed=0)
-        for part in (pair.a_indices, pair.b_indices):
-            assert set(d.y[part]) == {0, 1}
+        for part in split(d, 0.5, seed=0):
+            assert set(part.y) == {0, 1}
 
     def test_disjoint_exact_cover(self):
         for seed in range(10):
             n = 20 + seed * 13
             d, _ = synth_generate(n, 3, [1], 0.0, 0.0, seed=seed)
+            d = _with_row_ids(d)
             for fraction in (0.2, 0.5, 0.8):
-                pair = split(d, fraction, seed=seed)
-                merged = np.sort(np.concatenate([pair.a_indices, pair.b_indices]))
+                d_a, d_b = split(d, fraction, seed=seed)
+                merged = np.sort(np.concatenate([_row_ids(d_a), _row_ids(d_b)]))
                 np.testing.assert_array_equal(merged, np.arange(n))
+                for part in (d_a, d_b):
+                    ids = _row_ids(part)
+                    np.testing.assert_array_equal(part.x, d.x[ids])
+                    np.testing.assert_array_equal(part.y, d.y[ids])
+                    assert part.feature_names == d.feature_names
+
+    def test_parts_keep_row_order(self):
+        d, _ = synth_generate(90, 3, [0], 0.0, 0.0, seed=5)
+        for part in split(_with_row_ids(d), 0.4, seed=6):
+            assert np.all(np.diff(_row_ids(part)) > 0)
 
     def test_size_near_fraction(self):
         d, _ = synth_generate(101, 3, [0], 0.0, 0.0, seed=3)
-        pair = split(d, 0.35, seed=4)
-        assert abs(len(pair.a_indices) - round(0.35 * 101)) <= 2
+        d_a, _ = split(d, 0.35, seed=4)
+        assert abs(d_a.n - round(0.35 * 101)) <= 2
 
     def test_bad_fraction(self):
         d, _ = synth_generate(20, 3, [0], 0.0, 0.0, seed=0)

@@ -223,7 +223,7 @@ class TestBuild:
             rng = np.random.default_rng(seed)
             d = Dataset(rng.normal(size=(200, 3)), rng.integers(0, 2, 200), ["a", "b", "c"])
             model = build(d, DtConfig(), seed=seed)
-            total = sum(sum(leaf.counts) for leaf in model.leaves())
+            total = sum(sum(node.counts) for node in model.nodes() if isinstance(node, Leaf))
             assert total == d.n
 
     def test_leaves_obey_stopping_contract(self):

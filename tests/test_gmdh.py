@@ -315,8 +315,7 @@ def _assert_close_fit(got, ref):
 
 def _small_task(seed):
     d, _ = synth_generate(160, 5, [0, 3], 0.3, 0.1, seed=seed)
-    pair = split(d, 0.5, derive_seed(seed, "s"))
-    return d.subset(pair.a_indices), d.subset(pair.b_indices)
+    return split(d, 0.5, derive_seed(seed, "s"))
 
 
 class TestFitLsBatch:
@@ -513,9 +512,9 @@ class TestPredictAndSerialize:
     def _small_model(self, seed=0):
         d, _ = synth_generate(240, 5, [0, 3], 0.1, 0.02, seed=seed)
         dn, norm = fit_normalize(d)
-        pair = split(dn, 0.5, derive_seed(seed, "s"))
+        d_fit, d_valid = split(dn, 0.5, derive_seed(seed, "s"))
         cfg = GmdhConfig(offspring_per_generation=40, max_serial_failures=2, fit_subsample=1.0)
-        model = evolve(dn.subset(pair.a_indices), dn.subset(pair.b_indices), cfg, seed, norm=norm)
+        model = evolve(d_fit, d_valid, cfg, seed, norm=norm)
         return d, model
 
     def test_constant_neuron_always_one_class(self):

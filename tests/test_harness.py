@@ -8,6 +8,7 @@ from ecnn.dataset import Dataset, synth_generate
 from ecnn.errors import ConfigError, DataError
 from ecnn.harness import (
     DEFAULT_CHI_LIST,
+    RESTART_REPORTS,
     RestartReport,
     RunRecord,
     chi_sweep,
@@ -79,7 +80,8 @@ class TestMultiRestart:
 
     def test_report_files_account_for_runs(self, tmp_path):
         rep = multi_restart(dt_adapter(), _task(6), _task(7), runs=5, base_seed=4)
-        paths = write_restart_reports(rep, tmp_path, feature_names=[f"f{j}" for j in range(5)])
+        paths = write_restart_reports(rep, tmp_path / "run", feature_names=[f"f{j}" for j in range(5)])
+        assert {p.name for p in tmp_path.iterdir()} == {f"run.{name}.csv" for name in RESTART_REPORTS}
         table = _read_rows(paths["restart_report"])
         assert len(table) == 5
         sizes = _read_rows(paths["size_hist"])
@@ -94,7 +96,7 @@ class TestMultiRestart:
     def test_feature_names_needing_quotes(self, tmp_path):
         names = ['a,b', '"c', 'd"e', "f\rg", "h\ni"]
         rep = RestartReport([RunRecord(run=0, seed=0, status="ok", feature_set=frozenset(range(5)))], 0)
-        paths = write_restart_reports(rep, tmp_path, feature_names=names)
+        paths = write_restart_reports(rep, tmp_path / "run", feature_names=names)
         with open(paths["feature_freq"], newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["feature", "name", "count"], *([str(j), name, "1"] for j, name in enumerate(names))]

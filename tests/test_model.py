@@ -81,7 +81,7 @@ class TestTreeBatchRouting:
     def test_size_and_features_count_splits(self):
         d, model = _train("dt", seed=3)
         splits = list(_thresholds(model.root))
-        assert model.size() == len(splits) == len(model.leaves()) - 1
+        assert model.size() == len(splits) == len(model.nodes()) - len(splits) - 1
         assert model.used_features() == {feature for feature, _ in splits}
         assert dtree.evaluate(model, d) == model.error_rate(d)
 
