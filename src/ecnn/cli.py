@@ -93,13 +93,14 @@ def _write_manifest(
     return path
 
 
-def _check_out(out: str, *suffixes: str) -> None:
-    """Refuse, before any work, an output prefix that does not end in a name
-    (a path separator, ``.`` or ``..``), whose nearest existing ancestor is
-    not a directory this process can write to, or where a file the command
-    writes (``out`` followed by one of ``suffixes``, or the manifest) is an
-    existing directory. Nothing is created here: the first file written
-    creates the missing directories, so a refused command leaves none."""
+def _check_out(out: str, *suffixes: str) -> list[Path]:
+    """The paths of the files a command writes, ``out`` followed by each of
+    ``suffixes``. Refuses, before any work, an output prefix that does not
+    end in a name (a path separator, ``.`` or ``..``), whose nearest
+    existing ancestor is not a directory this process can write to, or
+    where one of those files, or the manifest, is an existing directory.
+    Nothing is created here: the first file written creates the missing
+    directories, so a refused command leaves none."""
     if os.path.basename(out) in ("", ".", ".."):
         raise ConfigError(f"--out must end in a file name prefix, got {out!r}")
     ancestor = Path(out).parent
@@ -110,6 +111,7 @@ def _check_out(out: str, *suffixes: str) -> None:
     for path in (out + suffix for suffix in (*suffixes, ".manifest.json")):
         if os.path.isdir(path):
             raise ConfigError(f"--out {out!r}: the output file {path!r} is a directory")
+    return [Path(out + suffix) for suffix in suffixes]
 
 
 def _resolve_target(target: str) -> str | int:
@@ -162,15 +164,13 @@ def cli() -> None:
 @_handles_errors
 def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
     """Generate a synthetic feature-selection dataset plus its ground truth."""
-    _check_out(out, ".csv", ".truth.json")
+    csv_path, truth_path = _check_out(out, ".csv", ".truth.json")
     started = time.time()
     try:
         relevant_idx = [int(tok) for tok in relevant.split(",") if tok.strip() != ""]
     except ValueError:
         raise ConfigError(f"--relevant must be comma-separated integers, got {relevant!r}")
     d, truth = synth_generate(n, m, relevant_idx, noise_std, flip, seed)
-    csv_path = Path(f"{out}.csv")
-    truth_path = Path(f"{out}.truth.json")
     save_csv(d, csv_path)
     truth.save(truth_path)
     _write_manifest(
@@ -184,27 +184,27 @@ def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
 def _build_adapter(method, chi, delta, epsilon, init_std, split_a, max_steps,
                    candidate_restarts, max_failed_attempts, offspring, max_failures,
                    subsample, ns, pmin):
-    trainer = TrainConfig(
-        chi=chi, delta=delta, epsilon=epsilon, max_steps=max_steps,
-        init_std=init_std, split_fraction=split_a,
-    )
+    """The method's adapter and its config as a dict; only the chosen
+    method's flags are read and checked."""
     if method == "ecnn":
+        trainer = TrainConfig(
+            chi=chi, delta=delta, epsilon=epsilon, max_steps=max_steps,
+            init_std=init_std, split_fraction=split_a,
+        )
         cfg = cascade.GrowthConfig(
             trainer=trainer,
             restarts_per_candidate=candidate_restarts,
             max_failed_attempts=max_failed_attempts,
         )
-        adapter = harness.ecnn_adapter(cfg)
     elif method == "gmdh":
         cfg = gmdh.GmdhConfig(
             offspring_per_generation=offspring, max_serial_failures=max_failures,
             fit_subsample=subsample,
         )
-        adapter = harness.gmdh_adapter(cfg)
     else:
         cfg = dtree.DtConfig(n_s=ns, p_min=pmin)
-        adapter = harness.dt_adapter(cfg)
-    return adapter, dataclasses.asdict(cfg)
+    adapter = {"ecnn": harness.ecnn_adapter, "gmdh": harness.gmdh_adapter, "dt": harness.dt_adapter}[method]
+    return adapter(cfg), dataclasses.asdict(cfg)
 
 
 _train_options = [
@@ -246,7 +246,7 @@ def _with_train_options(fn):
 def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, **cfg_flags) -> None:
     """Train a classifier and save the best model plus a run manifest."""
     reports = [f".{name}.csv" for name in harness.RESTART_REPORTS] if restarts > 1 else []
-    _check_out(out, ".model.json", *reports)
+    model_path = _check_out(out, ".model.json", *reports)[0]
     started = time.time()
     d = load_csv(data_path, _resolve_target(target))
     d_test = load_csv(test_data, _resolve_target(target)) if test_data else None
@@ -254,7 +254,6 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
     report = harness.multi_restart(adapter, d, d_test, restarts, seed, jobs=jobs)
     best = report.best
 
-    model_path = Path(f"{out}.model.json")
     best.model.save(model_path)
     artifacts = [model_path]
     if restarts > 1:
@@ -289,8 +288,7 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
 @_handles_errors
 def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
     """Score a saved model on a dataset: error rate and confusion counts."""
-    if out is not None:
-        _check_out(out, ".metrics.json")
+    metrics_path = None if out is None else _check_out(out, ".metrics.json")[0]
     started = time.time()
     if not math.isfinite(threshold):
         raise ConfigError(f"--threshold must be finite, got {threshold}")
@@ -300,8 +298,7 @@ def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
     metrics["method"] = kind
     text = json.dumps(metrics, indent=2)
     click.echo(text)
-    if out:
-        metrics_path = Path(f"{out}.metrics.json")
+    if metrics_path is not None:
         atomic_write_text(metrics_path, text + "\n")
         _write_manifest(out, {"threshold": threshold}, {},
                         [model_path, data_path], [metrics_path], started)
@@ -315,14 +312,11 @@ def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
 @_handles_errors
 def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_flags) -> None:
     """Cross-validated comparison of the cascade model and both baselines."""
-    _check_out(out, ".cv_report.csv")
+    [report_path] = _check_out(out, ".cv_report.csv")
     started = time.time()
     d = load_csv(data_path, _resolve_target(target))
-    reports = []
-    for method in ("ecnn", "gmdh", "dt"):
-        adapter, _ = _build_adapter(method, **cfg_flags)
-        reports.append(harness.kfold(d, folds, adapter, inner_runs, seed, jobs=jobs))
-    report_path = Path(f"{out}.cv_report.csv")
+    adapters = [_build_adapter(method, **cfg_flags)[0] for method in ("ecnn", "gmdh", "dt")]
+    reports = [harness.kfold(d, folds, adapter, inner_runs, seed, jobs=jobs) for adapter in adapters]
     harness.write_cv_report(reports, report_path)
     _write_manifest(out, {"folds": folds, "inner_runs": inner_runs},
                     {"seed": seed}, [data_path], [report_path], started)
@@ -347,7 +341,7 @@ def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_fla
 @_handles_errors
 def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, seed, out) -> None:
     """Validation-error traces of one neuron fitted at several learning rates."""
-    _check_out(out, ".chi_traces.csv")
+    [trace_path] = _check_out(out, ".chi_traces.csv")
     started = time.time()
     try:
         chi_list = [float(tok) for tok in chis.split(",") if tok.strip() != ""]
@@ -359,7 +353,6 @@ def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, 
     # chi_sweep sets each rate in turn and rejects any outside (0, 2]
     cfg = TrainConfig(delta=delta, max_steps=max_steps, init_std=init_std, split_fraction=split_a)
     results = harness.chi_sweep(d, chi_list, cfg, seed)
-    trace_path = Path(f"{out}.chi_traces.csv")
     harness.write_chi_traces(results, trace_path)
     _write_manifest(out, {"chis": chi_list, "delta": delta},
                     {"seed": seed}, [data_path], [trace_path], started)

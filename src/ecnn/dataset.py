@@ -282,23 +282,21 @@ def _load_rows(path: Path, target_column: str | int) -> Dataset:
     return Dataset(x, y, _feature_names(header, width, target_idx))
 
 
-def save_csv(d: Dataset, path: str | Path, target_name: str = "target") -> None:
-    """Write a dataset as headered CSV; floats keep full round-trip precision.
+def save_csv(d: Dataset, path: str | Path) -> None:
+    """Write a dataset as headered CSV, the label last in a column named
+    ``target``; floats keep full round-trip precision.
 
     Raises DataError, before writing anything, for a header that
-    ``load_csv`` would not read back as written: a feature named like the
-    target, a name with leading or trailing white space (header cells are
-    stripped), or names that all parse as numbers (the header would be
-    read as data).
+    ``load_csv`` would not read back as written: a feature named
+    ``target``, or a name with leading or trailing white space (header
+    cells are stripped).
     """
-    header = [*d.feature_names, target_name]
-    if target_name in d.feature_names:
-        raise DataError(f"feature name {target_name!r} is also the target column's name")
+    header = [*d.feature_names, "target"]
+    if "target" in d.feature_names:
+        raise DataError("feature name 'target' is also the target column's name")
     for name in header:
         if name != name.strip():
             raise DataError(f"column name {name!r} has leading or trailing white space")
-    if all(_is_number(name) for name in header):
-        raise DataError(f"every column name in {header} is a number, so the header would be read as data")
     lines = [csv_line(header)]
     lines += [
         ",".join(map(repr, row)) + f",{t}" for row, t in zip(d.x.tolist(), d.y.tolist())

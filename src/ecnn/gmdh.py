@@ -194,52 +194,19 @@ def poly_forward(coeffs: np.ndarray, u1, u2=None):
     return out
 
 
-def fit_ls(
-    u1: np.ndarray,
-    u2: np.ndarray | None,
-    targets: np.ndarray,
-    subsample: float,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Least-squares coefficients over the basis (1, u1, u2, u1*u2).
-
-    A random subsample of the stated fraction of rows is used for the fit
-    (all rows when ``subsample`` is 1, consuming no randomness). Collinear
-    or otherwise rank-deficient systems get the minimum-norm solution.
-    With ``u2`` None only (1, u1) is fitted and the other coefficients are
-    zero.
+def fit_ls(u1: np.ndarray, u2: np.ndarray | None, targets: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients over the basis (1, u1, u2, u1*u2), fitted
+    on all the rows given. Collinear or otherwise rank-deficient systems
+    get the minimum-norm solution. With ``u2`` None only (1, u1) is fitted
+    and the other coefficients are zero.
     """
-    if not 0.0 < subsample <= 1.0:
-        raise ConfigError(f"subsample must be in (0,1], got {subsample}")
-    u1 = np.asarray(u1, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    q = len(targets)
-    if u1.shape != (q,):
-        raise ValueError("u1 length does not match targets")
-    if u2 is not None:
-        u2 = np.asarray(u2, dtype=np.float64)
-        if u2.shape != (q,):
-            raise ValueError("u2 length does not match targets")
-
-    count = q if subsample >= 1.0 else int(round(subsample * q))
-    if count < 4:
-        raise DataError(f"subsample of {count} rows is too small; need at least 4")
-    if count < q:
-        if rng is None:
-            raise ValueError("rng is required when subsampling")
-        idx = rng.choice(q, size=count, replace=False)
-        u1s, ts = u1[idx], targets[idx]
-        u2s = None if u2 is None else u2[idx]
-    else:
-        u1s, u2s, ts = u1, u2, targets
-
-    basis = np.empty((count, 2 if u2s is None else 4))
+    basis = np.empty((len(targets), 2 if u2 is None else 4))
     basis[:, 0] = 1.0
-    basis[:, 1] = u1s
-    if u2s is not None:
-        basis[:, 2] = u2s
-        np.multiply(u1s, u2s, out=basis[:, 3])
-    sol, *_ = np.linalg.lstsq(basis, ts, rcond=None)
+    basis[:, 1] = u1
+    if u2 is not None:
+        basis[:, 2] = u2
+        np.multiply(u1, u2, out=basis[:, 3])
+    sol, *_ = np.linalg.lstsq(basis, targets, rcond=None)
     if not np.isfinite(sol).all():
         raise NumericError("least-squares fit produced non-finite coefficients")
     coeffs = np.zeros(4)
@@ -356,7 +323,7 @@ def fit_ls_batch(u1: np.ndarray, u2: np.ndarray, targets: np.ndarray) -> np.ndar
     coeffs[direct] = np.stack([w0 - w1 * m1 - w2 * m2 + w3 * m1 * m2, w1 - w3 * m2, w2 - w3 * m1, w3], axis=1)
     targets = np.broadcast_to(targets, u1.shape)
     for r in np.flatnonzero(~direct).tolist():
-        coeffs[r] = fit_ls(u1[r], u2[r], targets[r], 1.0)
+        coeffs[r] = fit_ls(u1[r], u2[r], targets[r])
     return coeffs
 
 
@@ -378,14 +345,16 @@ def _grow_population(
     seed neurons; seed neuron j reads feature j), its (N,) validation
     performance, and the generation log.
 
+    Every fit sees ``count`` fitting rows: the ``fit_subsample`` share,
+    drawn afresh per fit, or all of them, drawing nothing, at 1. Seed
+    neuron j draws its rows from ``derive_rng(base, "seed-fit", j)``.
     Generation g draws from one stream, ``derive_rng(base, "generation",
     g)``: first the K ordered pairs of distinct parents, ``i`` uniform and
-    ``(i + U{1..P-1}) mod P``, then, when subsampling, one row of random
-    keys per offspring, whose ``count`` smallest pick its fitting rows.
-    The offspring are fitted (``fit_ls_batch``), scored and accepted
-    ``_BLOCK`` at a time, which bounds the working memory; the keys are
-    drawn block by block in offspring order, so the block size does not
-    change any draw.
+    ``(i + U{1..P-1}) mod P``, then one row of random keys per offspring,
+    whose ``count`` smallest pick its rows. The offspring are fitted
+    (``fit_ls_batch``), scored and accepted ``_BLOCK`` at a time, which
+    bounds the working memory; the keys are drawn block by block in
+    offspring order, so the block size does not change any draw.
 
     Neuron outputs sit in one array, a row per id holding the outputs on
     the fitting rows and then on the validation rows. It is reserved at
@@ -401,15 +370,18 @@ def _grow_population(
     yv = d_valid.y
     yv_true = yv == 1
     q = d_train.n
+    count = q if cfg.fit_subsample >= 1.0 else int(round(cfg.fit_subsample * q))
+    if count < 4:
+        raise DataError(f"subsample of {count} rows is too small; need at least 4")
     x = np.concatenate([d_train.x, d_valid.x])
     fit_cols, valid_cols = slice(0, q), slice(q, None)
     width = len(x)
     outs = np.empty((max(1, _RESERVE_BYTES // (8 * width)), width))
     coeff_blocks, seed_perf = [], []
     for j in range(d_train.m):
-        coeffs = fit_ls(
-            d_train.x[:, j], None, yt, cfg.fit_subsample, derive_rng(base_seed, "seed-fit", j)
-        )
+        rng = derive_rng(base_seed, "seed-fit", j)
+        rows = rng.choice(q, size=count, replace=False) if count < q else slice(None)
+        coeffs = fit_ls(d_train.x[rows, j], None, yt[rows])
         outs = _with_room(outs, j, 1)
         outs[j] = poly_forward(coeffs, x[:, j])
         coeff_blocks.append(coeffs[None])
@@ -419,7 +391,6 @@ def _grow_population(
     size = d_train.m
 
     k = cfg.offspring_per_generation
-    count = q if cfg.fit_subsample >= 1.0 else int(round(cfg.fit_subsample * q))
     best_perf = float(performance.max())
     log = [(0, best_perf, size)]
     failures = 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -69,18 +70,15 @@ def _train_dt(d: Dataset, seed: int, cfg: dtree.DtConfig) -> Trained:
     return Trained(model, model.error_rate(d_valid))
 
 
-def ecnn_adapter(cfg: cascade.GrowthConfig | None = None) -> MethodAdapter:
-    cfg = cfg if cfg is not None else cascade.GrowthConfig()
+def ecnn_adapter(cfg: cascade.GrowthConfig) -> MethodAdapter:
     return MethodAdapter("ecnn", partial(_train_ecnn, cfg=cfg))
 
 
-def gmdh_adapter(cfg: gmdh.GmdhConfig | None = None) -> MethodAdapter:
-    cfg = cfg if cfg is not None else gmdh.GmdhConfig()
+def gmdh_adapter(cfg: gmdh.GmdhConfig) -> MethodAdapter:
     return MethodAdapter("gmdh", partial(_train_gmdh, cfg=cfg))
 
 
-def dt_adapter(cfg: dtree.DtConfig | None = None) -> MethodAdapter:
-    cfg = cfg if cfg is not None else dtree.DtConfig()
+def dt_adapter(cfg: dtree.DtConfig) -> MethodAdapter:
     return MethodAdapter("dt", partial(_train_dt, cfg=cfg))
 
 
@@ -151,12 +149,12 @@ def multi_restart(
         raise ConfigError(f"runs must be >= 1, got {runs}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    worker = partial(_run_one, adapter, d_train, d_test, base_seed)
     if jobs > 1:
-        worker = partial(_run_one, adapter, d_train, d_test, base_seed)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(worker, range(runs)))
     else:
-        records = [_run_one(adapter, d_train, d_test, base_seed, i) for i in range(runs)]
+        records = list(map(worker, range(runs)))
     ok = [r for r in records if r.status == "ok"]
     if not ok:
         last = records[-1].error
@@ -170,7 +168,7 @@ def _fmt(v: float) -> str:
 
 
 def write_restart_reports(
-    report: RestartReport, prefix: str | Path, feature_names: list[str] | None = None
+    report: RestartReport, prefix: str | Path, feature_names: list[str]
 ) -> dict[str, Path]:
     """Emit the per-run table plus histogram source files.
 
@@ -192,22 +190,12 @@ def write_restart_reports(
     atomic_write_text(paths["restart_report"], "\n".join(rows) + "\n")
 
     ok = [r for r in report.records if r.status == "ok"]
-    freq: dict[int, int] = {}
-    for r in ok:
-        for j in r.feature_set:
-            freq[j] = freq.get(j, 0) + 1
-    rows = ["feature,name,count"]
-    for j in sorted(freq):
-        name = feature_names[j] if feature_names else f"f{j}"
-        rows.append(csv_line([j, name, freq[j]]))
+    freq = Counter(j for r in ok for j in r.feature_set)
+    rows = ["feature,name,count"] + [csv_line([j, feature_names[j], freq[j]]) for j in sorted(freq)]
     atomic_write_text(paths["feature_freq"], "\n".join(rows) + "\n")
 
-    sizes: dict[int, int] = {}
-    for r in ok:
-        sizes[r.model_size] = sizes.get(r.model_size, 0) + 1
-    rows = ["model_size,count"]
-    for s in sorted(sizes):
-        rows.append(f"{s},{sizes[s]}")
+    sizes = Counter(r.model_size for r in ok)
+    rows = ["model_size,count"] + [f"{s},{sizes[s]}" for s in sorted(sizes)]
     atomic_write_text(paths["size_hist"], "\n".join(rows) + "\n")
 
     rows = ["run,train_error,test_error"]

@@ -69,11 +69,12 @@ class Model:
             raise DataError("inputs must be finite")
         return x
 
-    def error_rate(self, d, threshold: float | None = None) -> float:
-        """Fraction of rows of dataset ``d`` the model misclassifies."""
+    def error_rate(self, d) -> float:
+        """Fraction of rows of dataset ``d`` the model misclassifies at the
+        default threshold."""
         if d.n == 0:
             raise DataError("cannot evaluate on an empty dataset")
-        _, cls = self.predict_batch(d.x, threshold)
+        _, cls = self.predict_batch(d.x)
         return float(np.mean(cls != d.y))
 
     def to_json(self) -> str:

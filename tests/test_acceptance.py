@@ -199,7 +199,7 @@ def test_criterion_6_gmdh_recovery():
     u2 = rng.normal(size=300)
     true = np.array([0.4, -1.1, 2.2, 0.9])
     targets = poly_forward(true, u1, u2)
-    coeffs = fit_ls(u1, u2, targets, subsample=1.0)
+    coeffs = fit_ls(u1, u2, targets)
     residual = float(np.linalg.norm(poly_forward(coeffs, u1, u2) - targets))
 
     def xor_corners(n, seed):
@@ -281,10 +281,10 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     round_trip_ok &= same
 
     # report CSV determinism
-    rep1 = multi_restart(harness.dt_adapter(), d, d, runs=3, base_seed=88)
-    rep2 = multi_restart(harness.dt_adapter(), d, d, runs=3, base_seed=88)
-    out1 = harness.write_restart_reports(rep1, tmp_path / "r1")
-    out2 = harness.write_restart_reports(rep2, tmp_path / "r2")
+    rep1 = multi_restart(harness.dt_adapter(DtConfig()), d, d, runs=3, base_seed=88)
+    rep2 = multi_restart(harness.dt_adapter(DtConfig()), d, d, runs=3, base_seed=88)
+    out1 = harness.write_restart_reports(rep1, tmp_path / "r1", d.feature_names)
+    out2 = harness.write_restart_reports(rep2, tmp_path / "r2", d.feature_names)
     for key in out1:
         byte_ok &= out1[key].read_bytes() == out2[key].read_bytes()
 

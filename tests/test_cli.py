@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ecnn
-from ecnn import cascade, dtree, gmdh
+from ecnn import cascade, dtree, gmdh, harness
 from ecnn.cli import cli, load_any_model, replay_manifest
 from ecnn.dataset import load_csv, save_csv, synth_generate
 from ecnn.errors import NumericError
@@ -167,6 +168,22 @@ class TestTrainCommand:
             "train", "--data", str(data), "--chi", "0", "--out", str(tmp_path / "x"),
         ])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("method", ["dt", "gmdh"])
+    def test_trainer_flags_ignored_by_other_methods(self, runner, tmp_path, method):
+        # trees and GMDH read no trainer flag: an out-of-range --chi is not
+        # checked or warned about for them, and changes no byte of the model
+        data = _make_data(tmp_path)
+        models = []
+        for tag, flags in (("plain", []), ("zero", ["--chi", "0"]), ("wide", ["--chi", "3"])):
+            out = tmp_path / tag
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = _invoke(runner, ["train", "--data", str(data), "--method", method,
+                                          "--offspring", "30", "--out", str(out)] + flags)
+            assert result.exit_code == 0, result.output
+            models.append(Path(f"{out}.model.json").read_bytes())
+        assert models[1] == models[0] == models[2]
 
     def test_missing_data_exit_code(self, runner, tmp_path):
         result = runner.invoke(cli, [
@@ -521,6 +538,17 @@ class TestCompareCommand:
         assert {r["method"] for r in rows} == {"ecnn", "gmdh", "dt"}
         assert _invoke(runner, args + ["--out", str(out2)]).exit_code == 0
         assert Path(f"{out1}.cv_report.csv").read_bytes() == Path(f"{out2}.cv_report.csv").read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--chi", "0"], ["--subsample", "0"], ["--pmin", "1"]],
+                             ids=["chi", "subsample", "pmin"])
+    def test_any_methods_bad_flag_refused_before_training(self, runner, tmp_path, monkeypatch, flags):
+        # compare trains all three methods, so it checks every method's
+        # flags, and all of them before the first fold is trained
+        monkeypatch.setattr(harness, "kfold", lambda *args, **kwargs: pytest.fail("a fold was trained"))
+        data = _make_data(tmp_path, n=60, m=4)
+        result = runner.invoke(cli, ["compare", "--data", str(data), "--out", str(tmp_path / "c")] + flags)
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
 
 
 class TestChiSweepCommand:

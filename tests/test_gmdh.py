@@ -46,7 +46,7 @@ class TestFitLs:
         u2 = rng.normal(size=200)
         true = np.array([0.7, -1.2, 2.5, 0.4])
         targets = poly_forward(true, u1, u2)
-        coeffs = fit_ls(u1, u2, targets, subsample=1.0)
+        coeffs = fit_ls(u1, u2, targets)
         np.testing.assert_allclose(coeffs, true, atol=1e-8)
         residual = poly_forward(coeffs, u1, u2) - targets
         assert np.linalg.norm(residual) < 1e-8
@@ -55,14 +55,14 @@ class TestFitLs:
         rng = np.random.default_rng(1)
         u1 = rng.normal(size=100)
         u2 = rng.normal(size=100)
-        coeffs = fit_ls(u1, u2, np.full(100, 3.25), subsample=1.0)
+        coeffs = fit_ls(u1, u2, np.full(100, 3.25))
         np.testing.assert_allclose(coeffs, [3.25, 0, 0, 0], atol=1e-10)
 
     def test_collinear_inputs_min_norm(self):
         rng = np.random.default_rng(2)
         u1 = rng.normal(size=50)
         targets = 1.0 + 2.0 * u1
-        coeffs = fit_ls(u1, u1.copy(), targets, subsample=1.0)
+        coeffs = fit_ls(u1, u1.copy(), targets)
         assert np.all(np.isfinite(coeffs))
         np.testing.assert_allclose(poly_forward(coeffs, u1, u1), targets, atol=1e-8)
 
@@ -71,43 +71,33 @@ class TestFitLs:
         u1 = rng.normal(size=80)
         u2 = rng.normal(size=80)
         targets = rng.normal(size=80)
-        coeffs = fit_ls(u1, u2, targets, subsample=1.0)
+        coeffs = fit_ls(u1, u2, targets)
         basis = np.column_stack([np.ones(80), u1, u2, u1 * u2])
         residual = basis @ coeffs - targets
         scale = np.linalg.norm(basis) * max(np.linalg.norm(targets), 1.0)
         assert np.linalg.norm(basis.T @ residual) < 1e-8 * scale
 
-    def test_subsampling_uses_fraction(self):
-        rng = np.random.default_rng(4)
-        u1 = rng.normal(size=100)
-        targets = u1 * 2.0
-        c1 = fit_ls(u1, None, targets, subsample=0.5, rng=derive_rng(0, "a"))
-        c2 = fit_ls(u1, None, targets, subsample=0.5, rng=derive_rng(0, "a"))
-        np.testing.assert_array_equal(c1, c2)  # deterministic per stream
-
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
     @pytest.mark.parametrize("two_inputs", [True, False])
     def test_same_bytes_as_column_stack_basis(self, subsample, two_inputs):
+        # on gathered rows, as a seed neuron's, and on whole arrays
         rng = np.random.default_rng(6)
         u1, u2, targets = rng.normal(size=(3, 90))
-        idx = derive_rng(0, "b").choice(90, size=45, replace=False) if subsample < 1 else np.arange(90)
-        columns = [np.ones(len(idx)), u1[idx]]
+        rows = derive_rng(0, "b").choice(90, size=45, replace=False) if subsample < 1 else slice(None)
+        u1, u2, targets = u1[rows], u2[rows], targets[rows]
+        columns = [np.ones(len(targets)), u1]
         if two_inputs:
-            columns += [u2[idx], u1[idx] * u2[idx]]
-        ref, *_ = np.linalg.lstsq(np.column_stack(columns), targets[idx], rcond=None)
-        got = fit_ls(u1, u2 if two_inputs else None, targets, subsample, derive_rng(0, "b"))
+            columns += [u2, u1 * u2]
+        ref, *_ = np.linalg.lstsq(np.column_stack(columns), targets, rcond=None)
+        got = fit_ls(u1, u2 if two_inputs else None, targets)
         assert got[: len(ref)].tobytes() == ref.tobytes()
         assert not got[len(ref):].any()
-
-    def test_too_few_rows(self):
-        with pytest.raises(DataError, match="at least 4"):
-            fit_ls(np.ones(3), np.ones(3), np.ones(3), subsample=1.0)
 
     def test_seed_fit_is_linear(self):
         rng = np.random.default_rng(5)
         u1 = rng.normal(size=60)
         targets = 0.5 - 1.5 * u1
-        coeffs = fit_ls(u1, None, targets, subsample=1.0)
+        coeffs = fit_ls(u1, None, targets)
         np.testing.assert_allclose(coeffs, [0.5, -1.5, 0, 0], atol=1e-10)
 
 
@@ -127,12 +117,12 @@ class TestEvolve:
         # direct-fit oracle: one polynomial neuron over (x0, x1) separates,
         # while the best single-input neuron stays near chance
         d = _xor_like(400, seed=0)
-        coeffs = fit_ls(d.x[:, 0], d.x[:, 1], d.y.astype(float), subsample=1.0)
+        coeffs = fit_ls(d.x[:, 0], d.x[:, 1], d.y.astype(float))
         acc = np.mean((poly_forward(coeffs, d.x[:, 0], d.x[:, 1]) >= 0.5) == d.y)
         assert acc >= 0.98
         single_best = 0.0
         for j in range(d.m):
-            c = fit_ls(d.x[:, j], None, d.y.astype(float), subsample=1.0)
+            c = fit_ls(d.x[:, j], None, d.y.astype(float))
             single_best = max(single_best, np.mean((poly_forward(c, d.x[:, j]) >= 0.5) == d.y))
         assert single_best < 0.7
 
@@ -206,6 +196,34 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             GmdhConfig(fit_subsample=1.5)
 
+    def test_too_few_rows(self):
+        # half of a 6-row fitting part is 3 rows, too few for a 4-term fit
+        d_train, d_valid = _small_task(0)
+        d_train = d_train.subset(np.arange(6))
+        assert min(d_train.class_counts()) > 0
+        with pytest.raises(DataError, match="subsample of 3 rows is too small; need at least 4"):
+            evolve(d_train, d_valid, GmdhConfig(fit_subsample=0.5), seed=0, norm=identity_norm(d_train.m))
+
+
+class TestSeedFits:
+    @pytest.mark.parametrize("subsample", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lstsq_on_drawn_rows(self, seed, subsample):
+        # seed neuron j is the minimum-norm lstsq fit of (1, x_j) on the
+        # rows its own stream draws, or on all the rows at subsample 1
+        d_train, d_valid = _small_task(seed)
+        cfg = GmdhConfig(offspring_per_generation=20, max_serial_failures=1, fit_subsample=subsample)
+        coeffs, parents, _, _ = gmdh._grow_population(d_train, d_valid, cfg, seed)
+        q, count = d_train.n, round(subsample * d_train.n)
+        assert (parents[: d_train.m] == -1).all()
+        for j in range(d_train.m):
+            rows = np.arange(q)
+            if count < q:
+                rows = derive_rng(seed, "seed-fit", j).choice(q, size=count, replace=False)
+            basis = np.column_stack([np.ones(count), d_train.x[rows, j]])
+            ref, *_ = np.linalg.lstsq(basis, d_train.y[rows].astype(np.float64), rcond=None)
+            assert coeffs[j].tobytes() == np.concatenate([ref, [0.0, 0.0]]).tobytes()
+
 
 def _neuron(nid, parent_a, parent_b, coeffs, performance):
     """A GMDH neuron as a model file lists it; a parent is ``("feature", j)``,
@@ -266,7 +284,10 @@ def _reference_evolve(d_train, d_valid, cfg, base_seed):
 
     neurons, out_train, out_valid = [], [], []
     for j in range(d_train.m):
-        coeffs = fit_ls(d_train.x[:, j], None, yt, cfg.fit_subsample, derive_rng(base_seed, "seed-fit", j))
+        rows = np.arange(q)
+        if count < q:
+            rows = derive_rng(base_seed, "seed-fit", j).choice(q, size=count, replace=False)
+        coeffs = fit_ls(d_train.x[rows, j], None, yt[rows])
         ov = poly_forward(coeffs, d_valid.x[:, j])
         neurons.append(_neuron(j, ("feature", j), None, coeffs, accuracy(ov)))
         out_train.append(poly_forward(coeffs, d_train.x[:, j]))
@@ -286,7 +307,7 @@ def _reference_evolve(d_train, d_valid, cfg, base_seed):
             rows = np.arange(q)
             if count < q:
                 rows = np.argpartition(rng.random(q), count - 1)[:count]
-            coeffs = fit_ls(out_train[i][rows], out_train[j][rows], yt[rows], 1.0)
+            coeffs = fit_ls(out_train[i][rows], out_train[j][rows], yt[rows])
             ov = poly_forward(coeffs, out_valid[i], out_valid[j])
             perf = accuracy(ov)
             if perf > max(neurons[i]["performance"], neurons[j]["performance"]):
@@ -331,7 +352,7 @@ class TestFitLsBatch:
         for r in range(40):
             basis = np.column_stack([np.ones(60), u1[r], u2[r], u1[r] * u2[r]])
             assert np.linalg.matrix_rank(basis) == 4
-            _assert_close_fit(got[r], fit_ls(u1[r], u2[r], targets[r], 1.0))
+            _assert_close_fit(got[r], fit_ls(u1[r], u2[r], targets[r]))
 
     def test_one_target_vector_for_all_rows(self):
         rng = np.random.default_rng(8)
@@ -359,7 +380,7 @@ class TestFitLsBatch:
         u2[4] = 2.0 * u1[4] - 1.0
         got = gmdh.fit_ls_batch(u1, u2, targets)
         for r in range(6):
-            ref = fit_ls(u1[r], u2[r], targets[r], 1.0)
+            ref = fit_ls(u1[r], u2[r], targets[r])
             if r in (1, 3, 4):
                 basis = np.column_stack([np.ones(40), u1[r], u2[r], u1[r] * u2[r]])
                 assert np.linalg.matrix_rank(basis) < 4

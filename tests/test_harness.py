@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from ecnn import dtree, gmdh
+from ecnn import cascade, dtree, gmdh
 from ecnn.dataset import Dataset, synth_generate
 from ecnn.errors import ConfigError, DataError
 from ecnn.harness import (
@@ -43,33 +43,33 @@ def _fast_gmdh_cfg():
 
 class TestMultiRestart:
     def test_single_run_is_best(self):
-        rep = multi_restart(ecnn_adapter(), _task(), None, runs=1, base_seed=0)
+        rep = multi_restart(ecnn_adapter(cascade.GrowthConfig()), _task(), None, runs=1, base_seed=0)
         assert rep.best_run == 0
         assert len(rep.records) == 1
         assert np.isnan(rep.best.test_error)
 
     def test_best_minimizes_criterion(self):
-        rep = multi_restart(ecnn_adapter(), _task(1), _task(2), runs=6, base_seed=1)
+        rep = multi_restart(ecnn_adapter(cascade.GrowthConfig()), _task(1), _task(2), runs=6, base_seed=1)
         crits = [r.criterion for r in rep.records]
         assert rep.best.criterion == min(crits)
         assert rep.best_run == int(np.argmin(crits))
 
     def test_derived_seeds_distinct(self):
-        rep = multi_restart(ecnn_adapter(), _task(3), None, runs=8, base_seed=2)
+        rep = multi_restart(ecnn_adapter(cascade.GrowthConfig()), _task(3), None, runs=8, base_seed=2)
         seeds = [r.seed for r in rep.records]
         assert len(set(seeds)) == 8
 
     def test_parallel_jobs_match_serial(self):
         d_train, d_test = _task(4), _task(5)
-        serial = multi_restart(dt_adapter(), d_train, d_test, runs=4, base_seed=3, jobs=1)
-        parallel = multi_restart(dt_adapter(), d_train, d_test, runs=4, base_seed=3, jobs=2)
+        serial = multi_restart(dt_adapter(dtree.DtConfig()), d_train, d_test, runs=4, base_seed=3, jobs=1)
+        parallel = multi_restart(dt_adapter(dtree.DtConfig()), d_train, d_test, runs=4, base_seed=3, jobs=2)
         assert [r.criterion for r in serial.records] == [r.criterion for r in parallel.records]
         assert [r.test_error for r in serial.records] == [r.test_error for r in parallel.records]
         assert serial.best_run == parallel.best_run
 
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigError):
-            multi_restart(ecnn_adapter(), _task(), None, runs=0, base_seed=0)
+            multi_restart(ecnn_adapter(cascade.GrowthConfig()), _task(), None, runs=0, base_seed=0)
 
     def test_all_failed_reraises_error_class(self):
         # a subsample of 10% of 15 fitting rows is too small: a data error
@@ -79,7 +79,7 @@ class TestMultiRestart:
                 multi_restart(adapter, _task(18, n=30), None, runs=2, base_seed=0, jobs=jobs)
 
     def test_report_files_account_for_runs(self, tmp_path):
-        rep = multi_restart(dt_adapter(), _task(6), _task(7), runs=5, base_seed=4)
+        rep = multi_restart(dt_adapter(dtree.DtConfig()), _task(6), _task(7), runs=5, base_seed=4)
         paths = write_restart_reports(rep, tmp_path / "run", feature_names=[f"f{j}" for j in range(5)])
         assert {p.name for p in tmp_path.iterdir()} == {f"run.{name}.csv" for name in RESTART_REPORTS}
         table = _read_rows(paths["restart_report"])
@@ -108,7 +108,7 @@ class TestMultiRestart:
 
     def test_best_test_error_survives_serialization(self, tmp_path):
         d_train, d_test = _task(16), _task(17)
-        for adapter in (ecnn_adapter(), dt_adapter(), gmdh_adapter(_fast_gmdh_cfg())):
+        for adapter in (ecnn_adapter(cascade.GrowthConfig()), dt_adapter(dtree.DtConfig()), gmdh_adapter(_fast_gmdh_cfg())):
             rep = multi_restart(adapter, d_train, d_test, runs=2, base_seed=6)
             path = tmp_path / f"{adapter.name}.model.json"
             rep.best.model.save(path)
@@ -136,12 +136,12 @@ class TestKfold:
         y = np.array([0, 1] * 5)
         x[:, 0] = np.where(y == 1, 2.0, -2.0) + rng.normal(0, 0.1, 10)
         d = Dataset(x, y, ["a", "b", "c"])
-        report = kfold(d, k=10, adapter=dt_adapter(), inner_runs=1, seed=2)
+        report = kfold(d, k=10, adapter=dt_adapter(dtree.DtConfig()), inner_runs=1, seed=2)
         assert len(report.folds) == 10
 
     def test_mean_variance_identity(self):
         d = _task(13, n=150)
-        report = kfold(d, 3, dt_adapter(), inner_runs=2, seed=3)
+        report = kfold(d, 3, dt_adapter(dtree.DtConfig()), inner_runs=2, seed=3)
         mean, var = recompute(report)
         assert report.mean_performance == pytest.approx(mean, abs=1e-12)
         assert report.variance_performance == pytest.approx(var, abs=1e-12)
@@ -165,7 +165,7 @@ class TestKfold:
         rng = np.random.default_rng(15)
         d = Dataset(rng.normal(size=(10, 3)), np.array([0, 1] * 5), ["a", "b", "c"])
         with pytest.raises(DataError):
-            kfold(d, 50, dt_adapter(), inner_runs=1, seed=0)
+            kfold(d, 50, dt_adapter(dtree.DtConfig()), inner_runs=1, seed=0)
 
 
 def _sweep_dataset(seed=0, n=8):
