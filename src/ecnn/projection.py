@@ -161,39 +161,45 @@ def fit_neuron(
     # ``w - chi * u_a @ (sigmoid(w @ u_a) - t_a) / ||u_a||_F^2``.
     h_a = 0.5 * u_a
     h_b = 0.5 * u_b
-    s_a = 2.0 * targets_a - 1.0
-    s_b = 2.0 * targets_b - 1.0
-    eta_a = np.empty(u_a.shape[1])
-    eta_b = np.empty(u_b.shape[1])
+    # Both parts' doubled residuals share one buffer, so one tanh and one
+    # subtraction refresh them together: part B gives the criterion, part A
+    # the next update. The two gemvs stay separate, because one gemv over
+    # [h_a | h_b] rounds differently.
+    n_a = u_a.shape[1]
+    s = np.concatenate([2.0 * targets_a - 1.0, 2.0 * targets_b - 1.0])
+    eta = np.empty(s.shape[0])
+    eta_a, eta_b = eta[:n_a], eta[n_a:]
     delta_w = np.empty(p_aug)
 
-    def validation_error(wv: np.ndarray) -> float:
-        np.matmul(wv, h_b, out=eta_b)
-        np.tanh(eta_b, out=eta_b)
-        np.subtract(eta_b, s_b, out=eta_b)
+    def validation_error() -> float:
+        w.dot(h_a, out=eta_a)
+        w.dot(h_b, out=eta_b)
+        np.tanh(eta, out=eta)
+        np.subtract(eta, s, out=eta)
         return 0.5 * math.sqrt(eta_b.dot(eta_b))
 
-    trace = [validation_error(w)]
+    epsilon, delta = cfg.epsilon, cfg.delta
+    e_b = validation_error()
+    trace = [e_b]
     steps = 0
-    if cfg.epsilon is not None and trace[0] <= cfg.epsilon:
-        return FitResult(w, trace[0], 0, np.asarray(trace))
+    if epsilon is not None and e_b <= epsilon:
+        return FitResult(w, e_b, 0, np.asarray(trace))
 
     for k in range(1, cfg.max_steps + 1):
-        np.matmul(w, h_a, out=eta_a)
-        np.tanh(eta_a, out=eta_a)
-        eta_a -= s_a
-        np.matmul(h_a, eta_a, out=delta_w)
+        h_a.dot(eta_a, out=delta_w)
         delta_w *= step
         w -= delta_w
-        if not np.isfinite(w).all():
+        # A float sum is finite only if every weight is, and adding Python
+        # floats never warns; the exact test runs only when the sum is not.
+        if not math.isfinite(sum(w.tolist())) and not np.isfinite(w).all():
             raise NumericError(f"non-finite weights at step {k}")
-        e_b = validation_error(w)
+        prev, e_b = e_b, validation_error()
         trace.append(e_b)
         steps = k
-        if cfg.epsilon is not None:
-            if e_b <= cfg.epsilon:
+        if epsilon is not None:
+            if e_b <= epsilon:
                 break
-        elif trace[-2] - trace[-1] < cfg.delta:
+        elif prev - e_b < delta:
             break
 
-    return FitResult(w, trace[-1], steps, np.asarray(trace))
+    return FitResult(w, e_b, steps, np.asarray(trace))

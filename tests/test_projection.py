@@ -1,5 +1,6 @@
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,3 +344,67 @@ class TestFitNeuronBytes:
         assert res.weights.tobytes() == w.tobytes()
         assert res.rse_trace_b.tobytes() == np.asarray(trace).tobytes()
         assert (res.steps_taken, res.criterion) == (steps, trace[-1])
+
+    # Shapes where BLAS leaves its unrolled blocks for a tail: part lengths
+    # off a multiple of 4 and 8, one input row, and parts of a few columns.
+    @pytest.mark.parametrize("epsilon", [None, 0.0])
+    @pytest.mark.parametrize(
+        "n_a, n_b", [(660, 1340), (659, 1341), (240, 240), (241, 239), (7, 5)]
+    )
+    @pytest.mark.parametrize("p", [1, 3, 12, 20])
+    def test_same_bytes_at_blas_tail_shapes(self, p, n_a, n_b, epsilon):
+        rng = np.random.default_rng([p, n_a, n_b])
+        xa, xb = rng.normal(size=(p, n_a)), rng.normal(size=(p, n_b))
+        w_true = rng.normal(size=p)
+        ya = (w_true @ xa + 0.5 * rng.normal(size=n_a) > 0).astype(float)
+        yb = (w_true @ xb + 0.5 * rng.normal(size=n_b) > 0).astype(float)
+        cfg = TrainConfig(epsilon=epsilon, max_steps=400, delta=1e-5)
+        res = fit_neuron(xa, ya, xb, yb, cfg, derive_rng(p, n_a, "init"))
+        w, trace, steps = _reference_fit(xa, ya, xb, yb, cfg, derive_rng(p, n_a, "init"))
+        assert res.weights.tobytes() == w.tobytes()
+        assert res.rse_trace_b.tobytes() == np.asarray(trace).tobytes()
+        assert res.steps_taken == steps
+
+
+class FixedInit:
+    """Stub generator whose normal() returns the given weights."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def normal(self, loc, scale, size):
+        return np.array(self.weights, dtype=np.float64)
+
+
+class TestFiniteWeights:
+    @staticmethod
+    def _task(scale):
+        rng = np.random.default_rng(5)
+        xa, xb = scale * rng.normal(size=(2, 100)), scale * rng.normal(size=(2, 50))
+        return xa, (xa[0] > 0).astype(float), xb, (xb[0] > 0).astype(float)
+
+    @pytest.mark.parametrize(
+        "scale, init",
+        [
+            # |w| near 1e200: the squared norm would overflow, the sum does not
+            (1.0, lambda: derive_rng(0, "init")),
+            # the sum of two weights of 1e308 is inf: the exact test runs and passes
+            (1e-10, lambda: FixedInit([1e308, 1e308, 0.1])),
+        ],
+        ids=["sum-finite", "sum-overflows"],
+    )
+    def test_large_finite_weights_fit_without_warning(self, scale, init):
+        xa, ya, xb, yb = self._task(scale)
+        cfg = TrainConfig(init_std=1e200, max_steps=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_neuron(xa, ya, xb, yb, cfg, init())
+        w, trace, steps = _reference_fit(xa, ya, xb, yb, cfg, init())
+        assert res.weights.tobytes() == w.tobytes()
+        assert res.rse_trace_b.tobytes() == np.asarray(trace).tobytes()
+        assert res.steps_taken == steps
+
+    def test_overflowing_update_raises_at_its_step(self):
+        xa, ya, xb, yb = self._task(1e307)
+        with pytest.raises(NumericError, match="non-finite weights at step 1"):
+            fit_neuron(xa, ya, xb, yb, TrainConfig(), derive_rng(0, "init"))
