@@ -10,16 +10,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-import warnings
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, DataError
-from .util import atomic_write_text, csv_line
+from .util import atomic_write_text, atomic_writer, csv_line
 
 CONSTANT_STD_EPS = 1e-12
+
+# CSV text is read and written about this many bytes at a time
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -201,8 +205,10 @@ def load_csv(path: str | Path, target_column: str | int) -> Dataset:
     The header row is optional and detected by attempting to parse the
     first non-blank row as numbers. ``target_column`` selects the target
     either by header name or by 0-based column index. Blank lines are
-    skipped and cells may be double-quoted. A file that is not a clean
-    table is read again row by row to name its first bad line and column.
+    skipped, cells may be double-quoted and a leading byte-order mark is
+    dropped. A file whose cells are not all plain JSON numbers, or that is
+    not a clean table, is read again row by row, which reads what Python's
+    ``float`` reads and names the first bad line and column.
     """
     path = Path(path)
     if not path.exists():
@@ -215,33 +221,49 @@ def load_csv(path: str | Path, target_column: str | int) -> Dataset:
 
 
 def _load_table(path: Path, target_column: str | int) -> Dataset:
-    """The dataset parsed in one pass by numpy's C reader, which streams
-    from the open file. Raises if anything in the file is off, without
-    saying where."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """The dataset parsed as rows of JSON numbers, a chunk of lines at a
+    time. Raises if anything in the file is off, without saying where."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         first_row = next((row for row in csv.reader(fh) if row), [])
         header = _header(first_row)
-        target_idx = _target_index(target_column, header, len(first_row), path)
+        width = len(first_row)
+        target_idx = _target_index(target_column, header, width, path)
         if header is None:
             fh.seek(0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an empty body fails below
-            table = np.loadtxt(
-                fh, delimiter=",", comments=None, quotechar='"', dtype=np.float64, ndmin=2
-            )
-    width = len(first_row)
-    if len(table) == 0 or table.shape[1] != width or not np.all(np.isin(table[:, target_idx], (0.0, 1.0))):
-        raise ValueError("no body, rows of another width than the first, or a target outside {0,1}")
+        # np.concatenate refuses a block of another width than the first row's
+        blocks = [np.empty((0, width))]
+        while text := fh.read(_CHUNK_BYTES):
+            # the chunk runs on to the end of the line it stops in
+            blocks.append(_number_rows(text + fh.readline(), width))
+    table = np.concatenate(blocks)
+    if len(table) == 0 or not np.all(np.isin(table[:, target_idx], (0.0, 1.0))):
+        raise ValueError("no body, or a target outside {0,1}")
     x = np.delete(table, target_idx, axis=1)
     y = table[:, target_idx].astype(np.int64)
     return Dataset(x, y, _feature_names(header, width, target_idx))
+
+
+def _number_rows(text: str, width: int) -> np.ndarray:
+    """Whole lines of comma-separated JSON numbers as a float64 block,
+    blank lines skipped. Raises ValueError for anything else, which
+    ``float`` may still read: a quoted cell, ``+1``, ``.5``, ``1.``, white
+    space other than spaces and tabs, or ``-0``, which JSON reads as 0."""
+    chunk = text.encode("ascii")
+    # checked before the brackets go in: a line "1,2,0],[3,4,1" is not two
+    # rows (the -0 test takes an exponent e-0 to the row loop too)
+    if chunk.translate(None, b"0123456789+-.eE, \t\r\n") or re.search(rb"-0(?![0-9.eE])", chunk):
+        raise ValueError("cells that are not plain JSON numbers")
+    rows = [line for line in chunk.splitlines() if line]
+    if not rows:
+        return np.empty((0, width))
+    return np.array(orjson.loads(b"[[" + b"],[".join(rows) + b"]]"), dtype=np.float64)
 
 
 def _load_rows(path: Path, target_column: str | int) -> Dataset:
     """The dataset read row by row and cell by cell, raising a DataError
     that names the first bad line and column."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             # (physical line the row ends on, row), blank lines skipped
             rows = [(reader.line_num, row) for row in reader if row]
@@ -297,11 +319,21 @@ def save_csv(d: Dataset, path: str | Path) -> None:
     for name in header:
         if name != name.strip():
             raise DataError(f"column name {name!r} has leading or trailing white space")
-    lines = [csv_line(header)]
-    lines += [
-        ",".join(map(repr, row)) + f",{t}" for row, t in zip(d.x.tolist(), d.y.tolist())
-    ]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    x = np.ascontiguousarray(d.x, dtype=np.float64)
+    step = max(1, _CHUNK_BYTES // (25 * d.m + 3))  # repr takes at most 24 bytes
+    with atomic_writer(path) as fh:
+        fh.write((csv_line(header) + "\n").encode("utf-8"))
+        for start in range(0, d.n, step):
+            block = x[start : start + step]
+            rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+            # orjson writes repr's text for 0 and 1e-4 <= |v| < 1e16 only
+            # (0.00001 for 1e-05, 1e16 for 1e+16); NaN fails the test too
+            a = np.abs(block)
+            plain = ((a >= 1e-4) & (a < 1e16)) | (a == 0)
+            for r in np.flatnonzero(~plain.all(axis=1)):
+                rows[r] = ",".join(map(repr, block[r].tolist())).encode("ascii")
+            targets = d.y[start : start + step].tolist()
+            fh.write(b"".join(b"%s,%d\n" % pair for pair in zip(rows, targets)))
 
 
 def fit_normalize(d: Dataset) -> tuple[Dataset, NormParams]:

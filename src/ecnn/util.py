@@ -7,12 +7,14 @@ tried) never shifts the draws of an unrelated one (say, the data split).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import os
 import tempfile
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -54,17 +56,25 @@ def csv_line(cells: list) -> str:
     return out.getvalue()[:-2]
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to ``path`` via a temp file and rename, never leaving a
-    partial file. Missing parent directories are created."""
+@contextlib.contextmanager
+def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary handle on a temp file that replaces ``path`` by a rename if
+    the block ends without an error, and is removed if not. Missing parent
+    directories are created."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to ``path`` as UTF-8 through :func:`atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(text.encode("utf-8"))

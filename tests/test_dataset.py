@@ -3,9 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ecnn import dataset
+from ecnn.cli import cli
 from ecnn.dataset import (
     Dataset,
     fit_normalize,
@@ -15,6 +18,7 @@ from ecnn.dataset import (
     synth_generate,
 )
 from ecnn.errors import ConfigError, DataError
+from ecnn.util import atomic_writer
 from reference import invert, read_truth, truth_labels
 
 
@@ -181,7 +185,11 @@ def _outcome(loader, path, target):
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-_edge = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308])
+# the last seven sit at or near the bounds of the range where orjson writes repr's text
+_edge = st.sampled_from([
+    0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+    1e-4, float(np.nextafter(1e-4, 0)), -1e-4, 1e16, float(np.nextafter(1e16, 0)), 9999999999999998.0, 1e-5,
+])
 _spelled = st.sampled_from(["1e5", " 2.50 ", "+3", ".5", '"1.5"', '" -4 "', "\t7E-3", "-0", "1.", "1E+2"])
 _feature_cell = st.one_of(
     (_finite | _edge).map(repr),
@@ -351,6 +359,149 @@ class TestAgainstReferenceLoader:
         assert path.read_bytes() == _reference_csv_text(d).encode("utf-8")
 
 
+def _no_row_loop(monkeypatch):
+    """Make ``load_csv`` fail if a file takes the row loop."""
+
+    def refuse(path, target_column):
+        raise AssertionError(f"{path} took the row loop")
+
+    monkeypatch.setattr(dataset, "_load_rows", refuse)
+
+
+def _mixed_rows(seed):
+    """50 rows of 9 columns: ordinary values, and every third row holding
+    one outside 1e-4 <= |x| < 1e16, which save_csv writes with repr, in its
+    first or last column."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(50, 9))
+    exotic = [1e-5, 1e16, -2.5e-300, 5e-324, -1.7976931348623157e308, float(np.nextafter(1e-4, 0)), 1e22]
+    for r in range(0, 50, 3):
+        x[r, 0 if r % 2 else -1] = exotic[r % len(exotic)]
+    return Dataset(x, rng.integers(0, 2, 50), [f"c{j}" for j in range(9)])
+
+
+class TestSaveCsvBytes:
+    @pytest.mark.parametrize("chunk", [1, 200, 4000, dataset._CHUNK_BYTES])
+    def test_mixed_rows_same_bytes_at_every_chunk_size(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk)
+        d = _mixed_rows(0)
+        path = tmp_path / "mixed.csv"
+        save_csv(d, path)
+        assert path.read_bytes() == _reference_csv_text(d).encode("utf-8")
+        _no_row_loop(monkeypatch)
+        back = load_csv(path, "target")
+        assert back.x.tobytes() == d.x.tobytes() and back.y.tobytes() == d.y.tobytes()
+
+    def test_random_bit_patterns_same_bytes_and_same_bits_back(self, tmp_path, monkeypatch):
+        # 200,000 finite doubles. A quarter of the rows are raw bit patterns,
+        # nearly all outside orjson's repr range; the others have exponents
+        # from 2**-14 to 2**53, across 1e-4 and 1e16. Then one cell in a
+        # hundred is made subnormal and one in two hundred a signed zero.
+        rng = np.random.default_rng(20)
+        bits = np.frombuffer(rng.bytes(8 * 200_000), dtype=np.uint64).reshape(25_000, 8).copy()
+        exponent = np.uint64(0x7FF) << np.uint64(52)
+        ranged = rng.random(25_000) < 0.75
+        powers = rng.integers(1009, 1077, size=(int(ranged.sum()), 8)).astype(np.uint64)
+        bits[ranged] = (bits[ranged] & ~exponent) | (powers << np.uint64(52))
+        bits[(bits & exponent) == exponent] &= ~(np.uint64(1) << np.uint64(62))
+        draw = rng.random(bits.shape)
+        bits[draw < 0.01] &= ~exponent
+        bits[draw > 0.995] &= np.uint64(1) << np.uint64(63)
+        d = Dataset(bits.view(np.float64), rng.integers(0, 2, 25_000), [f"c{j}" for j in range(8)])
+        a = np.abs(d.x)
+        plain = (((a >= 1e-4) & (a < 1e16)) | (a == 0)).all(axis=1)
+        assert 5_000 < plain.sum() < 20_000
+        assert np.signbit(d.x[d.x == 0]).any() and ((a < 2.2250738585072014e-308) & (a > 0)).any()
+
+        path = tmp_path / "bits.csv"
+        save_csv(d, path)
+        assert path.read_bytes() == _reference_csv_text(d).encode("utf-8")
+        _no_row_loop(monkeypatch)
+        back = load_csv(path, "target")
+        assert back.x.tobytes() == d.x.tobytes() and back.y.tobytes() == d.y.tobytes()
+
+    @pytest.mark.parametrize("noise", ["0.1", "1e300"])
+    def test_synth_files_never_take_the_row_loop(self, tmp_path, monkeypatch, noise):
+        args = ["synth", "--n", "300", "--m", "6", "--relevant", "0,3", "--noise-std", noise]
+        result = CliRunner().invoke(cli, [*args, "--seed", "2", "--out", str(tmp_path / "task")])
+        assert result.exit_code == 0, result.output
+        _no_row_loop(monkeypatch)
+        assert load_csv(tmp_path / "task.csv", "target").n == 300
+
+
+class TestAtomicWriter:
+    def test_error_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_writer(path) as fh:
+                fh.write(b"new\n")
+                raise RuntimeError("stop")
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestJsonNumberRows:
+    """Files that a reader taking each line as a JSON array, unchecked,
+    gets wrong, at chunks of one line and of a few lines."""
+
+    @pytest.mark.parametrize("chunk", [1, 64, dataset._CHUNK_BYTES])
+    @pytest.mark.parametrize("text, target", [
+        ("a,b,target\n-0,1,0\n2,-0,1\n", "target"),
+        ("a,b,target\n1e-0,-0e0,0\n-0.0,3,-0\n", "target"),
+        ("1,2,0\n1,2,0],[3,4,1\n5,6,0\n", 2),
+        ("a,b,target\n1,2,0],[3,4,1\n5,6,0\n", "target"),
+        ("a,b,target\n1,2,0\n   \n3,4,1\n", "target"),
+        ("a,b,target\n1,2,0\n\t\n3,4,1\n", "target"),
+        ("a,b,target\r1,2,0\r\r3,4,1\r", "target"),
+        ("1,2,0\r3,4,1", 2),
+        ("a,b,target\n1,2,0\n3,4,1e400\n", "target"),
+        ("a,b,target\n1,2,NaN\n", "target"),
+        ("a,b,target\n1,2,0\n3,4,Infinity\n", "target"),
+    ])
+    def test_same_outcome_as_reference(self, tmp_path, monkeypatch, chunk, text, target):
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk)
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("ascii"))
+        assert _outcome(load_csv, path, target) == _outcome(_reference_load_csv, path, target)
+
+    @pytest.mark.parametrize("chunk", [1, 64, dataset._CHUNK_BYTES])
+    def test_minus_zero_keeps_its_sign(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk)
+        d = load_csv(_write(tmp_path, "a,b,target\n-0,1,0\n2,-0,1\n"), "target")
+        assert d.x.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+        assert np.signbit(d.x).tolist() == [[True, False], [False, True]]
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as Excel writes one, is not part of the
+    first cell. A quoted cell sends the file to the row loop."""
+
+    @staticmethod
+    def _bom_file(tmp_path, text):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(("\ufeff" + text).encode("utf-8"))
+        return path
+
+    @pytest.mark.parametrize("cell", ["2.5", '"2.5"'])
+    def test_target_named_in_the_first_cell(self, tmp_path, cell):
+        d = load_csv(self._bom_file(tmp_path, f"target,a,b\n1,{cell},3\n0,4,5\n"), "target")
+        assert d.feature_names == ["a", "b"]
+        assert d.x.tolist() == [[2.5, 3.0], [4.0, 5.0]] and d.y.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("cell", ["2.5", '"2.5"'])
+    def test_first_feature_name(self, tmp_path, cell):
+        d = load_csv(self._bom_file(tmp_path, f"a,b,target\n{cell},3,1\n4,5,0\n"), "target")
+        assert d.feature_names == ["a", "b"]
+        assert d.x.tolist() == [[2.5, 3.0], [4.0, 5.0]]
+
+    @pytest.mark.parametrize("cell", ["2.5", '"2.5"'])
+    def test_headerless_first_row_is_data(self, tmp_path, cell):
+        d = load_csv(self._bom_file(tmp_path, f"{cell},3,1\n4,5,0\n"), 2)
+        assert d.feature_names == ["f0", "f1"]
+        assert d.x.tolist() == [[2.5, 3.0], [4.0, 5.0]] and d.y.tolist() == [1, 0]
+
+
 class TestLineNumbers:
     def test_blank_lines_count(self, tmp_path):
         path = _write(tmp_path, "a,b,target\n1,2,0\n\n\n3,x,1\n")
@@ -363,7 +514,7 @@ class TestLineNumbers:
         with pytest.raises(DataError, match="row at line 4 has 2 cells"):
             load_csv(path, 2)
 
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", " NaN "])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", " NaN ", "NaN", "Infinity", "1e400"])
     def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
         path = _write(tmp_path, f"a,b,target\n1,2,0\n3,{cell},1\n")
         with pytest.raises(DataError, match=f"non-finite value '{cell}' at line 3, b$"):
