@@ -228,10 +228,8 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
 
     dn, norm = fit_normalize(d)
     d_a, d_b = split(dn, cfg.trainer.split_fraction, derive_seed(seed, "split"))
-    for part, label in ((d_a, "fitting"), (d_b, "validation")):
-        c0_count, c1_count = part.class_counts()
-        if c0_count == 0 or c1_count == 0:
-            raise DataError(f"{label} part contains a single class; cannot train")
+    d_a.require_both_classes("fitting part")
+    d_b.require_both_classes("validation part")
 
     ranking = rank_features(d_a, d_b, cfg, seed)
     base_feature, c0 = ranking[0]

@@ -78,9 +78,10 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.x[idx], self.y[idx], list(self.feature_names))
 
-    def class_counts(self) -> tuple[int, int]:
-        counts = np.bincount(self.y, minlength=2)
-        return int(counts[0]), int(counts[1])
+    def require_both_classes(self, what: str) -> None:
+        """Raise a ``DataError`` naming ``what`` unless both classes occur."""
+        if np.bincount(self.y, minlength=2).min() == 0:
+            raise DataError(f"{what} contains a single class")
 
 
 @dataclass

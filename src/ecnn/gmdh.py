@@ -260,10 +260,8 @@ def evolve(
     normalization both parts were made with; the model applies it to the
     raw rows it scores.
     """
-    for part, label in ((d_train, "fitting"), (d_valid, "validation")):
-        c0_count, c1_count = part.class_counts()
-        if c0_count == 0 or c1_count == 0:
-            raise DataError(f"{label} part contains a single class")
+    d_train.require_both_classes("fitting part")
+    d_valid.require_both_classes("validation part")
     coeffs, parents, performance, log = _grow_population(d_train, d_valid, cfg, seed)
 
     # best performance wins; ties go to the smallest ancestor subgraph,

@@ -23,7 +23,7 @@ from . import cascade, dtree, gmdh
 from .dataset import Dataset, fit_normalize, split
 from .errors import ConfigError, DataError, EcnnError, NumericError
 from .projection import FitResult, TrainConfig, fit_neuron
-from .util import atomic_write_text, csv_line, derive_rng, derive_seed
+from .util import derive_rng, derive_seed, write_table
 
 DEFAULT_CHI_LIST = (1.25, 1.5, 1.75, 2.0)
 # the tables ``write_restart_reports`` writes, each to ``<prefix>.<name>.csv``
@@ -149,6 +149,8 @@ def multi_restart(
         raise ConfigError(f"runs must be >= 1, got {runs}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if d_test is not None and d_test.m != d_train.m:
+        raise DataError(f"test data has {d_test.m} features but training data has {d_train.m}")
     worker = partial(_run_one, adapter, d_train, d_test, base_seed)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -163,10 +165,6 @@ def multi_restart(
     return RestartReport(records, best.run)
 
 
-def _fmt(v: float) -> str:
-    return "" if (isinstance(v, float) and math.isnan(v)) else repr(float(v))
-
-
 def write_restart_reports(
     report: RestartReport, prefix: str | Path, feature_names: list[str]
 ) -> dict[str, Path]:
@@ -178,47 +176,34 @@ def write_restart_reports(
     of successful runs) and error_hist (per-run train/test errors).
     """
     paths = {name: Path(f"{prefix}.{name}.csv") for name in RESTART_REPORTS}
-
-    rows = ["run,seed,status,criterion,train_error,test_error,model_size,features,criterion_trace"]
-    for r in report.records:
-        feats = ";".join(str(j) for j in sorted(r.feature_set))
-        trace = ";".join(repr(float(v)) for v in r.criterion_trace)
-        rows.append(
-            f"{r.run},{r.seed},{r.status},{_fmt(r.criterion)},{_fmt(r.train_error)},"
-            f"{_fmt(r.test_error)},{r.model_size},{feats},{trace}"
-        )
-    atomic_write_text(paths["restart_report"], "\n".join(rows) + "\n")
-
+    write_table(paths["restart_report"],
+                "run,seed,status,criterion,train_error,test_error,model_size,features,criterion_trace",
+                ([r.run, r.seed, r.status, r.criterion, r.train_error, r.test_error, r.model_size,
+                  ";".join(str(j) for j in sorted(r.feature_set)),
+                  ";".join(repr(float(v)) for v in r.criterion_trace)] for r in report.records))
     ok = [r for r in report.records if r.status == "ok"]
     freq = Counter(j for r in ok for j in r.feature_set)
-    rows = ["feature,name,count"] + [csv_line([j, feature_names[j], freq[j]]) for j in sorted(freq)]
-    atomic_write_text(paths["feature_freq"], "\n".join(rows) + "\n")
-
+    write_table(paths["feature_freq"], "feature,name,count",
+                ([j, feature_names[j], freq[j]] for j in sorted(freq)))
     sizes = Counter(r.model_size for r in ok)
-    rows = ["model_size,count"] + [f"{s},{sizes[s]}" for s in sorted(sizes)]
-    atomic_write_text(paths["size_hist"], "\n".join(rows) + "\n")
-
-    rows = ["run,train_error,test_error"]
-    for r in ok:
-        rows.append(f"{r.run},{_fmt(r.train_error)},{_fmt(r.test_error)}")
-    atomic_write_text(paths["error_hist"], "\n".join(rows) + "\n")
+    write_table(paths["size_hist"], "model_size,count", ([s, sizes[s]] for s in sorted(sizes)))
+    write_table(paths["error_hist"], "run,train_error,test_error",
+                ([r.run, r.train_error, r.test_error] for r in ok))
     return paths
 
 
 @dataclass
-class FoldResult:
-    fold: int
-    performance: float
-    test_error: float
-    best_seed: int
-
-
-@dataclass
 class CvReport:
+    """One method's k-fold result: ``folds[f]`` is the best restart of fold
+    ``f``, its performance 1 - its test error on that fold's held-out rows."""
+
     method: str
-    folds: list[FoldResult]
-    mean_performance: float
-    variance_performance: float
+    folds: list[RunRecord]
+
+    def __post_init__(self) -> None:
+        self.performances = [1.0 - r.test_error for r in self.folds]
+        self.mean_performance = float(np.mean(self.performances))
+        self.variance_performance = float(np.var(self.performances))
 
 
 def stratified_folds(d: Dataset, k: int, seed: int) -> list[np.ndarray]:
@@ -250,38 +235,24 @@ def kfold(
     the best-on-validation model, which is then scored on the held-out
     fold. Reports mean and population variance of fold performances."""
     folds = stratified_folds(d, k, seed)
-    results: list[FoldResult] = []
+    best = []
     for f, test_idx in enumerate(folds):
         train_idx = np.sort(np.concatenate([folds[g] for g in range(k) if g != f]))
         d_train = d.subset(train_idx)
-        d_test = d.subset(test_idx)
-        counts = d_train.class_counts()
-        if counts[0] == 0 or counts[1] == 0:
-            raise DataError(f"training part of fold {f} lacks a class")
-        rep = multi_restart(adapter, d_train, d_test, inner_runs, derive_seed(seed, "fold", f), jobs)
-        best = rep.best
-        results.append(
-            FoldResult(
-                fold=f,
-                performance=1.0 - best.test_error,
-                test_error=best.test_error,
-                best_seed=best.seed,
-            )
-        )
-    perfs = np.asarray([r.performance for r in results])
-    return CvReport(adapter.name, results, float(perfs.mean()), float(perfs.var()))
+        d_train.require_both_classes(f"training part of fold {f}")
+        fold_seed = derive_seed(seed, "fold", f)
+        best.append(multi_restart(adapter, d_train, d.subset(test_idx), inner_runs, fold_seed, jobs).best)
+    return CvReport(adapter.name, best)
 
 
 def write_cv_report(reports: list[CvReport], path: str | Path) -> None:
     """One row per method per fold, with the method-level summary repeated."""
-    rows = ["method,fold,performance,test_error,best_seed,mean_performance,variance_performance"]
-    for rep in reports:
-        for f in rep.folds:
-            rows.append(
-                f"{rep.method},{f.fold},{repr(f.performance)},{repr(f.test_error)},"
-                f"{f.best_seed},{repr(rep.mean_performance)},{repr(rep.variance_performance)}"
-            )
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    write_table(
+        path,
+        "method,fold,performance,test_error,best_seed,mean_performance,variance_performance",
+        ([rep.method, f, perf, r.test_error, r.seed, rep.mean_performance, rep.variance_performance]
+         for rep in reports for f, (r, perf) in enumerate(zip(rep.folds, rep.performances))),
+    )
 
 
 def chi_sweep(
@@ -294,21 +265,14 @@ def chi_sweep(
             raise ConfigError(f"sweep learning rates must be in (0, 2], got {chi}")
     dn, _ = fit_normalize(d)
     d_a, d_b = split(dn, cfg.split_fraction, derive_seed(seed, "split"))
-    inputs_a = d_a.x.T
-    inputs_b = d_b.x.T
-    ya = d_a.y.astype(np.float64)
-    yb = d_b.y.astype(np.float64)
     results: dict[float, FitResult] = {}
     for chi in chis:
         cfg_chi = dataclasses.replace(cfg, chi=chi)
         rng = derive_rng(seed, "sweep-init")  # fresh identical stream per chi
-        results[chi] = fit_neuron(inputs_a, ya, inputs_b, yb, cfg_chi, rng)
+        results[chi] = fit_neuron(d_a.x.T, d_a.y, d_b.x.T, d_b.y, cfg_chi, rng)
     return results
 
 
 def write_chi_traces(results: dict[float, FitResult], path: str | Path) -> None:
-    rows = ["chi,step,rse_b"]
-    for chi in results:
-        for step, value in enumerate(results[chi].rse_trace_b):
-            rows.append(f"{repr(float(chi))},{step},{repr(float(value))}")
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    write_table(path, "chi,step,rse_b", ([float(chi), step, value] for chi, res in results.items()
+                                          for step, value in enumerate(res.rse_trace_b)))

@@ -152,7 +152,11 @@ def fit_neuron(
     u_a = np.vstack([inputs_a, np.ones((1, inputs_a.shape[1]))])
     u_b = np.vstack([inputs_b, np.ones((1, inputs_b.shape[1]))])
     p_aug = u_a.shape[0]
-    step = cfg.chi / float(np.sum(u_a * u_a))
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.sum(u_a * u_a))
+    if not math.isfinite(norm_sq):
+        raise NumericError("the squared norm of the fitting inputs overflows")
+    step = cfg.chi / norm_sq
     w = rng.normal(0.0, cfg.init_std, size=p_aug)
     # The loop works on the doubled residual 2 * (sigmoid(z) - t), which
     # is tanh(z / 2) - (2t - 1). Halving the inputs is exact, so

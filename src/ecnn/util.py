@@ -11,10 +11,11 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import os
 import tempfile
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -78,3 +79,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text to ``path`` as UTF-8 through :func:`atomic_writer`."""
     with atomic_writer(path) as fh:
         fh.write(text.encode("utf-8"))
+
+
+def write_table(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
+    """Write a CSV report: ``header``, then the :func:`csv_line` of each row.
+    A float cell (``np.float64`` too) is written as ``repr(float(v))``, or
+    empty if it is NaN; any other cell as ``str(v)``."""
+    lines = [header]
+    for row in rows:
+        cells = [
+            ("" if math.isnan(v) else repr(float(v))) if isinstance(v, float) else str(v)
+            for v in row
+        ]
+        lines.append(csv_line(cells))
+    atomic_write_text(path, "\n".join(lines) + "\n")

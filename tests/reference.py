@@ -6,12 +6,14 @@ the labels of a synthetic task's generating rule and its ``truth.json``
 read back, a cascade candidate's inputs found by running the whole
 cascade, a GMDH neuron's ancestors found by walking its parent links, the
 information gain of one split, one threshold draw of the tree, the tree's
-split search one feature at a time, and the cross-validation summary
-recomputed from its folds."""
+split search one feature at a time, the cross-validation summary
+recomputed from its folds, and the report tables joined by hand."""
 
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from ecnn.dataset import NormParams, SynthTruth
 from ecnn.dtree import _entropy_per_split, entropy
 from ecnn.errors import DataError, NumericError
 from ecnn.projection import sigmoid
+from ecnn.util import csv_line
 
 
 def neuron_forward(u, w, bias: float = 0.0):
@@ -214,6 +217,63 @@ def best_partition(x: np.ndarray, y: np.ndarray, cfg, rng: np.random.Generator) 
 
 
 def recompute(report) -> tuple[float, float]:
-    """Mean and population variance of a ``CvReport``'s fold performances."""
-    perfs = np.asarray([f.performance for f in report.folds])
+    """Mean and population variance of a ``CvReport``'s fold performances,
+    each 1 - the test error of that fold's best run."""
+    perfs = np.asarray([1.0 - f.test_error for f in report.folds])
     return float(perfs.mean()), float(perfs.var())
+
+
+def _fmt(v: float) -> str:
+    return "" if (isinstance(v, float) and math.isnan(v)) else repr(float(v))
+
+
+def restart_report_texts(report, feature_names: list[str]) -> dict[str, str]:
+    """The four restart tables, by table name, as a hand-joined writer
+    formats them: the byte reference for ``write_restart_reports``."""
+    rows = ["run,seed,status,criterion,train_error,test_error,model_size,features,criterion_trace"]
+    for r in report.records:
+        feats = ";".join(str(j) for j in sorted(r.feature_set))
+        trace = ";".join(repr(float(v)) for v in r.criterion_trace)
+        rows.append(
+            f"{r.run},{r.seed},{r.status},{_fmt(r.criterion)},{_fmt(r.train_error)},"
+            f"{_fmt(r.test_error)},{r.model_size},{feats},{trace}"
+        )
+    texts = {"restart_report": rows}
+
+    ok = [r for r in report.records if r.status == "ok"]
+    freq = Counter(j for r in ok for j in r.feature_set)
+    texts["feature_freq"] = ["feature,name,count"] + [
+        csv_line([j, feature_names[j], freq[j]]) for j in sorted(freq)
+    ]
+    sizes = Counter(r.model_size for r in ok)
+    texts["size_hist"] = ["model_size,count"] + [f"{s},{sizes[s]}" for s in sorted(sizes)]
+    rows = ["run,train_error,test_error"]
+    for r in ok:
+        rows.append(f"{r.run},{_fmt(r.train_error)},{_fmt(r.test_error)}")
+    texts["error_hist"] = rows
+    return {name: "\n".join(rows) + "\n" for name, rows in texts.items()}
+
+
+def cv_report_text(reports) -> str:
+    """``cv_report.csv`` as a hand-joined writer formats it: one row per
+    method per fold, performance = 1 - that fold's test error, the summary
+    repeated on each row; the byte reference for ``write_cv_report``."""
+    rows = ["method,fold,performance,test_error,best_seed,mean_performance,variance_performance"]
+    for rep in reports:
+        mean, var = recompute(rep)
+        for fold, best in enumerate(rep.folds):
+            rows.append(
+                f"{rep.method},{fold},{repr(1.0 - best.test_error)},{repr(best.test_error)},"
+                f"{best.seed},{repr(mean)},{repr(var)}"
+            )
+    return "\n".join(rows) + "\n"
+
+
+def chi_traces_text(results) -> str:
+    """``chi_traces.csv`` as a hand-joined writer formats it: the byte
+    reference for ``write_chi_traces``."""
+    rows = ["chi,step,rse_b"]
+    for chi in results:
+        for step, value in enumerate(results[chi].rse_trace_b):
+            rows.append(f"{repr(float(chi))},{step},{repr(float(value))}")
+    return "\n".join(rows) + "\n"

@@ -252,7 +252,7 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         d = Dataset(np.random.default_rng(8).normal(size=(40, 3)), np.zeros(40, dtype=int), list("abc"))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^fitting part contains a single class$"):
             train(d, GrowthConfig(), seed=8)
 
     def test_max_failed_attempts_limits_growth(self):

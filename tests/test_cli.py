@@ -202,6 +202,20 @@ class TestTrainCommand:
         assert result.exit_code == 3
         assert "all 1 restarts failed" in result.output
 
+    def test_test_data_of_another_width_refused_before_training(self, runner, tmp_path, monkeypatch):
+        calls = []
+        train = cascade.train
+        monkeypatch.setattr(cascade, "train", lambda *args, **kwargs: calls.append(1) or train(*args, **kwargs))
+        data = _make_data(tmp_path, m=6)
+        held = _make_data(tmp_path, seed=1, n=100, m=5, name="held.csv")
+        out = tmp_path / "x"
+        result = runner.invoke(cli, ["train", "--data", str(data), "--test-data", str(held),
+                                     "--restarts", "5", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "test data has 5 features but training data has 6" in result.output
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["held.csv", "train.csv"]
+
     def test_genuine_numeric_failure_exit_code(self, runner, tmp_path, monkeypatch):
         def failing_fit(*args, **kwargs):
             raise NumericError("least-squares fit produced non-finite coefficients")

@@ -537,6 +537,13 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="non-finite"):
             Dataset(x, np.array([0, 1]), ["a", "b"])
 
+    def test_require_both_classes(self):
+        x = np.zeros((3, 2))
+        Dataset(x, np.array([0, 1, 0]), ["a", "b"]).require_both_classes("all rows")
+        for y in ([1, 1, 1], [0, 0, 0]):
+            with pytest.raises(DataError, match="^all rows contains a single class$"):
+                Dataset(x, np.array(y), ["a", "b"]).require_both_classes("all rows")
+
 
 class TestNormalize:
     def test_simple_column_population_std(self):
@@ -638,7 +645,7 @@ class TestSplit:
         d_a, d_b = split(d, 0.5, seed=1)
         assert d_a.n == 50 and d_b.n == 50
         for part in (d_a, d_b):
-            assert part.class_counts() == (25, 25)
+            assert np.bincount(part.y, minlength=2).tolist() == [25, 25]
 
     def test_same_seed_identical(self):
         d, _ = synth_generate(80, 4, [0], 0.0, 0.0, seed=2)

@@ -187,8 +187,10 @@ class TestEvolve:
         x = np.random.default_rng(10).normal(size=(30, 3))
         d_bad = Dataset(x, np.zeros(30, dtype=np.int64), ["a", "b", "c"])
         d_ok = Dataset(x, np.arange(30) % 2, ["a", "b", "c"])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^fitting part contains a single class$"):
             evolve(d_bad, d_ok, GmdhConfig(), seed=0, norm=identity_norm(3))
+        with pytest.raises(DataError, match="^validation part contains a single class$"):
+            evolve(d_ok, d_bad, GmdhConfig(), seed=0, norm=identity_norm(3))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -200,7 +202,7 @@ class TestEvolve:
         # half of a 6-row fitting part is 3 rows, too few for a 4-term fit
         d_train, d_valid = _small_task(0)
         d_train = d_train.subset(np.arange(6))
-        assert min(d_train.class_counts()) > 0
+        assert np.bincount(d_train.y, minlength=2).min() > 0
         with pytest.raises(DataError, match="subsample of 3 rows is too small; need at least 4"):
             evolve(d_train, d_valid, GmdhConfig(fit_subsample=0.5), seed=0, norm=identity_norm(d_train.m))
 

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from ecnn.harness import (
     write_restart_reports,
 )
 from ecnn.projection import TrainConfig
-from reference import recompute
+from ecnn.util import derive_seed, write_table
+from reference import chi_traces_text, cv_report_text, recompute, restart_report_texts
 
 
 def _read_rows(path):
@@ -101,6 +103,15 @@ class TestMultiRestart:
             rows = list(csv.reader(fh))
         assert rows == [["feature", "name", "count"], *([str(j), name, "1"] for j, name in enumerate(names))]
 
+    def test_test_data_of_another_width_refused_before_any_run(self):
+        calls = []
+        adapter = ecnn_adapter(cascade.GrowthConfig())
+        train = adapter.train
+        adapter.train = lambda d, seed: calls.append(seed) or train(d, seed)
+        with pytest.raises(DataError, match="test data has 4 features but training data has 5"):
+            multi_restart(adapter, _task(), _task(1, m=4), runs=3, base_seed=0)
+        assert calls == []
+
     def test_gmdh_adapter_runs(self):
         rep = multi_restart(gmdh_adapter(_fast_gmdh_cfg()), _task(8), _task(9), runs=2, base_seed=5)
         assert all(r.status == "ok" for r in rep.records)
@@ -161,6 +172,25 @@ class TestKfold:
             got = [r for r in rows if r["method"] == rep.method]
             assert float(got[0]["mean_performance"]) == rep.mean_performance
 
+    def test_folds_hold_each_folds_best_run(self):
+        d = _task(19, n=90)
+        adapter = dt_adapter(dtree.DtConfig())
+        report = kfold(d, 3, adapter, inner_runs=3, seed=6)
+        folds = stratified_folds(d, 3, seed=6)
+        for f, record in enumerate(report.folds):
+            train_idx = np.sort(np.concatenate([folds[g] for g in range(3) if g != f]))
+            own = multi_restart(adapter, d.subset(train_idx), d.subset(folds[f]), 3,
+                                derive_seed(6, "fold", f)).best
+            assert (record.run, record.seed, record.test_error) == (own.run, own.seed, own.test_error)
+        assert report.performances == [1.0 - r.test_error for r in report.folds]
+
+    def test_training_part_with_one_class_rejected(self):
+        # one row of class 1: the training part of the fold that holds it has none
+        rng = np.random.default_rng(20)
+        d = Dataset(rng.normal(size=(12, 3)), np.array([0] * 11 + [1]), ["a", "b", "c"])
+        with pytest.raises(DataError, match=r"training part of fold \d contains a single class"):
+            kfold(d, 3, dt_adapter(dtree.DtConfig()), inner_runs=1, seed=0)
+
     def test_too_many_folds_rejected(self):
         rng = np.random.default_rng(15)
         d = Dataset(rng.normal(size=(10, 3)), np.array([0, 1] * 5), ["a", "b", "c"])
@@ -217,3 +247,54 @@ class TestChiSweep:
             back.setdefault(float(row["chi"]), []).append(float(row["rse_b"]))
         for chi in (1.5, 2.0):
             np.testing.assert_array_equal(back[chi], results[chi].rse_trace_b)
+
+
+class TestReportBytes:
+    """Every report table is byte-identical to the hand-joined reference."""
+
+    @staticmethod
+    def _check_restart_reports(tmp_path, report, names):
+        paths = write_restart_reports(report, tmp_path / "run", feature_names=names)
+        want = restart_report_texts(report, names)
+        assert {name: path.read_bytes().decode() for name, path in paths.items()} == want
+
+    def test_restart_reports_of_trained_runs(self, tmp_path):
+        names = ['a,b', 'say "hi"', "c\rd", "e\nf", "g"]
+        for adapter in (ecnn_adapter(cascade.GrowthConfig()), dt_adapter(dtree.DtConfig()),
+                        gmdh_adapter(_fast_gmdh_cfg())):
+            for d_test in (_task(22), None):  # None: every test error is NaN
+                rep = multi_restart(adapter, _task(21), d_test, runs=3, base_seed=7)
+                self._check_restart_reports(tmp_path, rep, names)
+
+    def test_restart_reports_of_an_error_run_and_numpy_cells(self, tmp_path):
+        records = [
+            RunRecord(run=0, seed=11, status="ok", criterion=np.float64(0.125), train_error=0.1,
+                      test_error=math.nan, model_size=3, feature_set=frozenset({0, 2}),
+                      criterion_trace=(np.float64(0.3), 0.2)),
+            RunRecord(run=1, seed=2**64 - 1, status="error", error=DataError("one class")),
+            RunRecord(run=2, seed=13, status="ok", criterion=0.1, train_error=np.float64(1 / 3),
+                      test_error=np.float64(0.25), model_size=np.int64(3),
+                      feature_set=frozenset({1}), criterion_trace=(0.1,)),
+        ]
+        self._check_restart_reports(tmp_path, RestartReport(records, 2), ['a,b', 'say "hi"', "c"])
+
+    def test_cv_report(self, tmp_path):
+        d = _task(23, n=120)
+        reports = [kfold(d, 3, adapter, inner_runs=2, seed=8)
+                   for adapter in (ecnn_adapter(cascade.GrowthConfig()), dt_adapter(dtree.DtConfig()),
+                                   gmdh_adapter(_fast_gmdh_cfg()))]
+        path = tmp_path / "cv_report.csv"
+        write_cv_report(reports, path)
+        assert path.read_bytes().decode() == cv_report_text(reports)
+
+    def test_chi_traces(self, tmp_path):
+        results = chi_sweep(_sweep_dataset(5, n=30), [1.25, 2, 1.5], TrainConfig(), seed=4)
+        assert isinstance(results[2].rse_trace_b[0], np.float64)
+        path = tmp_path / "chi_traces.csv"
+        write_chi_traces(results, path)
+        assert path.read_bytes().decode() == chi_traces_text(results)
+
+    def test_write_table_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, "a,b,c", [[np.float64(0.1), math.nan, "x,y"], [np.int64(7), 1e300, 'q"']])
+        assert path.read_bytes() == b'a,b,c\n0.1,,"x,y"\n7,1e+300,"q"""\n'

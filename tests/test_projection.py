@@ -378,9 +378,9 @@ class FixedInit:
 
 class TestFiniteWeights:
     @staticmethod
-    def _task(scale):
+    def _task(scale, n_a=100, n_b=50):
         rng = np.random.default_rng(5)
-        xa, xb = scale * rng.normal(size=(2, 100)), scale * rng.normal(size=(2, 50))
+        xa, xb = scale * rng.normal(size=(2, n_a)), scale * rng.normal(size=(2, n_b))
         return xa, (xa[0] > 0).astype(float), xb, (xb[0] > 0).astype(float)
 
     @pytest.mark.parametrize(
@@ -404,7 +404,16 @@ class TestFiniteWeights:
         assert res.rse_trace_b.tobytes() == np.asarray(trace).tobytes()
         assert res.steps_taken == steps
 
-    def test_overflowing_update_raises_at_its_step(self):
-        xa, ya, xb, yb = self._task(1e307)
+    @pytest.mark.parametrize("n_a, n_b", [(100, 50), (30, 20)])
+    def test_overflowing_input_norm_raises_before_step_1(self, n_a, n_b):
+        # with 30 + 20 columns only the squared norm overflows, not the update
+        xa, ya, xb, yb = self._task(1e307, n_a, n_b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="squared norm of the fitting inputs overflows"):
+                fit_neuron(xa, ya, xb, yb, TrainConfig(), derive_rng(0, "init"))
+
+    def test_infinite_weight_raises_at_its_step(self):
+        xa, ya, xb, yb = self._task(1.0)
         with pytest.raises(NumericError, match="non-finite weights at step 1"):
-            fit_neuron(xa, ya, xb, yb, TrainConfig(), derive_rng(0, "init"))
+            fit_neuron(xa, ya, xb, yb, TrainConfig(), FixedInit([np.inf, 0.0, 0.1]))
