@@ -37,8 +37,10 @@ EXIT_NUMERIC = 4
 
 
 def _handles_errors(fn):
+    """Map each typed error to its exit code; the manifest's clock starts here."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        click.get_current_context().meta["started"] = time.time()
         try:
             return fn(*args, **kwargs)
         except ConfigError as exc:
@@ -72,7 +74,6 @@ def _write_manifest(
     seeds: dict,
     input_paths: list[str | Path],
     artifacts: list[Path],
-    started: float,
     results: dict | None = None,
 ) -> Path:
     argv = _argv()
@@ -84,7 +85,7 @@ def _write_manifest(
         "seeds": seeds,
         "input_hashes": {str(p): sha256_file(p) for p in input_paths},
         "artifacts": [str(p) for p in artifacts],
-        "wall_clock_s": time.time() - started,
+        "wall_clock_s": time.time() - click.get_current_context().meta["started"],
     }
     if results is not None:
         manifest["results"] = results
@@ -153,19 +154,52 @@ def cli() -> None:
     """Cascade-classifier training, baselines, and benchmarking."""
 
 
+def _field_option(flag: str, cls, field: str, **kwargs):
+    """A family flag: its parameter is named after the config field it sets,
+    which is how _build_adapter finds it, and it has that field's default."""
+    default = getattr(cls, field)
+    return field, click.option(flag, field, default=default, show_default=True, **{"type": type(default), **kwargs})
+
+
+# The options of more than one command, in train's order.
+_SHARED_OPTIONS = dict([
+    ("data_path", click.option("--data", "data_path", required=True, help="Dataset CSV.")),
+    ("target", click.option("--target", default="target", show_default=True, help="Target column name or index.")),
+    _field_option("--chi", TrainConfig, "chi"),
+    _field_option("--delta", TrainConfig, "delta"),
+    _field_option("--epsilon", TrainConfig, "epsilon", type=float, help="Known noise level stop (off by default)."),
+    _field_option("--init-std", TrainConfig, "init_std"),
+    _field_option("--split-a", TrainConfig, "split_fraction", help="Fitting-part fraction."),
+    _field_option("--max-steps", TrainConfig, "max_steps"),
+    _field_option("--candidate-restarts", cascade.GrowthConfig, "restarts_per_candidate"),
+    _field_option("--max-failed-attempts", cascade.GrowthConfig, "max_failed_attempts", type=int),
+    _field_option("--offspring", gmdh.GmdhConfig, "offspring_per_generation"),
+    _field_option("--max-failures", gmdh.GmdhConfig, "max_serial_failures"),
+    _field_option("--subsample", gmdh.GmdhConfig, "fit_subsample"),
+    _field_option("--ns", dtree.DtConfig, "n_s"),
+    _field_option("--pmin", dtree.DtConfig, "p_min"),
+    ("seed", click.option("--seed", type=int, default=0, show_default=True)),
+    ("jobs", click.option("--jobs", type=int, default=1, show_default=True, envvar="ECNN_JOBS")),
+])
+
+
+def _shared(*names: str):
+    """Add the named shared options to a command, in the order given."""
+    return lambda fn: functools.reduce(lambda f, name: _SHARED_OPTIONS[name](f), reversed(names), fn)
+
+
 @cli.command("synth")
 @click.option("--n", type=int, required=True, help="Number of rows.")
 @click.option("--m", type=int, required=True, help="Number of features.")
 @click.option("--relevant", required=True, help="Comma-separated relevant feature indices.")
 @click.option("--noise-std", type=float, default=0.0, show_default=True)
 @click.option("--flip", type=float, default=0.0, show_default=True, help="Label flip probability.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_shared("seed")
 @click.option("--out", required=True, help="Output prefix; writes <out>.csv and <out>.truth.json.")
 @_handles_errors
 def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
     """Generate a synthetic feature-selection dataset plus its ground truth."""
     csv_path, truth_path = _check_out(out, ".csv", ".truth.json")
-    started = time.time()
     try:
         relevant_idx = [int(tok) for tok in relevant.split(",") if tok.strip() != ""]
     except ValueError:
@@ -176,81 +210,39 @@ def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
     _write_manifest(
         out,
         {"n": n, "m": m, "relevant": relevant_idx, "noise_std": noise_std, "flip": flip},
-        {"seed": seed}, [], [csv_path, truth_path], started,
+        {"seed": seed}, [], [csv_path, truth_path],
     )
     click.echo(f"wrote {csv_path} and {truth_path}")
 
 
-def _build_adapter(method, chi, delta, epsilon, init_std, split_a, max_steps,
-                   candidate_restarts, max_failed_attempts, offspring, max_failures,
-                   subsample, ns, pmin):
-    """The method's adapter and its config as a dict; only the chosen
-    method's flags are read and checked."""
-    if method == "ecnn":
-        trainer = TrainConfig(
-            chi=chi, delta=delta, epsilon=epsilon, max_steps=max_steps,
-            init_std=init_std, split_fraction=split_a,
-        )
-        cfg = cascade.GrowthConfig(
-            trainer=trainer,
-            restarts_per_candidate=candidate_restarts,
-            max_failed_attempts=max_failed_attempts,
-        )
-    elif method == "gmdh":
-        cfg = gmdh.GmdhConfig(
-            offspring_per_generation=offspring, max_serial_failures=max_failures,
-            fit_subsample=subsample,
-        )
+def _build_adapter(method: str, flags: dict):
+    """The method's adapter and its config as a dict, each field set by the
+    flag of its name; only the chosen method's flags are read and checked."""
+    def build(cls, **given):
+        return cls(**given, **{f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name not in given})
+
+    if method == "ecnn":  # the trainer's flags are checked first
+        cfg = build(cascade.GrowthConfig, trainer=build(TrainConfig))
     else:
-        cfg = dtree.DtConfig(n_s=ns, p_min=pmin)
+        cfg = build({"gmdh": gmdh.GmdhConfig, "dt": dtree.DtConfig}[method])
     adapter = {"ecnn": harness.ecnn_adapter, "gmdh": harness.gmdh_adapter, "dt": harness.dt_adapter}[method]
     return adapter(cfg), dataclasses.asdict(cfg)
 
 
-_train_options = [
-    click.option("--data", "data_path", required=True, help="Training dataset CSV."),
-    click.option("--target", default="target", show_default=True, help="Target column name or index."),
-    click.option("--chi", type=float, default=TrainConfig.chi, show_default=True),
-    click.option("--delta", type=float, default=TrainConfig.delta, show_default=True),
-    click.option("--epsilon", type=float, default=TrainConfig.epsilon, help="Known noise level stop (off by default)."),
-    click.option("--init-std", type=float, default=TrainConfig.init_std, show_default=True),
-    click.option("--split-a", type=float, default=TrainConfig.split_fraction, show_default=True,
-                 help="Fitting-part fraction."),
-    click.option("--max-steps", type=int, default=TrainConfig.max_steps, show_default=True),
-    click.option("--candidate-restarts", type=int, default=cascade.GrowthConfig.restarts_per_candidate,
-                 show_default=True),
-    click.option("--max-failed-attempts", type=int, default=cascade.GrowthConfig.max_failed_attempts),
-    click.option("--offspring", type=int, default=gmdh.GmdhConfig.offspring_per_generation, show_default=True),
-    click.option("--max-failures", type=int, default=gmdh.GmdhConfig.max_serial_failures, show_default=True),
-    click.option("--subsample", type=float, default=gmdh.GmdhConfig.fit_subsample, show_default=True),
-    click.option("--ns", type=int, default=dtree.DtConfig.n_s, show_default=True),
-    click.option("--pmin", type=float, default=dtree.DtConfig.p_min, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--jobs", type=int, default=1, show_default=True, envvar="ECNN_JOBS"),
-]
-
-
-def _with_train_options(fn):
-    for opt in reversed(_train_options):
-        fn = opt(fn)
-    return fn
-
-
 @cli.command("train")
-@_with_train_options
+@_shared(*_SHARED_OPTIONS)
 @click.option("--method", type=click.Choice(["ecnn", "gmdh", "dt"]), default="ecnn", show_default=True)
 @click.option("--restarts", type=int, default=1, show_default=True, help="Multi-restart runs; best kept.")
 @click.option("--test-data", default=None, help="Optional held-out CSV for per-run test errors.")
 @click.option("--out", required=True, help="Output prefix.")
 @_handles_errors
-def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, **cfg_flags) -> None:
+def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, **flags) -> None:
     """Train a classifier and save the best model plus a run manifest."""
     reports = [f".{name}.csv" for name in harness.RESTART_REPORTS] if restarts > 1 else []
     model_path = _check_out(out, ".model.json", *reports)[0]
-    started = time.time()
     d = load_csv(data_path, _resolve_target(target))
     d_test = load_csv(test_data, _resolve_target(target)) if test_data else None
-    adapter, cfg_dict = _build_adapter(method, **cfg_flags)
+    adapter, cfg_dict = _build_adapter(method, flags)
     report = harness.multi_restart(adapter, d, d_test, restarts, seed, jobs=jobs)
     best = report.best
 
@@ -273,7 +265,6 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
         {"seed": seed, "run_seeds": [r.seed for r in report.records]},
         [data_path] + ([test_data] if test_data else []),
         artifacts,
-        started,
         results,
     )
     click.echo(f"wrote {model_path} (criterion {best.criterion:.6g}, train error {best.train_error:.4f})")
@@ -281,15 +272,13 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
 
 @cli.command("evaluate")
 @click.option("--model", "model_path", required=True)
-@click.option("--data", "data_path", required=True)
-@click.option("--target", default="target", show_default=True)
+@_shared("data_path", "target")
 @click.option("--threshold", type=float, default=0.5, show_default=True)
 @click.option("--out", default=None, help="Optional prefix for metrics JSON + manifest.")
 @_handles_errors
 def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
     """Score a saved model on a dataset: error rate and confusion counts."""
     metrics_path = None if out is None else _check_out(out, ".metrics.json")[0]
-    started = time.time()
     if not math.isfinite(threshold):
         raise ConfigError(f"--threshold must be finite, got {threshold}")
     kind, model = load_any_model(model_path)
@@ -300,26 +289,25 @@ def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
     click.echo(text)
     if metrics_path is not None:
         atomic_write_text(metrics_path, text + "\n")
-        _write_manifest(out, {"threshold": threshold}, {},
-                        [model_path, data_path], [metrics_path], started)
+        _write_manifest(out, {"threshold": threshold}, {}, [model_path, data_path], [metrics_path])
 
 
 @cli.command("compare")
-@_with_train_options
+@_shared(*_SHARED_OPTIONS)
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--inner-runs", type=int, default=30, show_default=True)
 @click.option("--out", required=True, help="Output prefix; writes <out>.cv_report.csv.")
 @_handles_errors
-def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_flags) -> None:
+def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **flags) -> None:
     """Cross-validated comparison of the cascade model and both baselines."""
     [report_path] = _check_out(out, ".cv_report.csv")
-    started = time.time()
     d = load_csv(data_path, _resolve_target(target))
-    adapters = [_build_adapter(method, **cfg_flags)[0] for method in ("ecnn", "gmdh", "dt")]
-    reports = [harness.kfold(d, folds, adapter, inner_runs, seed, jobs=jobs) for adapter in adapters]
+    built = {method: _build_adapter(method, flags) for method in ("ecnn", "gmdh", "dt")}
+    reports = [harness.kfold(d, folds, adapter, inner_runs, seed, jobs=jobs) for adapter, _ in built.values()]
     harness.write_cv_report(reports, report_path)
-    _write_manifest(out, {"folds": folds, "inner_runs": inner_runs},
-                    {"seed": seed}, [data_path], [report_path], started)
+    methods = {method: cfg_dict for method, (_, cfg_dict) in built.items()}
+    _write_manifest(out, {"folds": folds, "inner_runs": inner_runs, "methods": methods},
+                    {"seed": seed}, [data_path], [report_path])
     for rep in reports:
         click.echo(
             f"{rep.method}: mean performance {rep.mean_performance:.4f} "
@@ -329,20 +317,14 @@ def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **cfg_fla
 
 
 @cli.command("chi-sweep")
-@click.option("--data", "data_path", required=True)
-@click.option("--target", default="target", show_default=True)
+@_shared("data_path", "target")
 @click.option("--chis", default=",".join(map(str, harness.DEFAULT_CHI_LIST)), show_default=True)
-@click.option("--delta", type=float, default=TrainConfig.delta, show_default=True)
-@click.option("--max-steps", type=int, default=TrainConfig.max_steps, show_default=True)
-@click.option("--init-std", type=float, default=TrainConfig.init_std, show_default=True)
-@click.option("--split-a", type=float, default=TrainConfig.split_fraction, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_shared("delta", "max_steps", "init_std", "split_fraction", "seed")
 @click.option("--out", required=True, help="Output prefix; writes <out>.chi_traces.csv.")
 @_handles_errors
-def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, seed, out) -> None:
+def cmd_chi_sweep(data_path, target, chis, seed, out, **flags) -> None:
     """Validation-error traces of one neuron fitted at several learning rates."""
     [trace_path] = _check_out(out, ".chi_traces.csv")
-    started = time.time()
     try:
         chi_list = [float(tok) for tok in chis.split(",") if tok.strip() != ""]
     except ValueError:
@@ -351,11 +333,11 @@ def cmd_chi_sweep(data_path, target, chis, delta, max_steps, init_std, split_a, 
         raise ConfigError("--chis must name at least one learning rate")
     d = load_csv(data_path, _resolve_target(target))
     # chi_sweep sets each rate in turn and rejects any outside (0, 2]
-    cfg = TrainConfig(delta=delta, max_steps=max_steps, init_std=init_std, split_fraction=split_a)
+    cfg = TrainConfig(**flags)
     results = harness.chi_sweep(d, chi_list, cfg, seed)
     harness.write_chi_traces(results, trace_path)
-    _write_manifest(out, {"chis": chi_list, "delta": delta},
-                    {"seed": seed}, [data_path], [trace_path], started)
+    trainer = {name: value for name, value in dataclasses.asdict(cfg).items() if name != "chi"}
+    _write_manifest(out, {"chis": chi_list, **trainer}, {"seed": seed}, [data_path], [trace_path])
     for chi in chi_list:
         res = results[chi]
         click.echo(f"chi={chi}: {res.steps_taken} steps, final rse_b {res.criterion:.6g}")

@@ -15,6 +15,7 @@ import math
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
@@ -82,14 +83,15 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_table(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
-    """Write a CSV report: ``header``, then the :func:`csv_line` of each row.
-    A float cell (``np.float64`` too) is written as ``repr(float(v))``, or
-    empty if it is NaN; any other cell as ``str(v)``."""
-    lines = [header]
-    for row in rows:
-        cells = [
-            ("" if math.isnan(v) else repr(float(v))) if isinstance(v, float) else str(v)
-            for v in row
-        ]
-        lines.append(csv_line(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a CSV report: ``header``, then each row as :func:`csv_line`
+    writes it. A float cell (``np.float64`` too) is written as
+    ``repr(float(v))``, or empty if it is NaN; any other cell as ``str(v)``."""
+    lines = [header + "\r\n"]
+    # one writer for every row, with csv_line's "\r\n" end (so a lone "\r"
+    # is quoted); it writes each row in one call, and each end becomes "\n"
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerows(
+        [("" if math.isnan(v) else repr(float(v))) if isinstance(v, float) else str(v) for v in row]
+        for row in rows
+    )
+    atomic_write_text(path, "".join(line[:-2] + "\n" for line in lines))

@@ -18,6 +18,7 @@ from ecnn import cascade, dtree, gmdh, harness
 from ecnn.cli import cli, load_any_model, replay_manifest
 from ecnn.dataset import load_csv, save_csv, synth_generate
 from ecnn.errors import NumericError
+from ecnn.projection import TrainConfig
 
 
 def _read_rows(path):
@@ -322,6 +323,73 @@ class TestTrainCommand:
         assert Path(f"{out1}.model.json").read_bytes() == Path(f"{out2}.model.json").read_bytes()
 
 
+# the options of train and compare that set no config field
+_COMMAND_OPTIONS = {"--data", "--target", "--seed", "--jobs", "--out", "--method", "--restarts", "--test-data",
+                    "--folds", "--inner-runs"}
+_CONFIGS = (TrainConfig, cascade.GrowthConfig, gmdh.GmdhConfig, dtree.DtConfig)
+
+
+class TestFamilyFlags:
+    """Each family flag is named after the config field it sets, which is
+    how the command finds it: a misnamed flag would otherwise go unread."""
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_each_flag_names_one_config_field_with_its_default(self, command):
+        fields = {}
+        for cls in _CONFIGS:
+            for f in dataclasses.fields(cls):
+                if (cls, f.name) != (cascade.GrowthConfig, "trainer"):
+                    fields.setdefault(f.name, []).append(f)
+        flags = [p for p in cli.commands[command].params if p.opts[0] not in _COMMAND_OPTIONS]
+        for param in flags:
+            assert len(fields.get(param.name, [])) == 1, f"{param.opts[0]} sets {param.name!r}"
+            assert param.default == fields[param.name][0].default, param.opts[0]
+        assert sorted(param.name for param in flags) == sorted(fields)
+
+    @pytest.mark.parametrize("method,flags,cfg", [
+        ("ecnn", ["--chi", "1.7", "--delta", "0.002", "--epsilon", "0.01", "--init-std", "0.2",
+                  "--split-a", "0.4", "--max-steps", "300", "--candidate-restarts", "2",
+                  "--max-failed-attempts", "3"],
+         cascade.GrowthConfig(trainer=TrainConfig(chi=1.7, delta=0.002, epsilon=0.01, max_steps=300, init_std=0.2,
+                                                  split_fraction=0.4),
+                              max_failed_attempts=3, restarts_per_candidate=2)),
+        ("gmdh", ["--offspring", "40", "--max-failures", "3", "--subsample", "0.8"],
+         gmdh.GmdhConfig(offspring_per_generation=40, max_serial_failures=3, fit_subsample=0.8)),
+        ("dt", ["--ns", "10", "--pmin", "0.1"], dtree.DtConfig(n_s=10, p_min=0.1)),
+    ])
+    def test_every_flag_reaches_its_field_and_replays(self, runner, tmp_path, method, flags, cfg):
+        for part in [cfg] + ([cfg.trainer] if method == "ecnn" else []):
+            for f in dataclasses.fields(part):
+                assert f.name == "trainer" or getattr(part, f.name) != f.default, f"{f.name} is at its default"
+        data = _make_data(tmp_path)
+        out = tmp_path / method
+        result = _invoke(runner, ["train", "--data", str(data), "--method", method, "--restarts", "2",
+                                  "--out", str(out)] + flags)
+        assert result.exit_code == 0, result.output
+        _assert_manifest_config(json.loads(Path(f"{out}.manifest.json").read_text()), cfg, method, 2, 0)
+        model = Path(f"{out}.model.json")
+        model_bytes = model.read_bytes()
+        model.unlink()
+        assert replay_manifest(f"{out}.manifest.json") == 0
+        assert model.read_bytes() == model_bytes
+
+    def test_chi_sweep_trainer_flags_reach_the_config_and_replay(self, runner, tmp_path):
+        data = _make_data(tmp_path, n=60, m=4)
+        out = tmp_path / "sweep"
+        result = _invoke(runner, ["chi-sweep", "--data", str(data), "--chis", "1.5,1.9", "--delta", "0.002",
+                                  "--max-steps", "50", "--init-std", "0.2", "--split-a", "0.4", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        trainer = dataclasses.asdict(TrainConfig(delta=0.002, max_steps=50, init_std=0.2, split_fraction=0.4))
+        del trainer["chi"]
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"] == {"chis": [1.5, 1.9], **trainer}
+        traces = Path(f"{out}.chi_traces.csv")
+        trace_bytes = traces.read_bytes()
+        traces.unlink()
+        assert replay_manifest(f"{out}.manifest.json") == 0
+        assert traces.read_bytes() == trace_bytes
+
+
 class TestEvaluateCommand:
     def test_matches_manifest_train_error(self, runner, tmp_path):
         data = _make_data(tmp_path)
@@ -552,6 +620,12 @@ class TestCompareCommand:
         assert {r["method"] for r in rows} == {"ecnn", "gmdh", "dt"}
         assert _invoke(runner, args + ["--out", str(out2)]).exit_code == 0
         assert Path(f"{out1}.cv_report.csv").read_bytes() == Path(f"{out2}.cv_report.csv").read_bytes()
+        manifest = json.loads(Path(f"{out1}.manifest.json").read_text())
+        assert manifest["config"] == {"folds": 3, "inner_runs": 2, "methods": {
+            "ecnn": dataclasses.asdict(cascade.GrowthConfig()),
+            "gmdh": dataclasses.asdict(gmdh.GmdhConfig(25, 2, 1.0)),
+            "dt": dataclasses.asdict(dtree.DtConfig()),
+        }}
 
     @pytest.mark.parametrize("flags", [["--chi", "0"], ["--subsample", "0"], ["--pmin", "1"]],
                              ids=["chi", "subsample", "pmin"])
