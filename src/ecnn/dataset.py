@@ -7,6 +7,7 @@ call from parallel workers.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -224,18 +225,19 @@ def load_csv(path: str | Path, target_column: str | int) -> Dataset:
 def _load_table(path: Path, target_column: str | int) -> Dataset:
     """The dataset parsed as rows of JSON numbers, a chunk of lines at a
     time. Raises if anything in the file is off, without saying where."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        first_row = next((row for row in csv.reader(fh) if row), [])
+    with open(path, "rb") as fh:
+        start = fh.seek(3 if fh.read(3) == codecs.BOM_UTF8 else 0)
+        # csv.reader reads only the lines the first row spans
+        first_row = next((row for row in csv.reader(line.decode() for line in fh) if row), [])
         header = _header(first_row)
         width = len(first_row)
         target_idx = _target_index(target_column, header, width, path)
         if header is None:
-            fh.seek(0)
-        # np.concatenate refuses a block of another width than the first row's
+            fh.seek(start)
         blocks = [np.empty((0, width))]
-        while text := fh.read(_CHUNK_BYTES):
+        while chunk := fh.read(_CHUNK_BYTES):
             # the chunk runs on to the end of the line it stops in
-            blocks.append(_number_rows(text + fh.readline(), width))
+            blocks.append(_number_rows(chunk + fh.readline(), width, target_idx))
     table = np.concatenate(blocks)
     if len(table) == 0 or not np.all(np.isin(table[:, target_idx], (0.0, 1.0))):
         raise ValueError("no body, or a target outside {0,1}")
@@ -244,20 +246,27 @@ def _load_table(path: Path, target_column: str | int) -> Dataset:
     return Dataset(x, y, _feature_names(header, width, target_idx))
 
 
-def _number_rows(text: str, width: int) -> np.ndarray:
-    """Whole lines of comma-separated JSON numbers as a float64 block,
-    blank lines skipped. Raises ValueError for anything else, which
-    ``float`` may still read: a quoted cell, ``+1``, ``.5``, ``1.``, white
-    space other than spaces and tabs, or ``-0``, which JSON reads as 0."""
-    chunk = text.encode("ascii")
+def _number_rows(chunk: bytes, width: int, target_idx: int) -> np.ndarray:
+    """Whole lines of ``width`` comma-separated JSON numbers as a float64
+    block, blank lines skipped. Raises ValueError for anything else, which
+    the row loop may still read: a quoted cell, ``+1``, ``.5``, ``1.``, white
+    space other than spaces and tabs, a lone ``\\r``, or a feature ``-0``."""
+    chunk = chunk.replace(b"\r\n", b"\n") if b"\r" in chunk else chunk
     # checked before the brackets go in: a line "1,2,0],[3,4,1" is not two
-    # rows (the -0 test takes an exponent e-0 to the row loop too)
-    if chunk.translate(None, b"0123456789+-.eE, \t\r\n") or re.search(rb"-0(?![0-9.eE])", chunk):
+    # rows, and JSON would take a lone \r for white space
+    if chunk.translate(None, b"0123456789+-.eE, \t\n"):
         raise ValueError("cells that are not plain JSON numbers")
-    rows = [line for line in chunk.splitlines() if line]
-    if not rows:
-        return np.empty((0, width))
-    return np.array(orjson.loads(b"[[" + b"],[".join(rows) + b"]]"), dtype=np.float64)
+    rows = orjson.loads(b"[[%s]]" % chunk.strip(b"\n").replace(b"\n", b"],["))
+    # an empty row is a blank line, or a line of spaces and tabs: one cell to csv
+    if not all(rows) and not re.search(rb"^[ \t]+$", chunk, re.MULTILINE):
+        rows = [row for row in rows if row]
+    block = np.array(rows or np.empty((0, width)), dtype=np.float64)
+    if block.shape[1] != width:
+        raise ValueError(f"rows of {block.shape[1]} cells, expected {width}")
+    # JSON reads an integer -0 as 0, so only a feature parsed to 0 can have lost its sign
+    if (block == 0).sum() > (block[:, target_idx] == 0).sum() and re.search(rb"-0(?![0-9.eE])", chunk):
+        raise ValueError("a feature cell -0")
+    return block
 
 
 def _load_rows(path: Path, target_column: str | int) -> Dataset:

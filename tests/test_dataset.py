@@ -259,7 +259,7 @@ def _csv_files(draw):
 
 
 class TestNamesNeedingQuotes:
-    def test_save_csv_round_trip(self, tmp_path):
+    def test_save_csv_round_trip(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(3)
         names = ['a,b', 'c', 'd"e', "f\rg", "h\ni"]
         d = Dataset(rng.normal(size=(6, 5)), np.array([0, 1] * 3), names)
@@ -269,6 +269,8 @@ class TestNamesNeedingQuotes:
             rows = list(csv.reader(fh))
         assert rows[0] == [*names, "target"]
         assert all(len(row) == 6 for row in rows)
+        # a quoted header, even one spanning two lines, keeps the file on the table path
+        _no_row_loop(monkeypatch)
         back = load_csv(path, "target")
         assert back.feature_names == names
         np.testing.assert_array_equal(back.x, d.x)
@@ -429,6 +431,34 @@ class TestSaveCsvBytes:
         assert load_csv(tmp_path / "task.csv", "target").n == 300
 
 
+class TestTablePath:
+    """Files that load without the row loop, to the reference loader's
+    bits. A file whose lines end in a lone \\r takes the row loop, which
+    reads it to the same arrays."""
+
+    @pytest.mark.parametrize("chunk", [1, 64, dataset._CHUNK_BYTES])
+    @pytest.mark.parametrize("bom, text, target", [
+        ("", "a,b,target\r\n1.5,-2,0\r\n3,4e-3,1\r\n", "target"),
+        ("\ufeff", "a,b,target\n1.5,-2,0\n3,4e-3,1\n", "target"),
+        ("", "a,b,target\n\n1.5,-2,0\n\n\n3,4e-3,1\n\n\n", "target"),
+        ("", "a,b,target\r\n\r\n1.5,-2,0\r\n\r\n3,4e-3,1\r\n\r\n", "target"),
+        ("", "1.5,-2,0\n3,4e-3,1\n", 2),
+        ("\ufeff", "\r\n1.5,-2,0\r\n\r\n3,4e-3,1", 2),
+        ("", "a,b,target\n1.5,-2,-0\n3,4e-3,1\n7,8,-0.0\n", "target"),
+    ], ids=["crlf", "bom", "blank-lines", "crlf-blank-lines", "no-header", "bom-crlf-no-header", "target-minus-zero"])
+    def test_same_bits_as_reference(self, tmp_path, monkeypatch, chunk, bom, text, target):
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk)
+        # the reference loader does not drop a byte-order mark, so it reads the file without one
+        reference = tmp_path / "reference.csv"
+        reference.write_bytes(text.encode("ascii"))
+        path = tmp_path / "data.csv"
+        path.write_bytes((bom + text).encode("utf-8"))
+        expected = _outcome(_reference_load_csv, reference, target)
+        assert expected[0] != "DataError"
+        _no_row_loop(monkeypatch)
+        assert _outcome(load_csv, path, target) == expected
+
+
 class TestAtomicWriter:
     def test_error_leaves_the_old_file_and_no_temp_file(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -458,6 +488,16 @@ class TestJsonNumberRows:
         ("a,b,target\n1,2,0\n3,4,1e400\n", "target"),
         ("a,b,target\n1,2,NaN\n", "target"),
         ("a,b,target\n1,2,0\n3,4,Infinity\n", "target"),
+        # a -0 in a later chunk than an exact 0, at every chunk size but the largest
+        ("a,b,target\n0,1,0\n" + "1.25,2.5,1\n" * 8 + "2,-0,1\n", "target"),
+        # zeros that JSON reads with their sign, and no integer -0
+        ("a,b,target\n0,-0.0,1\n-0.0,0,0\n3,-0e0,1\n", "target"),
+        # JSON takes a lone \r for white space, so these lines would parse as 3 cells
+        ("a,b,target\r\n1,\r2,0\r\n3,4,1\r\n", "target"),
+        ("a,b,target\n1,2,\r0\n", "target"),
+        # every row one cell short, the target in the column that is missing
+        ("a,b,c,target\n1,2,0\n3,4,1\n", "target"),
+        ("1,2,3,0\n1,2,0\n3,4,1\n", 3),
     ])
     def test_same_outcome_as_reference(self, tmp_path, monkeypatch, chunk, text, target):
         monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk)
