@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, NormParams, fit_normalize, split
 from .errors import ConfigError, DataError
-from .model import FORMAT_VERSION, Model, require
+from .model import Model, require
 from .projection import TrainConfig, fit_neuron, sigmoid
 from .util import derive_rng, derive_seed
 
@@ -125,7 +125,6 @@ class CascadeModel(Model):
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": FORMAT_VERSION,
             "base_feature": self.base_feature,
             "feature_names": list(self.feature_names),
             "norm": self.norm.to_dict(),

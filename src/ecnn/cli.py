@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -29,7 +28,7 @@ from .dataset import Dataset, load_csv, save_csv, synth_generate
 from .errors import ConfigError, DataError, NumericError
 from .model import read_json_doc
 from .projection import TrainConfig
-from .util import atomic_write_text, sha256_file
+from .util import atomic_write_text, json_text
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -37,10 +36,12 @@ EXIT_NUMERIC = 4
 
 
 def _handles_errors(fn):
-    """Map each typed error to its exit code; the manifest's clock starts here."""
+    """Map each typed error to its exit code; the manifest's clock starts
+    here, and so does its ``input_hashes``, which the readers fill with
+    the sha256 of each input file parsed, by the path it was given as."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        click.get_current_context().meta["started"] = time.time()
+        click.get_current_context().meta.update(started=time.time(), input_hashes={})
         try:
             return fn(*args, **kwargs)
         except ConfigError as exc:
@@ -72,25 +73,25 @@ def _write_manifest(
     out_prefix: str,
     config: dict,
     seeds: dict,
-    input_paths: list[str | Path],
     artifacts: list[Path],
     results: dict | None = None,
 ) -> Path:
     argv = _argv()
+    meta = click.get_current_context().meta
     manifest = {
         "format_version": 1,
         "command": argv[0],
         "argv": argv,
         "config": config,
         "seeds": seeds,
-        "input_hashes": {str(p): sha256_file(p) for p in input_paths},
+        "input_hashes": meta["input_hashes"],
         "artifacts": [str(p) for p in artifacts],
-        "wall_clock_s": time.time() - click.get_current_context().meta["started"],
+        "wall_clock_s": time.time() - meta["started"],
     }
     if results is not None:
         manifest["results"] = results
     path = Path(f"{out_prefix}.manifest.json")
-    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(path, json_text(manifest))
     return path
 
 
@@ -115,17 +116,20 @@ def _check_out(out: str, *suffixes: str) -> list[Path]:
     return [Path(out + suffix) for suffix in suffixes]
 
 
-def _resolve_target(target: str) -> str | int:
+def _load_data(path: str, target: str) -> Dataset:
+    """The dataset in ``path``, its target column named by ``target`` or,
+    if that is an integer, numbered by it."""
     try:
-        return int(target)
+        column: str | int = int(target)
     except ValueError:
-        return target
+        column = target
+    return load_csv(path, column, click.get_current_context().meta["input_hashes"])
 
 
-def load_any_model(path: str | Path):
+def load_any_model(path: str | Path, hashes: dict[str, str] | None = None):
     """Load a saved model, telling its family by a key only that family
-    writes; returns (kind, model)."""
-    doc = read_json_doc(path)
+    writes; returns (kind, model). ``hashes`` is ``read_json_doc``'s."""
+    doc = read_json_doc(path, hashes=hashes)
     for key, kind, model_cls in (
         ("base_feature", "ecnn", cascade.CascadeModel),
         ("output_id", "gmdh", gmdh.GmdhModel),
@@ -138,13 +142,11 @@ def load_any_model(path: str | Path):
 
 def _metrics(model, d: Dataset, threshold: float) -> dict:
     _, cls = model.predict_batch(d.x, threshold)
-    tp = int(np.sum((cls == 1) & (d.y == 1)))
-    tn = int(np.sum((cls == 0) & (d.y == 0)))
-    fp = int(np.sum((cls == 1) & (d.y == 0)))
-    fn = int(np.sum((cls == 0) & (d.y == 1)))
+    # rows by (label, class): 2 * label + class counts tn, fp, fn, tp
+    tn, fp, fn, tp = np.bincount(2 * d.y + cls, minlength=4).tolist()
     return {
         "n": d.n,
-        "error_rate": float(np.mean(cls != d.y)),
+        "error_rate": (fp + fn) / d.n,
         "confusion": {"tp": tp, "tn": tn, "fp": fp, "fn": fn},
     }
 
@@ -210,7 +212,7 @@ def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
     _write_manifest(
         out,
         {"n": n, "m": m, "relevant": relevant_idx, "noise_std": noise_std, "flip": flip},
-        {"seed": seed}, [], [csv_path, truth_path],
+        {"seed": seed}, [csv_path, truth_path],
     )
     click.echo(f"wrote {csv_path} and {truth_path}")
 
@@ -240,8 +242,8 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
     """Train a classifier and save the best model plus a run manifest."""
     reports = [f".{name}.csv" for name in harness.RESTART_REPORTS] if restarts > 1 else []
     model_path = _check_out(out, ".model.json", *reports)[0]
-    d = load_csv(data_path, _resolve_target(target))
-    d_test = load_csv(test_data, _resolve_target(target)) if test_data else None
+    d = _load_data(data_path, target)
+    d_test = _load_data(test_data, target) if test_data else None
     adapter, cfg_dict = _build_adapter(method, flags)
     report = harness.multi_restart(adapter, d, d_test, restarts, seed, jobs=jobs)
     best = report.best
@@ -263,7 +265,6 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
         out,
         {"method": method, "restarts": restarts, **cfg_dict},
         {"seed": seed, "run_seeds": [r.seed for r in report.records]},
-        [data_path] + ([test_data] if test_data else []),
         artifacts,
         results,
     )
@@ -281,15 +282,15 @@ def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
     metrics_path = None if out is None else _check_out(out, ".metrics.json")[0]
     if not math.isfinite(threshold):
         raise ConfigError(f"--threshold must be finite, got {threshold}")
-    kind, model = load_any_model(model_path)
-    d = load_csv(data_path, _resolve_target(target))
+    kind, model = load_any_model(model_path, click.get_current_context().meta["input_hashes"])
+    d = _load_data(data_path, target)
     metrics = _metrics(model, d, threshold)
     metrics["method"] = kind
-    text = json.dumps(metrics, indent=2)
-    click.echo(text)
+    text = json_text(metrics)
+    click.echo(text, nl=False)
     if metrics_path is not None:
-        atomic_write_text(metrics_path, text + "\n")
-        _write_manifest(out, {"threshold": threshold}, {}, [model_path, data_path], [metrics_path])
+        atomic_write_text(metrics_path, text)
+        _write_manifest(out, {"threshold": threshold}, {}, [metrics_path])
 
 
 @cli.command("compare")
@@ -301,13 +302,13 @@ def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:
 def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **flags) -> None:
     """Cross-validated comparison of the cascade model and both baselines."""
     [report_path] = _check_out(out, ".cv_report.csv")
-    d = load_csv(data_path, _resolve_target(target))
+    d = _load_data(data_path, target)
     built = {method: _build_adapter(method, flags) for method in ("ecnn", "gmdh", "dt")}
     reports = [harness.kfold(d, folds, adapter, inner_runs, seed, jobs=jobs) for adapter, _ in built.values()]
     harness.write_cv_report(reports, report_path)
     methods = {method: cfg_dict for method, (_, cfg_dict) in built.items()}
     _write_manifest(out, {"folds": folds, "inner_runs": inner_runs, "methods": methods},
-                    {"seed": seed}, [data_path], [report_path])
+                    {"seed": seed}, [report_path])
     for rep in reports:
         click.echo(
             f"{rep.method}: mean performance {rep.mean_performance:.4f} "
@@ -331,13 +332,13 @@ def cmd_chi_sweep(data_path, target, chis, seed, out, **flags) -> None:
         raise ConfigError(f"--chis must be comma-separated numbers, got {chis!r}")
     if not chi_list:
         raise ConfigError("--chis must name at least one learning rate")
-    d = load_csv(data_path, _resolve_target(target))
+    d = _load_data(data_path, target)
     # chi_sweep sets each rate in turn and rejects any outside (0, 2]
     cfg = TrainConfig(**flags)
     results = harness.chi_sweep(d, chi_list, cfg, seed)
     harness.write_chi_traces(results, trace_path)
     trainer = {name: value for name, value in dataclasses.asdict(cfg).items() if name != "chi"}
-    _write_manifest(out, {"chis": chi_list, **trainer}, {"seed": seed}, [data_path], [trace_path])
+    _write_manifest(out, {"chis": chi_list, **trainer}, {"seed": seed}, [trace_path])
     for chi in chi_list:
         res = results[chi]
         click.echo(f"chi={chi}: {res.steps_taken} steps, final rse_b {res.criterion:.6g}")

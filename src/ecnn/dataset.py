@@ -9,22 +9,23 @@ from __future__ import annotations
 
 import codecs
 import csv
-import json
+import hashlib
+import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import orjson
 
 from .errors import ConfigError, DataError
-from .util import atomic_write_text, atomic_writer, csv_line
+from .util import atomic_write_text, atomic_writer, csv_text, json_text, read_file
 
 CONSTANT_STD_EPS = 1e-12
 
 # CSV text is read and written about this many bytes at a time
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 17
 
 
 @dataclass
@@ -138,13 +139,7 @@ class SynthTruth:
     flip_count: int
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "relevant": list(self.relevant),
-            "coefficients": list(self.coefficients),
-            "seed": self.seed,
-            "flip_count": self.flip_count,
-        }
-        atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+        atomic_write_text(path, json_text(asdict(self)))
 
 
 def _is_number(cell: str) -> bool:
@@ -177,7 +172,7 @@ def _header(first_row: list[str]) -> list[str] | None:
     return [c.strip() for c in first_row]
 
 
-def _target_index(target_column: str | int, header: list[str] | None, width: int, path: Path) -> int:
+def _target_index(target_column: str | int, header: list[str] | None, width: int, path: str | Path) -> int:
     if isinstance(target_column, int):
         if not 0 <= target_column < width:
             raise DataError(f"target column index {target_column} out of range for {width} columns")
@@ -201,7 +196,7 @@ def _feature_names(header: list[str] | None, width: int, target_idx: int) -> lis
     return [f"f{k}" for k in range(width - 1)]
 
 
-def load_csv(path: str | Path, target_column: str | int) -> Dataset:
+def load_csv(path: str | Path, target_column: str | int, hashes: dict[str, str] | None = None) -> Dataset:
     """Load a comma-separated, UTF-8 dataset.
 
     The header row is optional and detected by attempting to parse the
@@ -210,34 +205,47 @@ def load_csv(path: str | Path, target_column: str | int) -> Dataset:
     skipped, cells may be double-quoted and a leading byte-order mark is
     dropped. A file whose cells are not all plain JSON numbers, or that is
     not a clean table, is read again row by row, which reads what Python's
-    ``float`` reads and names the first bad line and column.
+    ``float`` reads and names the first bad line and column. ``hashes``
+    gets the sha256 of the bytes parsed, as ``read_file`` stores it: the
+    table path reads the file once, and the row loop reads it again.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+    digest = hashlib.sha256()
     try:
-        return _load_table(path, target_column)
+        d = _load_table(path, target_column, digest)
     except (OSError, ValueError, csv.Error, DataError):
         # whatever went wrong, the row loop finds the first fault and reports it
-        return _load_rows(path, target_column)
+        return _load_rows(read_file(path, "dataset file", hashes), path, target_column)
+    if hashes is not None:
+        hashes[str(path)] = digest.hexdigest()
+    return d
 
 
-def _load_table(path: Path, target_column: str | int) -> Dataset:
+def _load_table(path: str | Path, target_column: str | int, digest) -> Dataset:
     """The dataset parsed as rows of JSON numbers, a chunk of lines at a
-    time. Raises if anything in the file is off, without saying where."""
+    time, from one forward read that adds every byte to ``digest``. Raises
+    if anything in the file is off, without saying where."""
     with open(path, "rb") as fh:
-        start = fh.seek(3 if fh.read(3) == codecs.BOM_UTF8 else 0)
+        if fh.peek(3).startswith(codecs.BOM_UTF8):
+            digest.update(fh.read(3))
+        head: list[bytes] = []
+
+        def head_lines():
+            for line in fh:
+                head.append(line)
+                yield line.decode()
+
         # csv.reader reads only the lines the first row spans
-        first_row = next((row for row in csv.reader(line.decode() for line in fh) if row), [])
+        first_row = next((row for row in csv.reader(head_lines()) if row), [])
+        digest.update(b"".join(head))
         header = _header(first_row)
         width = len(first_row)
         target_idx = _target_index(target_column, header, width, path)
-        if header is None:
-            fh.seek(start)
-        blocks = [np.empty((0, width))]
+        # without a header, the lines read so far are data
+        blocks = [np.empty((0, width)) if header is not None else _number_rows(b"".join(head), width, target_idx)]
         while chunk := fh.read(_CHUNK_BYTES):
-            # the chunk runs on to the end of the line it stops in
-            blocks.append(_number_rows(chunk + fh.readline(), width, target_idx))
+            chunk += fh.readline()  # the chunk runs on to the end of the line it stops in
+            digest.update(chunk)
+            blocks.append(_number_rows(chunk, width, target_idx))
     table = np.concatenate(blocks)
     if len(table) == 0 or not np.all(np.isin(table[:, target_idx], (0.0, 1.0))):
         raise ValueError("no body, or a target outside {0,1}")
@@ -269,15 +277,14 @@ def _number_rows(chunk: bytes, width: int, target_idx: int) -> np.ndarray:
     return block
 
 
-def _load_rows(path: Path, target_column: str | int) -> Dataset:
+def _load_rows(data: bytes, path: str | Path, target_column: str | int) -> Dataset:
     """The dataset read row by row and cell by cell, raising a DataError
     that names the first bad line and column."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            # (physical line the row ends on, row), blank lines skipped
-            rows = [(reader.line_num, row) for row in reader if row]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        reader = csv.reader(io.StringIO(data.decode("utf-8-sig"), newline=""))
+        # (physical line the row ends on, row), blank lines skipped
+        rows = [(reader.line_num, row) for row in reader if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset file {path}: {exc}") from None
     if not rows:
         raise DataError(f"dataset file is empty: {path}")
@@ -332,7 +339,7 @@ def save_csv(d: Dataset, path: str | Path) -> None:
     x = np.ascontiguousarray(d.x, dtype=np.float64)
     step = max(1, _CHUNK_BYTES // (25 * d.m + 3))  # repr takes at most 24 bytes
     with atomic_writer(path) as fh:
-        fh.write((csv_line(header) + "\n").encode("utf-8"))
+        fh.write(csv_text([header]).encode("utf-8"))
         for start in range(0, d.n, step):
             block = x[start : start + step]
             rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, DataError
-from .model import FORMAT_VERSION, Model, require
+from .model import Model, require
 from .util import derive_rng
 
 # features whose thresholds ``best_partition`` scores together; a node of
@@ -108,7 +108,6 @@ class DtModel(Model):
             }
 
         return {
-            "format_version": FORMAT_VERSION,
             "n_features": self.n_features,
             "root": encode(self.root),
         }

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import Dataset, NormParams
 from .errors import ConfigError, DataError, NumericError
-from .model import FORMAT_VERSION, Model, require
+from .model import Model, require
 from .util import derive_rng
 
 # offspring fitted, scored and accepted together; no draw depends on it
@@ -72,25 +72,24 @@ class GmdhModel(Model):
     validation ``performance[s]``. An input below ``n_features`` is that
     feature, ``n_features + t`` is the neuron in row t, and -1 marks a
     missing second input: such a neuron, as every seed neuron is, reduces
-    to ``w0 + w1*u1``.
+    to ``w0 + w1*u1``. The last row is the output neuron.
     """
 
     neurons: np.ndarray  # (k,) ids
     inputs: np.ndarray  # (k, 2)
     coeffs: np.ndarray  # (k, 4)
     performance: np.ndarray  # (k,)
-    output_id: int
     generation_log: list[tuple[int, float, int]]  # (generation, best_performance, population_size)
     norm: NormParams
     n_features: int
 
     @property
-    def _output_row(self) -> int:
-        return self.neurons.tolist().index(self.output_id)
+    def output_id(self) -> int:
+        return int(self.neurons[-1])
 
     @property
     def validation_performance(self) -> float:
-        return float(self.performance[self._output_row])
+        return float(self.performance[-1])
 
     def size(self) -> int:
         return len(self.neurons)
@@ -104,7 +103,7 @@ class GmdhModel(Model):
         values = list(xn.T)
         for (a, b), coeffs in zip(self.inputs.tolist(), self.coeffs):
             values.append(poly_forward(coeffs, values[a], values[b] if b >= 0 else None))
-        return values[self.n_features + self._output_row]
+        return values[-1]
 
     def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Raw scores and classes (score at or above ``threshold``, default
@@ -125,7 +124,6 @@ class GmdhModel(Model):
             return {"kind": "neuron", "index": ids[i - self.n_features]}
 
         return {
-            "format_version": FORMAT_VERSION,
             "neurons": [
                 {
                     "id": nid,
@@ -168,14 +166,14 @@ class GmdhModel(Model):
             rows[nid] = len(rows)
         coeffs = np.asarray([nd["coeffs"] for nd in docs], dtype=np.float64)
         require(coeffs.shape == (len(docs), 4), "coeffs must be 4-vectors")
+        ids = list(rows)
         output_id = int(d["output_id"])
-        require(output_id in rows, f"output_id {output_id} names no neuron")
+        require(ids[-1:] == [output_id], f"output_id {output_id} is not the last neuron's id")
         return cls(
-            neurons=np.array(list(rows), dtype=np.int64),
+            neurons=np.array(ids, dtype=np.int64),
             inputs=np.array(inputs, dtype=np.int64).reshape(-1, 2),
             coeffs=coeffs,
             performance=np.array([float(nd["performance"]) for nd in docs]),
-            output_id=output_id,
             generation_log=[],
             norm=NormParams.from_dict(d["norm"], n_features),
             n_features=n_features,
@@ -184,8 +182,9 @@ class GmdhModel(Model):
 
 def poly_forward(coeffs: np.ndarray, u1, u2=None):
     """Evaluate ``w0 + w1*u1 + w2*u2 + w3*u1*u2`` (terms with u2 dropped
-    when it is None)."""
-    w0, w1, w2, w3 = np.asarray(coeffs, dtype=np.float64)
+    when it is None). With (k, 4) ``coeffs``, the inputs' last axis has
+    length k, and column r is scored by ``coeffs[r]``."""
+    w0, w1, w2, w3 = np.asarray(coeffs, dtype=np.float64).T
     u1 = np.asarray(u1, dtype=np.float64)
     out = w0 + w1 * u1
     if u2 is not None:
@@ -277,7 +276,6 @@ def evolve(
         inputs=inputs,
         coeffs=coeffs[selected],
         performance=performance[selected],
-        output_id=int(selected[-1]),
         generation_log=log,
         norm=norm,
         n_features=d_train.m,
@@ -343,9 +341,10 @@ def _grow_population(
     seed neurons; seed neuron j reads feature j), its (N,) validation
     performance, and the generation log.
 
-    Every fit sees ``count`` fitting rows: the ``fit_subsample`` share,
-    drawn afresh per fit, or all of them, drawing nothing, at 1. Seed
-    neuron j draws its rows from ``derive_rng(base, "seed-fit", j)``.
+    Every fit sees ``count`` fitting rows, gathered by row number: the
+    ``fit_subsample`` share, drawn afresh per fit, or all of them in order,
+    drawing nothing, at 1. Seed neuron j draws its rows from
+    ``derive_rng(base, "seed-fit", j)``.
     Generation g draws from one stream, ``derive_rng(base, "generation",
     g)``: first the K ordered pairs of distinct parents, ``i`` uniform and
     ``(i + U{1..P-1}) mod P``, then one row of random keys per offspring,
@@ -365,28 +364,23 @@ def _grow_population(
     reservation nor a growth changes any byte either.
     """
     yt = d_train.y.astype(np.float64)
-    yv = d_valid.y
-    yv_true = yv == 1
-    q = d_train.n
+    yv_true = d_valid.y == 1
+    q, size = d_train.n, d_train.m
     count = q if cfg.fit_subsample >= 1.0 else int(round(cfg.fit_subsample * q))
     if count < 4:
         raise DataError(f"subsample of {count} rows is too small; need at least 4")
+    every_row = np.arange(q)
     x = np.concatenate([d_train.x, d_valid.x])
     fit_cols, valid_cols = slice(0, q), slice(q, None)
     width = len(x)
-    outs = np.empty((max(1, _RESERVE_BYTES // (8 * width)), width))
-    coeff_blocks, seed_perf = [], []
-    for j in range(d_train.m):
-        rng = derive_rng(base_seed, "seed-fit", j)
-        rows = rng.choice(q, size=count, replace=False) if count < q else slice(None)
-        coeffs = fit_ls(d_train.x[rows, j], None, yt[rows])
-        outs = _with_room(outs, j, 1)
-        outs[j] = poly_forward(coeffs, x[:, j])
-        coeff_blocks.append(coeffs[None])
-        seed_perf.append(np.count_nonzero((outs[j, q:] >= 0.5) == yv_true) / len(yv))
-    parent_blocks = [np.full((d_train.m, 2), -1)]
-    performance = np.array(seed_perf)
-    size = d_train.m
+    seed_coeffs = np.empty((size, 4))
+    for j in range(size):
+        rows = every_row if count == q else derive_rng(base_seed, "seed-fit", j).choice(q, count, replace=False)
+        seed_coeffs[j] = fit_ls(d_train.x[rows, j], None, yt[rows])
+    outs = np.empty((max(size, _RESERVE_BYTES // (8 * width)), width))
+    outs[:size] = poly_forward(seed_coeffs, x).T
+    coeff_blocks, parent_blocks = [seed_coeffs], [np.full((size, 2), -1)]
+    performance = np.count_nonzero((outs[:size, valid_cols] >= 0.5) == yv_true, axis=1) / len(yv_true)
 
     k = cfg.offspring_per_generation
     best_perf = float(performance.max())
@@ -402,15 +396,14 @@ def _grow_population(
         accepted = []
         for start in range(0, k, _BLOCK):
             pairs = np.stack([first[start : start + _BLOCK], second[start : start + _BLOCK]])
-            if count < q:
-                rows = np.argpartition(rng.random((pairs.shape[1], q)), count - 1, axis=1)[:, :count]
-                u1, u2 = outs.take((pairs * width)[..., None] + rows)
-                w = fit_ls_batch(u1, u2, yt[rows])
+            if count == q:
+                rows = every_row
             else:
-                u1, u2 = outs[pairs, fit_cols]
-                w = fit_ls_batch(u1, u2, yt)
+                rows = np.argpartition(rng.random((pairs.shape[1], q)), count - 1, axis=1)[:, :count]
+            u1, u2 = outs.take((pairs * width)[..., None] + rows)
+            w = fit_ls_batch(u1, u2, yt[rows])
             out_valid = _forward_rows(w, *outs[pairs, valid_cols])
-            perf = np.count_nonzero((out_valid >= 0.5) == yv_true, axis=1) / len(yv)
+            perf = np.count_nonzero((out_valid >= 0.5) == yv_true, axis=1) / len(yv_true)
             t = np.flatnonzero(perf > beaten[start : start + _BLOCK])
             if t.size:
                 new = slice(size, size + t.size)

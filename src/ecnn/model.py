@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError
-from .util import atomic_write_text
+from .errors import DataError
+from .util import atomic_write_text, json_text, read_file
 
 FORMAT_VERSION = 1
 
@@ -33,19 +33,16 @@ def _no_constant(name: str) -> float:
     raise ValueError(f"{name} is not a finite number")
 
 
-def read_json_doc(path: str | Path, kind: str = "model file") -> dict:
+def read_json_doc(path: str | Path, kind: str = "model file", hashes: dict[str, str] | None = None) -> dict:
     """The JSON object stored in a file; a missing or unreadable file, one
     holding anything else, one nested too deeply to parse, or one with a
     number that is not finite (``NaN``, ``Infinity`` or a literal like
-    ``1e999``) is a DataError that names the ``kind`` of file."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"{kind} not found: {path}")
+    ``1e999``) is a DataError that names the ``kind`` of file. ``hashes``
+    gets the sha256 of the bytes parsed, as ``read_file`` stores it."""
+    data = read_file(path, kind, hashes)
     try:
-        doc = json.loads(
-            path.read_text(encoding="utf-8"), parse_float=_finite_float, parse_constant=_no_constant
-        )
-    except (OSError, ValueError, RecursionError) as exc:
+        doc = json.loads(data.decode("utf-8"), parse_float=_finite_float, parse_constant=_no_constant)
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"cannot read {kind} {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path} does not hold a JSON object")
@@ -78,12 +75,9 @@ class Model:
         return float(np.mean(cls != d.y))
 
     def to_json(self) -> str:
-        """The model document; a number that is not finite, which
-        ``read_json_doc`` would refuse, is a NumericError."""
-        try:
-            return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
-        except ValueError as exc:
-            raise NumericError(f"model holds a number that is not finite: {exc}") from None
+        """The model document, its ``format_version`` first; a number that is
+        not finite is a NumericError."""
+        return json_text({"format_version": FORMAT_VERSION, **self.to_json_dict()})
 
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, self.to_json())

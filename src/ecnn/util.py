@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
-import io
+import json
 import math
 import os
 import tempfile
@@ -19,6 +19,8 @@ from types import SimpleNamespace
 from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
+
+from .errors import DataError, NumericError
 
 
 def derive_seed(base: int, *names: object) -> int:
@@ -40,22 +42,29 @@ def derive_rng(base: int, *names: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(base, *names))
 
 
-def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def read_file(path: str | Path, kind: str, hashes: dict[str, str] | None = None) -> bytes:
+    """The bytes of an input file; a missing or unreadable file is a
+    DataError that names the ``kind`` of file. If ``hashes`` is given, the
+    sha256 of the bytes returned is stored in it under ``str(path)``."""
+    if not os.path.exists(path):
+        raise DataError(f"{kind} not found: {path}")
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {kind} {path}: {exc}") from None
+    if hashes is not None:
+        hashes[str(path)] = hashlib.sha256(data).hexdigest()
+    return data
 
 
-def csv_line(cells: list) -> str:
-    """One CSV line, without its line end: cells holding a comma, a double
-    quote or a line break are quoted, and every other cell is written as is.
-    The writer quotes the characters of its line end, so that end is
-    ``\\r\\n``: a cell holding a lone ``\\r`` is quoted too."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\r\n").writerow(cells)
-    return out.getvalue()[:-2]
+def json_text(doc: dict) -> str:
+    """The text of every JSON file the program writes: ``doc`` indented by
+    2, and a final newline. A number that is not finite, which the readers
+    of these files refuse, is a NumericError."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"cannot write a number that is not finite: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -82,16 +91,22 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def write_table(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
-    """Write a CSV report: ``header``, then each row as :func:`csv_line`
-    writes it. A float cell (``np.float64`` too) is written as
-    ``repr(float(v))``, or empty if it is NaN; any other cell as ``str(v)``."""
-    lines = [header + "\r\n"]
-    # one writer for every row, with csv_line's "\r\n" end (so a lone "\r"
-    # is quoted); it writes each row in one call, and each end becomes "\n"
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """CSV lines, each ending in ``\\n``. A float cell (``np.float64`` too)
+    is written as ``repr(float(v))``, or empty if it is NaN; any other cell
+    as ``str(v)``. Cells holding a comma, a double quote or a line break
+    are quoted, and every other cell is written as is."""
+    lines: list[str] = []
+    # the writer quotes the characters of its line end, so with "\r\n" it
+    # quotes a lone "\r" too; it writes each row in one call
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerows(
         [("" if math.isnan(v) else repr(float(v))) if isinstance(v, float) else str(v) for v in row]
         for row in rows
     )
-    atomic_write_text(path, "".join(line[:-2] + "\n" for line in lines))
+    return "".join(line[:-2] + "\n" for line in lines)
+
+
+def write_table(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
+    """Write a CSV report: the line ``header``, then ``csv_text(rows)``."""
+    atomic_write_text(path, header + "\n" + csv_text(rows))

@@ -7,10 +7,13 @@ read back, a cascade candidate's inputs found by running the whole
 cascade, a GMDH neuron's ancestors found by walking its parent links, the
 information gain of one split, one threshold draw of the tree, the tree's
 split search one feature at a time, the cross-validation summary
-recomputed from its folds, and the report tables joined by hand."""
+recomputed from its folds, and the report tables joined by hand, with
+a CSV line writer of their own."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from collections import Counter
@@ -22,7 +25,6 @@ from ecnn.dataset import NormParams, SynthTruth
 from ecnn.dtree import _entropy_per_split, entropy
 from ecnn.errors import DataError, NumericError
 from ecnn.projection import sigmoid
-from ecnn.util import csv_line
 
 
 def neuron_forward(u, w, bias: float = 0.0):
@@ -225,6 +227,16 @@ def recompute(report) -> tuple[float, float]:
 
 def _fmt(v: float) -> str:
     return "" if (isinstance(v, float) and math.isnan(v)) else repr(float(v))
+
+
+def csv_line(cells: list) -> str:
+    """One CSV line, without its line end: cells holding a comma, a double
+    quote or a line break are quoted, and every other cell is written as is.
+    The writer quotes the characters of its line end, so that end is
+    ``\\r\\n``: a cell holding a lone ``\\r`` is quoted too."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)
+    return out.getvalue()[:-2]
 
 
 def restart_report_texts(report, feature_names: list[str]) -> dict[str, str]:

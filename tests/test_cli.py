@@ -1,5 +1,8 @@
+import builtins
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -15,10 +18,13 @@ from hypothesis import strategies as st
 
 import ecnn
 from ecnn import cascade, dtree, gmdh, harness
+from ecnn import cli as cli_module
 from ecnn.cli import cli, load_any_model, replay_manifest
 from ecnn.dataset import load_csv, save_csv, synth_generate
 from ecnn.errors import NumericError
+from ecnn.model import read_json_doc
 from ecnn.projection import TrainConfig
+from ecnn.util import json_text
 
 
 def _read_rows(path):
@@ -428,6 +434,36 @@ class TestEvaluateCommand:
         saved = json.loads(Path(tmp_path / "ev.metrics.json").read_text())
         assert "error_rate" in saved and "confusion" in saved
 
+    def test_manifest_hashes_the_bytes_parsed(self, runner, tmp_path, monkeypatch):
+        # each input is opened once, and a file that changes after it was
+        # parsed leaves the hash of the parsed bytes in the manifest
+        data = _make_data(tmp_path)
+        out = tmp_path / "run"
+        _invoke(runner, ["train", "--data", str(data), "--method", "dt", "--out", str(out)])
+        model = Path(f"{out}.model.json")
+        parsed = {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in (model, data)}
+        real_open, real_metrics, opened = io.open, cli_module._metrics, []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        def rewrite_then_score(*args):
+            for path in parsed:  # appended to without an open() call
+                fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+                os.write(fd, b"\n")
+                os.close(fd)
+            return real_metrics(*args)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(cli_module, "_metrics", rewrite_then_score)
+        result = _invoke(runner, ["evaluate", "--model", str(model), "--data", str(data),
+                                  "--out", str(tmp_path / "ev")])
+        assert result.exit_code == 0, result.output
+        assert sorted(path for path in opened if path in parsed) == sorted(parsed)
+        assert json.loads(Path(tmp_path / "ev.manifest.json").read_text())["input_hashes"] == parsed
+
 
 @pytest.fixture(scope="module")
 def saved_models(tmp_path_factory):
@@ -515,6 +551,8 @@ DOC_EDITS = {
     "gmdh_forward_parent": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a",
                                                      {"kind": "neuron", "index": doc["output_id"]})),
     "gmdh_missing_output": ("gmdh", lambda doc: _set(doc, "output_id", 10**6)),
+    "gmdh_output_not_last": ("gmdh", lambda doc: doc["neurons"].append(
+        {**doc["neurons"][0], "id": max(nd["id"] for nd in doc["neurons"]) + 1})),
     "gmdh_three_coeffs": ("gmdh", lambda doc: doc["neurons"][0]["coeffs"].pop()),
     "gmdh_short_std": ("gmdh", lambda doc: doc["norm"]["std"].pop()),
     "gmdh_infinite_index": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a", "index",
@@ -776,6 +814,40 @@ class TestBadOutPrefix:
         assert result.exit_code == code, result.output
         assert "Traceback" not in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_every_json_file_written_reads_back(runner, tmp_path):
+    """Truth, model, metrics and manifest files all read back through
+    read_json_doc."""
+    task = tmp_path / "task"
+    commands = [["synth", "--n", "120", "--m", "4", "--relevant", "0,2", "--seed", "1", "--out", str(task)]]
+    for method in ("ecnn", "gmdh", "dt"):
+        commands += [
+            ["train", "--data", f"{task}.csv", "--method", method, "--offspring", "30", "--max-failures", "2",
+             "--out", str(tmp_path / method)],
+            ["evaluate", "--model", str(tmp_path / f"{method}.model.json"), "--data", f"{task}.csv",
+             "--out", str(tmp_path / f"ev_{method}")],
+        ]
+    commands += [
+        ["compare", "--data", f"{task}.csv", "--folds", "2", "--inner-runs", "1", "--offspring", "30",
+         "--max-failures", "2", "--out", str(tmp_path / "cmp")],
+        ["chi-sweep", "--data", f"{task}.csv", "--chis", "1.9", "--out", str(tmp_path / "sweep")],
+    ]
+    for args in commands:
+        assert _invoke(runner, args).exit_code == 0, args
+    written = sorted(tmp_path.glob("*.json"))
+    assert [path.name for path in written] == sorted(
+        ["task.truth.json", "task.manifest.json", "cmp.manifest.json", "sweep.manifest.json",
+         *(f"{method}.{suffix}.json" for method in ("ecnn", "gmdh", "dt") for suffix in ("model", "manifest")),
+         *(f"ev_{method}.{suffix}.json" for method in ("ecnn", "gmdh", "dt") for suffix in ("metrics", "manifest"))])
+    for path in written:
+        assert read_json_doc(path, "written file") == json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_writer_refuses_a_number_that_is_not_finite(value):
+    with pytest.raises(NumericError, match="not finite"):
+        json_text({"results": {"criterion": [0.5, value]}})
 
 
 def test_utf8_files_under_an_ascii_locale(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +458,26 @@ class TestTablePath:
         assert expected[0] != "DataError"
         _no_row_loop(monkeypatch)
         assert _outcome(load_csv, path, target) == expected
+
+
+class TestLoadedBytesHash:
+    """``hashes`` gets the sha256 of the file's bytes, read once on the table
+    path and again by the row loop."""
+
+    @pytest.mark.parametrize("chunk", [1, dataset._CHUNK_BYTES])
+    @pytest.mark.parametrize("data, target", [
+        (b"a,b,target\n1.5,-2,0\n3,4e-3,1\n", "target"),
+        (b"\xef\xbb\xbf\r\n1.5,-2,0\r\n\r\n3,4e-3,1", 2),
+        (b'"a","b","target"\n"1.5","-2","0"\n"3","4e-3","1"\n', "target"),
+    ], ids=["table", "bom-no-header", "row-loop"])
+    def test_sha256_of_the_file(self, tmp_path, monkeypatch, chunk, data, target):
+        monkeypatch.setattr(dataset, "_CHUNK_BYTES", chunk)
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        hashes = {}
+        d = load_csv(str(path), target, hashes)
+        assert d.n == 2
+        assert hashes == {str(path): hashlib.sha256(data).hexdigest()}
 
 
 class TestAtomicWriter:

@@ -38,6 +38,17 @@ class TestPolyForward:
         u2 = np.array([0.0, 1.0])
         np.testing.assert_allclose(poly_forward(np.array([0, 1, 1, 1.0]), u1, u2), [1.0, 5.0])
 
+    def test_coefficient_rows_score_their_columns_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        coeffs = rng.normal(size=(6, 4))
+        u1, u2 = rng.normal(size=(2, 50, 6))
+        for args in ((u1,), (u1, u2)):
+            out = poly_forward(coeffs, *args)
+            assert out.shape == (50, 6)
+            for r in range(6):
+                single = poly_forward(coeffs[r], *(u[:, r] for u in args))
+                assert out[:, r].tobytes() == single.tobytes()
+
 
 class TestFitLs:
     def test_exact_recovery(self):
@@ -542,7 +553,7 @@ class TestPredictAndSerialize:
 
     def test_constant_neuron_always_one_class(self):
         model = GmdhModel(np.array([0]), np.array([[0, -1]]), np.array([[0.6, 0, 0, 0]]), np.array([1.0]),
-                          0, [], identity_norm(3), 3)
+                          [], identity_norm(3), 3)
         for x in (np.zeros(3), np.array([5.0, -2.0, 1.0])):
             score, cls = model.predict_batch(x)
             assert cls[0] == 1 and score[0] == 0.6
@@ -571,7 +582,7 @@ class TestPredictAndSerialize:
         # ids are names, not list positions: a file whose ids are
         # renumbered consistently, in no ascending order, is the same model
         d, model = self._small_model(seed=7)
-        doc = model.to_json_dict()
+        doc = json.loads(model.to_json())
         assert len(doc["neurons"]) > 5
         new_ids = np.random.default_rng(5).permutation(np.arange(100, 100 + 3 * len(doc["neurons"])))
         renumber = {nd["id"]: int(i) for nd, i in zip(doc["neurons"], new_ids)}
