@@ -181,7 +181,7 @@ _SHARED_OPTIONS = dict([
     _field_option("--ns", dtree.DtConfig, "n_s"),
     _field_option("--pmin", dtree.DtConfig, "p_min"),
     ("seed", click.option("--seed", type=int, default=0, show_default=True)),
-    ("jobs", click.option("--jobs", type=int, default=1, show_default=True, envvar="ECNN_JOBS")),
+    ("jobs", click.option("--jobs", type=int, default=1, show_default=True)),
 ])
 
 

@@ -317,9 +317,8 @@ def fit_ls_batch(u1: np.ndarray, u2: np.ndarray, targets: np.ndarray) -> np.ndar
     m1, m2 = m1[direct], m2[direct]
     coeffs = np.empty((k, 4))
     coeffs[direct] = np.stack([w0 - w1 * m1 - w2 * m2 + w3 * m1 * m2, w1 - w3 * m2, w2 - w3 * m1, w3], axis=1)
-    targets = np.broadcast_to(targets, u1.shape)
     for r in np.flatnonzero(~direct).tolist():
-        coeffs[r] = fit_ls(u1[r], u2[r], targets[r])
+        coeffs[r] = fit_ls(u1[r], u2[r], targets if targets.ndim == 1 else targets[r])
     return coeffs
 
 
@@ -401,7 +400,7 @@ def _grow_population(
             else:
                 rows = np.argpartition(rng.random((pairs.shape[1], q)), count - 1, axis=1)[:, :count]
             u1, u2 = outs.take((pairs * width)[..., None] + rows)
-            w = fit_ls_batch(u1, u2, yt[rows])
+            w = fit_ls_batch(u1, u2, yt.take(rows))
             out_valid = _forward_rows(w, *outs[pairs, valid_cols])
             perf = np.count_nonzero((out_valid >= 0.5) == yv_true, axis=1) / len(yv_true)
             t = np.flatnonzero(perf > beaten[start : start + _BLOCK])

@@ -33,41 +33,33 @@ VALID_FRACTION = 0.5
 
 
 @dataclass
-class Trained:
-    """A trained model with its validation criterion (lower is better)."""
-
-    model: Any
-    criterion: float
-    trace: tuple[float, ...] = ()
-
-
-@dataclass
 class MethodAdapter:
     """Handle the harness uses to drive one classifier family: its name and
-    a picklable training function. The trained model answers everything
-    else through the interface the families share (``ecnn.model``)."""
+    a picklable training function, which returns the trained model, its
+    validation criterion (lower is better) and that criterion's trace. The
+    model answers everything else through the interface the families share
+    (``ecnn.model``)."""
 
     name: str
-    train: Callable[[Dataset, int], Trained]
+    train: Callable[[Dataset, int], tuple[Any, float, tuple[float, ...]]]
 
 
-def _train_ecnn(d: Dataset, seed: int, cfg: cascade.GrowthConfig) -> Trained:
+def _train_ecnn(d: Dataset, seed: int, cfg: cascade.GrowthConfig):
     model = cascade.train(d, cfg, seed=seed)
-    return Trained(model, model.neurons[-1].criterion, model.criterion_trace())
+    return model, model.neurons[-1].criterion, model.criterion_trace()
 
 
-def _train_gmdh(d: Dataset, seed: int, cfg: gmdh.GmdhConfig) -> Trained:
+def _train_gmdh(d: Dataset, seed: int, cfg: gmdh.GmdhConfig):
     dn, norm = fit_normalize(d)
     d_fit, d_valid = split(dn, 1.0 - VALID_FRACTION, derive_seed(seed, "gmdh-split"))
     model = gmdh.evolve(d_fit, d_valid, cfg, seed=seed, norm=norm)
-    trace = tuple(best for _, best, _ in model.generation_log)
-    return Trained(model, 1.0 - model.validation_performance, trace)
+    return model, 1.0 - model.validation_performance, tuple(best for _, best, _ in model.generation_log)
 
 
-def _train_dt(d: Dataset, seed: int, cfg: dtree.DtConfig) -> Trained:
+def _train_dt(d: Dataset, seed: int, cfg: dtree.DtConfig):
     d_fit, d_valid = split(d, 1.0 - VALID_FRACTION, derive_seed(seed, "dt-split"))
     model = dtree.build(d_fit, cfg, seed=seed)
-    return Trained(model, model.error_rate(d_valid))
+    return model, model.error_rate(d_valid), ()
 
 
 def ecnn_adapter(cfg: cascade.GrowthConfig) -> MethodAdapter:
@@ -112,20 +104,19 @@ def _run_one(
 ) -> RunRecord:
     seed = derive_seed(base_seed, "restart", run)
     try:
-        trained = adapter.train(d_train, seed)
+        model, criterion, trace = adapter.train(d_train, seed)
     except (DataError, NumericError) as exc:
         return RunRecord(run=run, seed=seed, status="error", error=exc)
-    model = trained.model
     return RunRecord(
         run=run,
         seed=seed,
         status="ok",
-        criterion=trained.criterion,
+        criterion=criterion,
         train_error=model.error_rate(d_train),
         test_error=model.error_rate(d_test) if d_test is not None else math.nan,
         model_size=model.size(),
         feature_set=model.used_features(),
-        criterion_trace=trained.trace,
+        criterion_trace=trace,
         model=model,
     )
 

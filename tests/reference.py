@@ -6,9 +6,9 @@ the labels of a synthetic task's generating rule and its ``truth.json``
 read back, a cascade candidate's inputs found by running the whole
 cascade, a GMDH neuron's ancestors found by walking its parent links, the
 information gain of one split, one threshold draw of the tree, the tree's
-split search one feature at a time, the cross-validation summary
-recomputed from its folds, and the report tables joined by hand, with
-a CSV line writer of their own."""
+split search one feature at a time, one row routed down the tree node by
+node, the cross-validation summary recomputed from its folds, and the
+report tables joined by hand, with a CSV line writer of their own."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ecnn.dataset import NormParams, SynthTruth
-from ecnn.dtree import _entropy_per_split, entropy
+from ecnn.dtree import Split, _entropy_per_split, entropy
 from ecnn.errors import DataError, NumericError
 from ecnn.projection import sigmoid
 
@@ -216,6 +216,16 @@ def best_partition(x: np.ndarray, y: np.ndarray, cfg, rng: np.random.Generator) 
         if top > best_gain:
             best_feature, best_threshold, best_gain = i, thr, top
     return best_feature, best_threshold, max(best_gain, 0.0)
+
+
+def tree_walk(model, x) -> int:
+    """The leaf class of one raw input vector, found by following its
+    splits from the root; a value equal to a threshold goes left."""
+    x = np.asarray(x, dtype=np.float64)
+    node = model.root
+    while isinstance(node, Split):
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.label
 
 
 def recompute(report) -> tuple[float, float]:

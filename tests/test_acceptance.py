@@ -261,8 +261,8 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     round_trip_ok &= bool(np.max(np.abs(p1 - p2)) <= 1e-12)
 
     gm_cfg = GmdhConfig(offspring_per_generation=30, max_serial_failures=2, fit_subsample=1.0)
-    gm = harness._train_gmdh(d, 88, gm_cfg).model
-    byte_ok &= gm.to_json() == harness._train_gmdh(d, 88, gm_cfg).model.to_json()
+    gm = harness._train_gmdh(d, 88, gm_cfg)[0]
+    byte_ok &= gm.to_json() == harness._train_gmdh(d, 88, gm_cfg)[0].to_json()
     path = tmp_path / "m2.json"
     gm.save(path)
     gm_loaded = gmdh.GmdhModel.load(path)

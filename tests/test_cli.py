@@ -328,6 +328,17 @@ class TestTrainCommand:
         _invoke(runner, args + ["--out", str(out2)])
         assert Path(f"{out1}.model.json").read_bytes() == Path(f"{out2}.model.json").read_bytes()
 
+    def test_jobs_is_read_from_the_command_line_only(self, runner, tmp_path):
+        """An ``ECNN_JOBS`` in the environment neither fails a run that
+        gives no ``--jobs`` nor changes its model."""
+        data = _make_data(tmp_path)
+        args = ["train", "--data", str(data), "--method", "dt"]
+        plain, with_env = tmp_path / "plain", tmp_path / "env"
+        assert _invoke(runner, args + ["--out", str(plain)]).exit_code == 0
+        result = runner.invoke(cli, args + ["--out", str(with_env)], env={"ECNN_JOBS": "0"}, catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert Path(f"{with_env}.model.json").read_bytes() == Path(f"{plain}.model.json").read_bytes()
+
 
 # the options of train and compare that set no config field
 _COMMAND_OPTIONS = {"--data", "--target", "--seed", "--jobs", "--out", "--method", "--restarts", "--test-data",

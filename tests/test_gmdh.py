@@ -405,6 +405,9 @@ class TestFitLsBatch:
         # a batch with no well-conditioned system at all
         only = gmdh.fit_ls_batch(u1[[1, 3]], u2[[1, 3]], targets[[1, 3]])
         assert only.tobytes() == got[[1, 3]].tobytes()
+        # one target vector for every row takes the same fall-back
+        shared = gmdh.fit_ls_batch(u1, u2, targets[1])
+        assert shared.tobytes() == gmdh.fit_ls_batch(u1, u2, np.tile(targets[1], (6, 1))).tobytes()
 
     def test_non_finite_system_raises(self):
         # the product column of one basis overflows

@@ -6,8 +6,9 @@ import pytest
 
 from ecnn import cascade, dtree, gmdh, harness
 from ecnn.dataset import Dataset, synth_generate
-from ecnn.dtree import DtConfig, Split, build, dt_predict
+from ecnn.dtree import DtConfig, Split, build
 from ecnn.errors import DataError
+from reference import tree_walk
 
 
 def _train(family, seed=0):
@@ -16,7 +17,7 @@ def _train(family, seed=0):
         return d, cascade.train(d, cascade.GrowthConfig(), seed=seed)
     if family == "gmdh":
         cfg = gmdh.GmdhConfig(offspring_per_generation=30, max_serial_failures=2, fit_subsample=1.0)
-        return d, harness._train_gmdh(d, seed, cfg).model
+        return d, harness._train_gmdh(d, seed, cfg)[0]
     return d, build(d, DtConfig(), seed=seed)
 
 
@@ -68,7 +69,7 @@ class TestTreeBatchRouting:
                     probes.append(rows)
             x = np.vstack(probes)
             score, cls = model.predict_batch(x)
-            want = np.array([dt_predict(model, row) for row in x])
+            want = np.array([tree_walk(model, row) for row in x])
             np.testing.assert_array_equal(cls, want)
             np.testing.assert_array_equal(score, want.astype(np.float64))
 
