@@ -49,7 +49,7 @@ _MIN_SCALED_DET = 1e-8
 @dataclass
 class GmdhConfig:
     offspring_per_generation: int = 500
-    max_serial_failures: int = 5
+    max_serial_failures: int = 3  # flat generations that end a run; 5 ran 45% longer, no better
     fit_subsample: float = 0.5
 
     def __post_init__(self) -> None:

@@ -156,6 +156,11 @@ def multi_restart(
     return RestartReport(records, best.run)
 
 
+def _features_cell(r: RunRecord) -> str:
+    """A run's features as a report cell: ascending indices, ``;``-joined."""
+    return ";".join(str(j) for j in sorted(r.feature_set))
+
+
 def write_restart_reports(
     report: RestartReport, prefix: str | Path, feature_names: list[str]
 ) -> dict[str, Path]:
@@ -170,8 +175,8 @@ def write_restart_reports(
     write_table(paths["restart_report"],
                 "run,seed,status,criterion,train_error,test_error,model_size,features,criterion_trace",
                 ([r.run, r.seed, r.status, r.criterion, r.train_error, r.test_error, r.model_size,
-                  ";".join(str(j) for j in sorted(r.feature_set)),
-                  ";".join(repr(float(v)) for v in r.criterion_trace)] for r in report.records))
+                  _features_cell(r), ";".join(repr(float(v)) for v in r.criterion_trace)]
+                 for r in report.records))
     ok = [r for r in report.records if r.status == "ok"]
     freq = Counter(j for r in ok for j in r.feature_set)
     write_table(paths["feature_freq"], "feature,name,count",
@@ -237,11 +242,13 @@ def kfold(
 
 
 def write_cv_report(reports: list[CvReport], path: str | Path) -> None:
-    """One row per method per fold, with the method-level summary repeated."""
+    """One row per method per fold, with the method-level summary repeated;
+    ``model_size`` and ``features`` describe the fold's best run."""
     write_table(
         path,
-        "method,fold,performance,test_error,best_seed,mean_performance,variance_performance",
-        ([rep.method, f, perf, r.test_error, r.seed, rep.mean_performance, rep.variance_performance]
+        "method,fold,performance,test_error,best_seed,mean_performance,variance_performance,model_size,features",
+        ([rep.method, f, perf, r.test_error, r.seed, rep.mean_performance, rep.variance_performance,
+          r.model_size, _features_cell(r)]
          for rep in reports for f, (r, perf) in enumerate(zip(rep.folds, rep.performances))),
     )
 

@@ -279,14 +279,17 @@ def restart_report_texts(report, feature_names: list[str]) -> dict[str, str]:
 def cv_report_text(reports) -> str:
     """``cv_report.csv`` as a hand-joined writer formats it: one row per
     method per fold, performance = 1 - that fold's test error, the summary
-    repeated on each row; the byte reference for ``write_cv_report``."""
-    rows = ["method,fold,performance,test_error,best_seed,mean_performance,variance_performance"]
+    repeated on each row, then the best run's size and its features,
+    ascending and ``;``-joined; the byte reference for ``write_cv_report``."""
+    rows = ["method,fold,performance,test_error,best_seed,mean_performance,variance_performance,"
+            "model_size,features"]
     for rep in reports:
         mean, var = recompute(rep)
         for fold, best in enumerate(rep.folds):
+            feats = ";".join(str(j) for j in sorted(best.feature_set))
             rows.append(
                 f"{rep.method},{fold},{repr(1.0 - best.test_error)},{repr(best.test_error)},"
-                f"{best.seed},{repr(mean)},{repr(var)}"
+                f"{best.seed},{repr(mean)},{repr(var)},{best.model_size},{feats}"
             )
     return "\n".join(rows) + "\n"
 

@@ -370,8 +370,8 @@ class TestFamilyFlags:
          cascade.GrowthConfig(trainer=TrainConfig(chi=1.7, delta=0.002, epsilon=0.01, max_steps=300, init_std=0.2,
                                                   split_fraction=0.4),
                               max_failed_attempts=3, restarts_per_candidate=2)),
-        ("gmdh", ["--offspring", "40", "--max-failures", "3", "--subsample", "0.8"],
-         gmdh.GmdhConfig(offspring_per_generation=40, max_serial_failures=3, fit_subsample=0.8)),
+        ("gmdh", ["--offspring", "40", "--max-failures", "2", "--subsample", "0.8"],
+         gmdh.GmdhConfig(offspring_per_generation=40, max_serial_failures=2, fit_subsample=0.8)),
         ("dt", ["--ns", "10", "--pmin", "0.1"], dtree.DtConfig(n_s=10, p_min=0.1)),
     ])
     def test_every_flag_reaches_its_field_and_replays(self, runner, tmp_path, method, flags, cfg):
@@ -667,6 +667,9 @@ class TestCompareCommand:
         rows = _read_rows(f"{out1}.cv_report.csv")
         assert len(rows) == 9  # 3 methods x 3 folds
         assert {r["method"] for r in rows} == {"ecnn", "gmdh", "dt"}
+        for r in rows:
+            assert int(r["model_size"]) >= 1
+            assert all(0 <= int(j) < 4 for j in r["features"].split(";") if j), r
         assert _invoke(runner, args + ["--out", str(out2)]).exit_code == 0
         assert Path(f"{out1}.cv_report.csv").read_bytes() == Path(f"{out2}.cv_report.csv").read_bytes()
         manifest = json.loads(Path(f"{out1}.manifest.json").read_text())

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from ecnn.dataset import Dataset, fit_normalize, split, synth_generate
+from ecnn.cli import cli
+from ecnn.dataset import Dataset, fit_normalize, save_csv, split, synth_generate
 from ecnn.errors import ConfigError, DataError, NumericError
 from ecnn import gmdh
 from ecnn.gmdh import (
@@ -543,6 +545,47 @@ class TestBatchedGenerations:
             assert model.to_json() == models[0].to_json()
             assert model.generation_log == models[0].generation_log
             _assert_same_population(population, populations[0])
+
+
+class TestStoppingRule:
+    @pytest.mark.parametrize("subsample", [0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run_ends_after_patience_flat_generations(self, seed, subsample):
+        d_train, d_valid = _small_task(seed)
+        cfg = GmdhConfig(offspring_per_generation=60, fit_subsample=subsample)
+        patience = cfg.max_serial_failures
+        log = evolve(d_train, d_valid, cfg, seed, identity_norm(d_train.m)).generation_log
+        assert [g for g, _, _ in log] == list(range(len(log)))
+        # the last raise of the best, or generation 0, then `patience` flat
+        # generations, and no earlier stretch as long
+        raised = [g for g, (_, best, _) in enumerate(log) if g == 0 or best > log[g - 1][1]]
+        assert raised[-1] == len(log) - 1 - patience
+        assert all(best == log[raised[-1]][1] for _, best, _ in log[-patience:])
+        assert all(b - a <= patience for a, b in zip(raised, raised[1:]))
+
+    def test_patience_5_is_the_sequential_reference_at_5(self, tmp_path):
+        # 5 was the default before 3: `--max-failures 5` still runs the
+        # same loop, so the CLI's model is the reference's at patience 5
+        d, _ = synth_generate(160, 5, [0, 3], 0.3, 0.1, seed=5)
+        save_csv(d, tmp_path / "task.csv")
+        out = tmp_path / "g"
+        result = CliRunner().invoke(cli, ["train", "--data", str(tmp_path / "task.csv"), "--method", "gmdh",
+                                          "--max-failures", "5", "--seed", "5", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((tmp_path / "g.model.json").read_text())
+        seed = derive_seed(5, "restart", 0)
+        d_fit, d_valid = split(fit_normalize(d)[0], 0.5, derive_seed(seed, "gmdh-split"))
+        ref_neurons, ref_log, ref_output, ref_selected = _reference_evolve(
+            d_fit, d_valid, GmdhConfig(max_serial_failures=5), seed)
+        assert len({best for _, best, _ in ref_log[-6:]}) == 1
+        assert (doc["output_id"], [n["id"] for n in doc["neurons"]]) == (ref_output, ref_selected)
+        for n in doc["neurons"]:
+            r = ref_neurons[n["id"]]
+            assert _links(n) == _links(r)
+            if n["parent_b"] is None:
+                assert _coeff_bytes(n) == _coeff_bytes(r)
+            else:
+                _assert_close_fit(n["coeffs"], r["coeffs"])
 
 
 class TestPredictAndSerialize:
