@@ -274,3 +274,9 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
             raise DataError("no candidate neuron could be formed")
         neurons = [fallback]
     return CascadeModel(base_feature, neurons, c0, norm, list(d.feature_names))
+
+
+def fit(d: Dataset, cfg: GrowthConfig, seed: int) -> tuple[CascadeModel, float, tuple[float, ...]]:
+    """``train``'s model, its output neuron's validation criterion and the criterion trace."""
+    model = train(d, cfg, seed)
+    return model, model.neurons[-1].criterion, model.criterion_trace()

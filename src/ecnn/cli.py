@@ -158,7 +158,7 @@ def cli() -> None:
 
 def _field_option(flag: str, cls, field: str, **kwargs):
     """A family flag: its parameter is named after the config field it sets,
-    which is how _build_adapter finds it, and it has that field's default."""
+    which is how _build_method finds it, and it has that field's default."""
     default = getattr(cls, field)
     return field, click.option(flag, field, default=default, show_default=True, **{"type": type(default), **kwargs})
 
@@ -217,23 +217,20 @@ def cmd_synth(n, m, relevant, noise_std, flip, seed, out) -> None:
     click.echo(f"wrote {csv_path} and {truth_path}")
 
 
-def _build_adapter(method: str, flags: dict):
-    """The method's adapter and its config as a dict, each field set by the
-    flag of its name; only the chosen method's flags are read and checked."""
-    def build(cls, **given):
-        return cls(**given, **{f.name: flags[f.name] for f in dataclasses.fields(cls) if f.name not in given})
+def _build_method(method: str, flags: dict) -> harness.Method:
+    """The method with its config: each field is the flag of its name or, like
+    the trainer (checked first), a config built the same way from its
+    ``default_factory``. Only the chosen method's flags are read and checked."""
+    def build(cls):
+        return cls(**{f.name: flags[f.name] if f.name in flags else build(f.default_factory)
+                      for f in dataclasses.fields(cls)})
 
-    if method == "ecnn":  # the trainer's flags are checked first
-        cfg = build(cascade.GrowthConfig, trainer=build(TrainConfig))
-    else:
-        cfg = build({"gmdh": gmdh.GmdhConfig, "dt": dtree.DtConfig}[method])
-    adapter = {"ecnn": harness.ecnn_adapter, "gmdh": harness.gmdh_adapter, "dt": harness.dt_adapter}[method]
-    return adapter(cfg), dataclasses.asdict(cfg)
+    return harness.Method(method, build(harness.FAMILIES[method][0]))
 
 
 @cli.command("train")
 @_shared(*_SHARED_OPTIONS)
-@click.option("--method", type=click.Choice(["ecnn", "gmdh", "dt"]), default="ecnn", show_default=True)
+@click.option("--method", type=click.Choice(list(harness.FAMILIES)), default="ecnn", show_default=True)
 @click.option("--restarts", type=int, default=1, show_default=True, help="Multi-restart runs; best kept.")
 @click.option("--test-data", default=None, help="Optional held-out CSV for per-run test errors.")
 @click.option("--out", required=True, help="Output prefix.")
@@ -244,8 +241,8 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
     model_path = _check_out(out, ".model.json", *reports)[0]
     d = _load_data(data_path, target)
     d_test = _load_data(test_data, target) if test_data else None
-    adapter, cfg_dict = _build_adapter(method, flags)
-    report = harness.multi_restart(adapter, d, d_test, restarts, seed, jobs=jobs)
+    built = _build_method(method, flags)
+    report = harness.multi_restart(built, d, d_test, restarts, seed, jobs=jobs)
     best = report.best
 
     best.model.save(model_path)
@@ -263,7 +260,7 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
     }
     _write_manifest(
         out,
-        {"method": method, "restarts": restarts, **cfg_dict},
+        {"method": method, "restarts": restarts, **dataclasses.asdict(built.cfg)},
         {"seed": seed, "run_seeds": [r.seed for r in report.records]},
         artifacts,
         results,
@@ -303,10 +300,10 @@ def cmd_compare(data_path, target, folds, inner_runs, out, jobs, seed, **flags) 
     """Cross-validated comparison of the cascade model and both baselines."""
     [report_path] = _check_out(out, ".cv_report.csv")
     d = _load_data(data_path, target)
-    built = {method: _build_adapter(method, flags) for method in ("ecnn", "gmdh", "dt")}
-    reports = [harness.kfold(d, folds, adapter, inner_runs, seed, jobs=jobs) for adapter, _ in built.values()]
+    built = [_build_method(method, flags) for method in harness.FAMILIES]
+    reports = [harness.kfold(d, folds, method, inner_runs, seed, jobs=jobs) for method in built]
     harness.write_cv_report(reports, report_path)
-    methods = {method: cfg_dict for method, (_, cfg_dict) in built.items()}
+    methods = {method.name: dataclasses.asdict(method.cfg) for method in built}
     _write_manifest(out, {"folds": folds, "inner_runs": inner_runs, "methods": methods},
                     {"seed": seed}, [report_path])
     for rep in reports:

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, split
 from .errors import ConfigError, DataError
 from .model import Model, require
-from .util import derive_rng
+from .util import derive_rng, derive_seed
 
 # features whose thresholds ``best_partition`` scores together; a node of
 # n rows holds an (n, _FEATURE_BLOCK, n_s) comparison mask, about 2 MB at
@@ -228,6 +228,13 @@ def build(d: Dataset, cfg: DtConfig, seed: int) -> DtModel:
         return Split(feature, threshold, grow(idx[go_left]), grow(idx[~go_left]))
 
     return DtModel(grow(np.arange(d.n)), d.m)
+
+
+def fit(d: Dataset, cfg: DtConfig, seed: int) -> tuple[DtModel, float, tuple[float, ...]]:
+    """``build`` on half of ``d``: the tree, its error on the other half and no trace."""
+    d_fit, d_valid = split(d, 0.5, derive_seed(seed, "dt-split"))
+    model = build(d_fit, cfg, seed=seed)
+    return model, model.error_rate(d_valid), ()
 
 
 def dt_predict(model: DtModel, x: np.ndarray) -> int:

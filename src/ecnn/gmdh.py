@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, NormParams
+from .dataset import Dataset, NormParams, fit_normalize, split
 from .errors import ConfigError, DataError, NumericError
 from .model import Model, require
-from .util import derive_rng
+from .util import derive_rng, derive_seed
 
 # offspring fitted, scored and accepted together; no draw depends on it
 _BLOCK = 128
@@ -280,6 +280,15 @@ def evolve(
         norm=norm,
         n_features=d_train.m,
     )
+
+
+def fit(d: Dataset, cfg: GmdhConfig, seed: int) -> tuple[GmdhModel, float, tuple[float, ...]]:
+    """``evolve`` on normalized ``d``, half fitting and half validating: the
+    model, its validation error and each generation's best performance."""
+    dn, norm = fit_normalize(d)
+    d_fit, d_valid = split(dn, 0.5, derive_seed(seed, "gmdh-split"))
+    model = evolve(d_fit, d_valid, cfg, seed=seed, norm=norm)
+    return model, 1.0 - model.validation_performance, tuple(best for _, best, _ in model.generation_log)
 
 
 def fit_ls_batch(u1: np.ndarray, u2: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -28,50 +28,26 @@ from .util import derive_rng, derive_seed, write_table
 DEFAULT_CHI_LIST = (1.25, 1.5, 1.75, 2.0)
 # the tables ``write_restart_reports`` writes, each to ``<prefix>.<name>.csv``
 RESTART_REPORTS = ("restart_report", "feature_freq", "size_hist", "error_hist")
-# share of the training rows that GMDH and the tree hold out to validate
-VALID_FRACTION = 0.5
+# each family: its config class and its ``fit(d, cfg, seed)``, which
+# returns the trained model, its validation criterion (lower is better)
+# and that criterion's trace. The model answers everything else through
+# the interface the families share (``ecnn.model``).
+FAMILIES = {
+    "ecnn": (cascade.GrowthConfig, cascade.fit),
+    "gmdh": (gmdh.GmdhConfig, gmdh.fit),
+    "dt": (dtree.DtConfig, dtree.fit),
+}
 
 
-@dataclass
-class MethodAdapter:
-    """Handle the harness uses to drive one classifier family: its name and
-    a picklable training function, which returns the trained model, its
-    validation criterion (lower is better) and that criterion's trace. The
-    model answers everything else through the interface the families share
-    (``ecnn.model``)."""
+class Method(NamedTuple):
+    """One family of ``FAMILIES`` and its config: what a protocol trains,
+    and what it sends to a worker process."""
 
     name: str
-    train: Callable[[Dataset, int], tuple[Any, float, tuple[float, ...]]]
+    cfg: Any
 
 
-def _train_ecnn(d: Dataset, seed: int, cfg: cascade.GrowthConfig):
-    model = cascade.train(d, cfg, seed=seed)
-    return model, model.neurons[-1].criterion, model.criterion_trace()
-
-
-def _train_gmdh(d: Dataset, seed: int, cfg: gmdh.GmdhConfig):
-    dn, norm = fit_normalize(d)
-    d_fit, d_valid = split(dn, 1.0 - VALID_FRACTION, derive_seed(seed, "gmdh-split"))
-    model = gmdh.evolve(d_fit, d_valid, cfg, seed=seed, norm=norm)
-    return model, 1.0 - model.validation_performance, tuple(best for _, best, _ in model.generation_log)
-
-
-def _train_dt(d: Dataset, seed: int, cfg: dtree.DtConfig):
-    d_fit, d_valid = split(d, 1.0 - VALID_FRACTION, derive_seed(seed, "dt-split"))
-    model = dtree.build(d_fit, cfg, seed=seed)
-    return model, model.error_rate(d_valid), ()
-
-
-def ecnn_adapter(cfg: cascade.GrowthConfig) -> MethodAdapter:
-    return MethodAdapter("ecnn", partial(_train_ecnn, cfg=cfg))
-
-
-def gmdh_adapter(cfg: gmdh.GmdhConfig) -> MethodAdapter:
-    return MethodAdapter("gmdh", partial(_train_gmdh, cfg=cfg))
-
-
-def dt_adapter(cfg: dtree.DtConfig) -> MethodAdapter:
-    return MethodAdapter("dt", partial(_train_dt, cfg=cfg))
+ecnn_adapter = partial(Method, "ecnn")  # perfbench's select72 still builds its method by this name
 
 
 @dataclass
@@ -100,11 +76,11 @@ class RestartReport:
 
 
 def _run_one(
-    adapter: MethodAdapter, d_train: Dataset, d_test: Dataset | None, base_seed: int, run: int
+    method: Method, d_train: Dataset, d_test: Dataset | None, base_seed: int, run: int
 ) -> RunRecord:
     seed = derive_seed(base_seed, "restart", run)
     try:
-        model, criterion, trace = adapter.train(d_train, seed)
+        model, criterion, trace = FAMILIES[method.name][1](d_train, method.cfg, seed)
     except (DataError, NumericError) as exc:
         return RunRecord(run=run, seed=seed, status="error", error=exc)
     return RunRecord(
@@ -122,7 +98,7 @@ def _run_one(
 
 
 def multi_restart(
-    adapter: MethodAdapter,
+    method: Method,
     d_train: Dataset,
     d_test: Dataset | None,
     runs: int,
@@ -142,7 +118,7 @@ def multi_restart(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if d_test is not None and d_test.m != d_train.m:
         raise DataError(f"test data has {d_test.m} features but training data has {d_train.m}")
-    worker = partial(_run_one, adapter, d_train, d_test, base_seed)
+    worker = partial(_run_one, method, d_train, d_test, base_seed)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(worker, range(runs)))
@@ -222,7 +198,7 @@ def stratified_folds(d: Dataset, k: int, seed: int) -> list[np.ndarray]:
 def kfold(
     d: Dataset,
     k: int,
-    adapter: MethodAdapter,
+    method: Method,
     inner_runs: int = 30,
     seed: int = 0,
     jobs: int = 1,
@@ -237,8 +213,8 @@ def kfold(
         d_train = d.subset(train_idx)
         d_train.require_both_classes(f"training part of fold {f}")
         fold_seed = derive_seed(seed, "fold", f)
-        best.append(multi_restart(adapter, d_train, d.subset(test_idx), inner_runs, fold_seed, jobs).best)
-    return CvReport(adapter.name, best)
+        best.append(multi_restart(method, d_train, d.subset(test_idx), inner_runs, fold_seed, jobs).best)
+    return CvReport(method.name, best)
 
 
 def write_cv_report(reports: list[CvReport], path: str | Path) -> None:
@@ -261,6 +237,8 @@ def chi_sweep(
     for chi in chis:
         if not 0.0 < chi <= 2.0:
             raise ConfigError(f"sweep learning rates must be in (0, 2], got {chi}")
+    if len(set(chis)) < len(chis):  # results are keyed by rate
+        raise ConfigError(f"sweep learning rates must differ, got {chis}")
     dn, _ = fit_normalize(d)
     d_a, d_b = split(dn, cfg.split_fraction, derive_seed(seed, "split"))
     results: dict[float, FitResult] = {}

@@ -120,7 +120,7 @@ def test_criterion_4_acceptance_rule_structure():
     neuron at layer r has exactly r+1 inputs wired to the cascade pattern."""
     started = time.time()
     d, _ = synth_generate(400, 12, [1, 7], 0.15, 0.03, seed=100)
-    rep = multi_restart(harness.ecnn_adapter(cascade.GrowthConfig()), d, None, runs=100, base_seed=100)
+    rep = multi_restart(harness.Method("ecnn", cascade.GrowthConfig()), d, None, runs=100, base_seed=100)
     chains_ok = True
     wiring_ok = True
     for record in rep.records:
@@ -173,7 +173,7 @@ def test_criterion_5_feature_recovery():
         d, truth = synth_generate(3000, 72, relevant, 0.1, 0.05, seed)
         d_train = d.subset(np.arange(2000))
         d_test = d.subset(np.arange(2000, 3000))
-        rep = multi_restart(harness.ecnn_adapter(cfg), d_train, d_test, runs=2, base_seed=seed)
+        rep = multi_restart(harness.Method("ecnn", cfg), d_train, d_test, runs=2, base_seed=seed)
         best = rep.best
         few_features += len(best.feature_set) <= 10
         enough_relevant += len(best.feature_set & set(relevant)) >= 2
@@ -261,8 +261,8 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     round_trip_ok &= bool(np.max(np.abs(p1 - p2)) <= 1e-12)
 
     gm_cfg = GmdhConfig(offspring_per_generation=30, max_serial_failures=2, fit_subsample=1.0)
-    gm = harness._train_gmdh(d, 88, gm_cfg)[0]
-    byte_ok &= gm.to_json() == harness._train_gmdh(d, 88, gm_cfg)[0].to_json()
+    gm = gmdh.fit(d, gm_cfg, 88)[0]
+    byte_ok &= gm.to_json() == gmdh.fit(d, gm_cfg, 88)[0].to_json()
     path = tmp_path / "m2.json"
     gm.save(path)
     gm_loaded = gmdh.GmdhModel.load(path)
@@ -281,8 +281,8 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     round_trip_ok &= same
 
     # report CSV determinism
-    rep1 = multi_restart(harness.dt_adapter(DtConfig()), d, d, runs=3, base_seed=88)
-    rep2 = multi_restart(harness.dt_adapter(DtConfig()), d, d, runs=3, base_seed=88)
+    rep1 = multi_restart(harness.Method("dt", DtConfig()), d, d, runs=3, base_seed=88)
+    rep2 = multi_restart(harness.Method("dt", DtConfig()), d, d, runs=3, base_seed=88)
     out1 = harness.write_restart_reports(rep1, tmp_path / "r1", d.feature_names)
     out2 = harness.write_restart_reports(rep2, tmp_path / "r2", d.feature_names)
     for key in out1:

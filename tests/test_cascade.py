@@ -273,9 +273,9 @@ class TestTrain:
     def test_selection_decisions_pinned(self, seed, error, features, layers):
         d, _ = synth_generate(3000, 72, [9, 22, 35, 59], 0.1, 0.05, seed)
         trainer = TrainConfig(split_fraction=0.33, max_steps=400)
-        adapter = harness.ecnn_adapter(GrowthConfig(trainer=trainer, max_failed_attempts=6))
+        method = harness.Method("ecnn", GrowthConfig(trainer=trainer, max_failed_attempts=6))
         best = harness.multi_restart(
-            adapter, d.subset(np.arange(2000)), d.subset(np.arange(2000, 3000)), runs=2, base_seed=seed
+            method, d.subset(np.arange(2000)), d.subset(np.arange(2000, 3000)), runs=2, base_seed=seed
         ).best
         assert best.test_error == error
         assert sorted(best.feature_set) == features

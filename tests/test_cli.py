@@ -343,7 +343,7 @@ class TestTrainCommand:
 # the options of train and compare that set no config field
 _COMMAND_OPTIONS = {"--data", "--target", "--seed", "--jobs", "--out", "--method", "--restarts", "--test-data",
                     "--folds", "--inner-runs"}
-_CONFIGS = (TrainConfig, cascade.GrowthConfig, gmdh.GmdhConfig, dtree.DtConfig)
+_CONFIGS = (TrainConfig, *(cfg_cls for cfg_cls, _ in harness.FAMILIES.values()))
 
 
 class TestFamilyFlags:
@@ -362,6 +362,17 @@ class TestFamilyFlags:
             assert len(fields.get(param.name, [])) == 1, f"{param.opts[0]} sets {param.name!r}"
             assert param.default == fields[param.name][0].default, param.opts[0]
         assert sorted(param.name for param in flags) == sorted(fields)
+
+    def test_method_choices_are_the_family_table(self):
+        [method] = [p for p in cli.commands["train"].params if p.name == "method"]
+        assert list(method.type.choices) == list(harness.FAMILIES)
+
+    def test_trainer_flags_are_checked_first(self, runner, tmp_path):
+        data = _make_data(tmp_path, n=60, m=4)
+        result = runner.invoke(cli, ["train", "--data", str(data), "--chi", "0", "--candidate-restarts", "0",
+                                     "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert "config error: chi must be positive, got 0.0" in result.output
 
     @pytest.mark.parametrize("method,flags,cfg", [
         ("ecnn", ["--chi", "1.7", "--delta", "0.002", "--epsilon", "0.01", "--init-std", "0.2",
@@ -666,7 +677,7 @@ class TestCompareCommand:
         assert _invoke(runner, args + ["--out", str(out1)]).exit_code == 0
         rows = _read_rows(f"{out1}.cv_report.csv")
         assert len(rows) == 9  # 3 methods x 3 folds
-        assert {r["method"] for r in rows} == {"ecnn", "gmdh", "dt"}
+        assert [r["method"] for r in rows[::3]] == list(harness.FAMILIES)
         for r in rows:
             assert int(r["model_size"]) >= 1
             assert all(0 <= int(j) < 4 for j in r["features"].split(";") if j), r
@@ -714,6 +725,15 @@ class TestChiSweepCommand:
             "chi-sweep", "--data", str(data), "--chis", "3.0", "--out", str(tmp_path / "x"),
         ])
         assert result.exit_code == 2
+
+    def test_repeated_rate_rejected_and_nothing_written(self, runner, tmp_path):
+        # results are keyed by rate, so a repeated rate would lose a trace
+        data = _make_data(tmp_path, n=60, m=4)
+        result = runner.invoke(cli, ["chi-sweep", "--data", str(data), "--chis", "1,1.0",
+                                     "--out", str(tmp_path / "s")])
+        assert result.exit_code == 2, result.output
+        assert "config error: sweep learning rates must differ, got [1.0, 1.0]" in result.output
+        assert not list(tmp_path.glob("s.*"))
 
 
 class TestUnreadableData:

@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from ecnn.dataset import Dataset, synth_generate
 from ecnn.errors import ConfigError, DataError
 from ecnn.harness import (
     DEFAULT_CHI_LIST,
+    FAMILIES,
     RESTART_REPORTS,
+    Method,
     RestartReport,
     RunRecord,
     chi_sweep,
-    dt_adapter,
     ecnn_adapter,
-    gmdh_adapter,
     kfold,
     multi_restart,
     stratified_folds,
@@ -45,43 +46,43 @@ def _fast_gmdh_cfg():
 
 class TestMultiRestart:
     def test_single_run_is_best(self):
-        rep = multi_restart(ecnn_adapter(cascade.GrowthConfig()), _task(), None, runs=1, base_seed=0)
+        rep = multi_restart(Method("ecnn", cascade.GrowthConfig()), _task(), None, runs=1, base_seed=0)
         assert rep.best_run == 0
         assert len(rep.records) == 1
         assert np.isnan(rep.best.test_error)
 
     def test_best_minimizes_criterion(self):
-        rep = multi_restart(ecnn_adapter(cascade.GrowthConfig()), _task(1), _task(2), runs=6, base_seed=1)
+        rep = multi_restart(Method("ecnn", cascade.GrowthConfig()), _task(1), _task(2), runs=6, base_seed=1)
         crits = [r.criterion for r in rep.records]
         assert rep.best.criterion == min(crits)
         assert rep.best_run == int(np.argmin(crits))
 
     def test_derived_seeds_distinct(self):
-        rep = multi_restart(ecnn_adapter(cascade.GrowthConfig()), _task(3), None, runs=8, base_seed=2)
+        rep = multi_restart(Method("ecnn", cascade.GrowthConfig()), _task(3), None, runs=8, base_seed=2)
         seeds = [r.seed for r in rep.records]
         assert len(set(seeds)) == 8
 
     def test_parallel_jobs_match_serial(self):
         d_train, d_test = _task(4), _task(5)
-        serial = multi_restart(dt_adapter(dtree.DtConfig()), d_train, d_test, runs=4, base_seed=3, jobs=1)
-        parallel = multi_restart(dt_adapter(dtree.DtConfig()), d_train, d_test, runs=4, base_seed=3, jobs=2)
+        serial = multi_restart(Method("dt", dtree.DtConfig()), d_train, d_test, runs=4, base_seed=3, jobs=1)
+        parallel = multi_restart(Method("dt", dtree.DtConfig()), d_train, d_test, runs=4, base_seed=3, jobs=2)
         assert [r.criterion for r in serial.records] == [r.criterion for r in parallel.records]
         assert [r.test_error for r in serial.records] == [r.test_error for r in parallel.records]
         assert serial.best_run == parallel.best_run
 
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigError):
-            multi_restart(ecnn_adapter(cascade.GrowthConfig()), _task(), None, runs=0, base_seed=0)
+            multi_restart(Method("ecnn", cascade.GrowthConfig()), _task(), None, runs=0, base_seed=0)
 
     def test_all_failed_reraises_error_class(self):
         # a subsample of 10% of 15 fitting rows is too small: a data error
-        adapter = gmdh_adapter(gmdh.GmdhConfig(fit_subsample=0.1))
+        method = Method("gmdh", gmdh.GmdhConfig(fit_subsample=0.1))
         for jobs in (1, 2):
             with pytest.raises(DataError, match="all 2 restarts failed"):
-                multi_restart(adapter, _task(18, n=30), None, runs=2, base_seed=0, jobs=jobs)
+                multi_restart(method, _task(18, n=30), None, runs=2, base_seed=0, jobs=jobs)
 
     def test_report_files_account_for_runs(self, tmp_path):
-        rep = multi_restart(dt_adapter(dtree.DtConfig()), _task(6), _task(7), runs=5, base_seed=4)
+        rep = multi_restart(Method("dt", dtree.DtConfig()), _task(6), _task(7), runs=5, base_seed=4)
         paths = write_restart_reports(rep, tmp_path / "run", feature_names=[f"f{j}" for j in range(5)])
         assert {p.name for p in tmp_path.iterdir()} == {f"run.{name}.csv" for name in RESTART_REPORTS}
         table = _read_rows(paths["restart_report"])
@@ -103,28 +104,48 @@ class TestMultiRestart:
             rows = list(csv.reader(fh))
         assert rows == [["feature", "name", "count"], *([str(j), name, "1"] for j, name in enumerate(names))]
 
-    def test_test_data_of_another_width_refused_before_any_run(self):
+    def test_test_data_of_another_width_refused_before_any_run(self, monkeypatch):
         calls = []
-        adapter = ecnn_adapter(cascade.GrowthConfig())
-        train = adapter.train
-        adapter.train = lambda d, seed: calls.append(seed) or train(d, seed)
+        cfg_cls, fit = FAMILIES["ecnn"]
+        monkeypatch.setitem(FAMILIES, "ecnn",
+                            (cfg_cls, lambda d, cfg, seed: calls.append(seed) or fit(d, cfg, seed)))
         with pytest.raises(DataError, match="test data has 4 features but training data has 5"):
-            multi_restart(adapter, _task(), _task(1, m=4), runs=3, base_seed=0)
+            multi_restart(Method("ecnn", cascade.GrowthConfig()), _task(), _task(1, m=4), runs=3, base_seed=0)
         assert calls == []
 
-    def test_gmdh_adapter_runs(self):
-        rep = multi_restart(gmdh_adapter(_fast_gmdh_cfg()), _task(8), _task(9), runs=2, base_seed=5)
+    def test_gmdh_method_runs(self):
+        rep = multi_restart(Method("gmdh", _fast_gmdh_cfg()), _task(8), _task(9), runs=2, base_seed=5)
         assert all(r.status == "ok" for r in rep.records)
         assert all(0.0 <= r.criterion <= 1.0 for r in rep.records)
 
     def test_best_test_error_survives_serialization(self, tmp_path):
         d_train, d_test = _task(16), _task(17)
-        for adapter in (ecnn_adapter(cascade.GrowthConfig()), dt_adapter(dtree.DtConfig()), gmdh_adapter(_fast_gmdh_cfg())):
-            rep = multi_restart(adapter, d_train, d_test, runs=2, base_seed=6)
-            path = tmp_path / f"{adapter.name}.model.json"
+        for method in (Method("ecnn", cascade.GrowthConfig()), Method("dt", dtree.DtConfig()),
+                       Method("gmdh", _fast_gmdh_cfg())):
+            rep = multi_restart(method, d_train, d_test, runs=2, base_seed=6)
+            path = tmp_path / f"{method.name}.model.json"
             rep.best.model.save(path)
             reloaded = type(rep.best.model).load(path)
             assert reloaded.error_rate(d_test) == pytest.approx(rep.best.test_error, abs=1e-12)
+
+
+class TestMethod:
+    @pytest.mark.parametrize("method", [Method("ecnn", cascade.GrowthConfig()), Method("dt", dtree.DtConfig()),
+                                        Method("gmdh", _fast_gmdh_cfg())])
+    def test_a_run_records_what_its_family_fit_returns(self, method):
+        d = _task(24)
+        best = multi_restart(method, d, None, 1, 9).best
+        model, criterion, trace = FAMILIES[method.name][1](d, method.cfg, derive_seed(9, "restart", 0))
+        assert (best.criterion, best.criterion_trace) == (criterion, trace)
+        assert best.model.to_json() == model.to_json()
+
+    def test_ecnn_adapter_is_the_ecnn_method(self):
+        cfg = cascade.GrowthConfig(max_failed_attempts=2)
+        assert ecnn_adapter(cfg) == Method("ecnn", cfg)
+
+    def test_method_survives_pickle(self):
+        method = Method("gmdh", _fast_gmdh_cfg())
+        assert pickle.loads(pickle.dumps(method)) == method
 
 
 class TestKfold:
@@ -147,12 +168,12 @@ class TestKfold:
         y = np.array([0, 1] * 5)
         x[:, 0] = np.where(y == 1, 2.0, -2.0) + rng.normal(0, 0.1, 10)
         d = Dataset(x, y, ["a", "b", "c"])
-        report = kfold(d, k=10, adapter=dt_adapter(dtree.DtConfig()), inner_runs=1, seed=2)
+        report = kfold(d, k=10, method=Method("dt", dtree.DtConfig()), inner_runs=1, seed=2)
         assert len(report.folds) == 10
 
     def test_mean_variance_identity(self):
         d = _task(13, n=150)
-        report = kfold(d, 3, dt_adapter(dtree.DtConfig()), inner_runs=2, seed=3)
+        report = kfold(d, 3, Method("dt", dtree.DtConfig()), inner_runs=2, seed=3)
         mean, var = recompute(report)
         assert report.mean_performance == pytest.approx(mean, abs=1e-12)
         assert report.variance_performance == pytest.approx(var, abs=1e-12)
@@ -160,8 +181,8 @@ class TestKfold:
     def test_cv_report_rows(self, tmp_path):
         d = _task(14, n=120)
         reports = [
-            kfold(d, 3, dt_adapter(dtree.DtConfig()), inner_runs=2, seed=4),
-            kfold(d, 3, gmdh_adapter(_fast_gmdh_cfg()), inner_runs=2, seed=4),
+            kfold(d, 3, Method("dt", dtree.DtConfig()), inner_runs=2, seed=4),
+            kfold(d, 3, Method("gmdh", _fast_gmdh_cfg()), inner_runs=2, seed=4),
         ]
         path = tmp_path / "cv_report.csv"
         write_cv_report(reports, path)
@@ -174,12 +195,12 @@ class TestKfold:
 
     def test_folds_hold_each_folds_best_run(self):
         d = _task(19, n=90)
-        adapter = dt_adapter(dtree.DtConfig())
-        report = kfold(d, 3, adapter, inner_runs=3, seed=6)
+        method = Method("dt", dtree.DtConfig())
+        report = kfold(d, 3, method, inner_runs=3, seed=6)
         folds = stratified_folds(d, 3, seed=6)
         for f, record in enumerate(report.folds):
             train_idx = np.sort(np.concatenate([folds[g] for g in range(3) if g != f]))
-            own = multi_restart(adapter, d.subset(train_idx), d.subset(folds[f]), 3,
+            own = multi_restart(method, d.subset(train_idx), d.subset(folds[f]), 3,
                                 derive_seed(6, "fold", f)).best
             assert (record.run, record.seed, record.test_error) == (own.run, own.seed, own.test_error)
         assert report.performances == [1.0 - r.test_error for r in report.folds]
@@ -189,13 +210,13 @@ class TestKfold:
         rng = np.random.default_rng(20)
         d = Dataset(rng.normal(size=(12, 3)), np.array([0] * 11 + [1]), ["a", "b", "c"])
         with pytest.raises(DataError, match=r"training part of fold \d contains a single class"):
-            kfold(d, 3, dt_adapter(dtree.DtConfig()), inner_runs=1, seed=0)
+            kfold(d, 3, Method("dt", dtree.DtConfig()), inner_runs=1, seed=0)
 
     def test_too_many_folds_rejected(self):
         rng = np.random.default_rng(15)
         d = Dataset(rng.normal(size=(10, 3)), np.array([0, 1] * 5), ["a", "b", "c"])
         with pytest.raises(DataError):
-            kfold(d, 50, dt_adapter(dtree.DtConfig()), inner_runs=1, seed=0)
+            kfold(d, 50, Method("dt", dtree.DtConfig()), inner_runs=1, seed=0)
 
 
 def _sweep_dataset(seed=0, n=8):
@@ -260,10 +281,10 @@ class TestReportBytes:
 
     def test_restart_reports_of_trained_runs(self, tmp_path):
         names = ['a,b', 'say "hi"', "c\rd", "e\nf", "g"]
-        for adapter in (ecnn_adapter(cascade.GrowthConfig()), dt_adapter(dtree.DtConfig()),
-                        gmdh_adapter(_fast_gmdh_cfg())):
+        for method in (Method("ecnn", cascade.GrowthConfig()), Method("dt", dtree.DtConfig()),
+                        Method("gmdh", _fast_gmdh_cfg())):
             for d_test in (_task(22), None):  # None: every test error is NaN
-                rep = multi_restart(adapter, _task(21), d_test, runs=3, base_seed=7)
+                rep = multi_restart(method, _task(21), d_test, runs=3, base_seed=7)
                 self._check_restart_reports(tmp_path, rep, names)
 
     def test_restart_reports_of_an_error_run_and_numpy_cells(self, tmp_path):
@@ -280,9 +301,9 @@ class TestReportBytes:
 
     def test_cv_report(self, tmp_path):
         d = _task(23, n=120)
-        reports = [kfold(d, 3, adapter, inner_runs=2, seed=8)
-                   for adapter in (ecnn_adapter(cascade.GrowthConfig()), dt_adapter(dtree.DtConfig()),
-                                   gmdh_adapter(_fast_gmdh_cfg()))]
+        reports = [kfold(d, 3, method, inner_runs=2, seed=8)
+                   for method in (Method("ecnn", cascade.GrowthConfig()), Method("dt", dtree.DtConfig()),
+                                   Method("gmdh", _fast_gmdh_cfg()))]
         path = tmp_path / "cv_report.csv"
         write_cv_report(reports, path)
         assert path.read_bytes().decode() == cv_report_text(reports)

@@ -4,7 +4,7 @@ tree routing against the per-row reference walk, size and features."""
 import numpy as np
 import pytest
 
-from ecnn import cascade, dtree, gmdh, harness
+from ecnn import cascade, dtree, gmdh
 from ecnn.dataset import Dataset, synth_generate
 from ecnn.dtree import DtConfig, Split, build
 from ecnn.errors import DataError
@@ -17,7 +17,7 @@ def _train(family, seed=0):
         return d, cascade.train(d, cascade.GrowthConfig(), seed=seed)
     if family == "gmdh":
         cfg = gmdh.GmdhConfig(offspring_per_generation=30, max_serial_failures=2, fit_subsample=1.0)
-        return d, harness._train_gmdh(d, seed, cfg)[0]
+        return d, gmdh.fit(d, cfg, seed)[0]
     return d, build(d, DtConfig(), seed=seed)
 
 
