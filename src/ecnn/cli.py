@@ -25,34 +25,25 @@ import numpy as np
 
 from . import cascade, dtree, gmdh, harness
 from .dataset import Dataset, load_csv, save_csv, synth_generate
-from .errors import ConfigError, DataError, NumericError
-from .model import read_json_doc
+from .errors import ConfigError, DataError, EcnnError
+from .model import FORMAT_VERSION, read_json_doc
 from .projection import TrainConfig
 from .util import atomic_write_text, json_text
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
-
 
 def _handles_errors(fn):
-    """Map each typed error to its exit code; the manifest's clock starts
-    here, and so does its ``input_hashes``, which the readers fill with
-    the sha256 of each input file parsed, by the path it was given as."""
+    """End each typed error with its label and exit code; the manifest's
+    clock starts here, and so does its ``input_hashes``, which the readers
+    fill with the sha256 of each input file parsed, by the path it was
+    given as."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         click.get_current_context().meta.update(started=time.time(), input_hashes={})
         try:
             return fn(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except DataError as exc:
-            click.echo(f"data error: {exc}", err=True)
-            sys.exit(EXIT_DATA)
-        except NumericError as exc:
-            click.echo(f"numeric error: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
+        except EcnnError as exc:
+            click.echo(f"{exc.label}: {exc}", err=True)
+            sys.exit(exc.exit_code)
 
     return wrapper
 
@@ -79,7 +70,7 @@ def _write_manifest(
     argv = _argv()
     meta = click.get_current_context().meta
     manifest = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "command": argv[0],
         "argv": argv,
         "config": config,
@@ -344,11 +335,15 @@ def cmd_chi_sweep(data_path, target, chis, seed, out, **flags) -> None:
 
 def replay_manifest(path: str | Path) -> int:
     """Re-run the command recorded in a manifest; returns the exit code."""
-    argv = read_json_doc(path, "manifest").get("argv")
+    doc = read_json_doc(path, "manifest")
+    argv = doc.get("argv")
     if not (isinstance(argv, list) and all(isinstance(a, str) for a in argv)):
         raise DataError(f"manifest {path} has no argv list of strings")
     if argv[:1] == ["replay"]:
         raise DataError(f"manifest {path} records a replay, not a command to rerun")
+    version = doc.get("format_version")
+    if version != FORMAT_VERSION:
+        raise DataError(f"manifest {path} has format_version {version!r}, not {FORMAT_VERSION}")
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0

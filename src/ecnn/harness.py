@@ -119,8 +119,9 @@ def multi_restart(
     if d_test is not None and d_test.m != d_train.m:
         raise DataError(f"test data has {d_test.m} features but training data has {d_train.m}")
     worker = partial(_run_one, method, d_train, d_test, base_seed)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, runs)  # a pool starts every worker it may use, busy or not
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(worker, range(runs)))
     else:
         records = list(map(worker, range(runs)))

@@ -78,6 +78,23 @@ def projection_step(w: np.ndarray, inputs: np.ndarray, errors: np.ndarray, chi: 
     return w - (chi / norm_sq) * (inputs @ errors)
 
 
+def naive_projection_step(w, inputs, errors, chi) -> np.ndarray:
+    """``projection_step`` element by element, as a double loop over the
+    update formula."""
+    p, q = inputs.shape
+    fro = 0.0
+    for i in range(p):
+        for t in range(q):
+            fro += inputs[i][t] * inputs[i][t]
+    out = [float(v) for v in w]
+    for i in range(p):
+        acc = 0.0
+        for t in range(q):
+            acc += inputs[i][t] * errors[t]
+        out[i] -= chi * acc / fro
+    return np.asarray(out)
+
+
 def augment_bias(inputs: np.ndarray) -> np.ndarray:
     """Append a constant-1 row so the bias trains like any other weight."""
     inputs = np.asarray(inputs, dtype=np.float64)

@@ -21,27 +21,12 @@ from ecnn.gmdh import GmdhConfig, evolve, fit_ls, poly_forward
 from ecnn.harness import chi_sweep, multi_restart
 from ecnn.projection import TrainConfig, fit_neuron
 from ecnn.util import derive_rng
-from reference import identity_norm, info_gain, truth_labels
+from reference import identity_norm, info_gain, naive_projection_step, truth_labels
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
     print(f"[acceptance {number}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {number} failed: {detail}"
-
-
-def _naive_step(w, inputs, errors, chi):
-    p, q = inputs.shape
-    fro = 0.0
-    for i in range(p):
-        for t in range(q):
-            fro += inputs[i][t] * inputs[i][t]
-    out = [float(v) for v in w]
-    for i in range(p):
-        acc = 0.0
-        for t in range(q):
-            acc += inputs[i][t] * errors[t]
-        out[i] -= chi * acc / fro
-    return np.asarray(out)
 
 
 def _separable_1d(seed: int, n: int = 8):
@@ -75,7 +60,7 @@ def test_criterion_1_projection_rule_oracle():
         w0 = np.random.default_rng(k).normal(0.0, s, p + 1)
         u = np.vstack([x, np.ones(q)])
         eta = 1.0 / (1.0 + np.exp(-(w0 @ u))) - t
-        worst = max(worst, np.max(np.abs(w - _naive_step(w0, u, eta, chi))))
+        worst = max(worst, np.max(np.abs(w - naive_projection_step(w0, u, eta, chi))))
     elapsed = time.time() - started
     _report(1, worst < 1e-12 and elapsed < 5.0,
             f"max deviation {worst:.2e} over 1000 instances in {elapsed:.2f}s")

@@ -234,6 +234,7 @@ class TestTrainCommand:
             "--out", str(tmp_path / "x"),
         ])
         assert result.exit_code == 4
+        assert "numeric error: all 2 restarts failed" in result.output
         assert "non-finite coefficients" in result.output
 
     def test_numeric_failure_in_first_generation_exit_code(self, runner, tmp_path, monkeypatch):
@@ -263,6 +264,9 @@ class TestTrainCommand:
             "--seed", "1", "--out", str(task),
         ])
         assert result.exit_code == 0
+        # every row holds a value outside 1e-4 <= |x| < 1e16
+        x = np.abs(load_csv(f"{task}.csv", "target").x)
+        assert (~((x >= 1e-4) & (x < 1e16))).any(axis=1).all()
         out = tmp_path / method
         result = runner.invoke(cli, [
             "train", "--data", f"{task}.csv", "--method", method, "--out", str(out),
@@ -321,12 +325,27 @@ class TestTrainCommand:
         assert sum(int(r["count"]) for r in sizes) == 4
 
     def test_deterministic_model_bytes(self, runner, tmp_path):
+        # the same seed gives the same model, and so does the same data spelled
+        # with every cell quoted, or with a byte-order mark, CRLF line ends and
+        # a blank line after the header
         data = _make_data(tmp_path)
-        args = ["train", "--data", str(data), "--seed", "11"]
-        out1, out2 = tmp_path / "d1", tmp_path / "d2"
-        _invoke(runner, args + ["--out", str(out1)])
-        _invoke(runner, args + ["--out", str(out2)])
-        assert Path(f"{out1}.model.json").read_bytes() == Path(f"{out2}.model.json").read_bytes()
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        quoted = tmp_path / "quoted.csv"
+        with open(quoted, "w", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+        lines = data.read_bytes().splitlines()
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(b"\xef\xbb\xbf" + b"\r\n".join([lines[0], b"", *lines[1:]]) + b"\r\n")
+        for method in ("ecnn", "dt"):
+            models = []
+            for path in (data, data, quoted, crlf):
+                out = tmp_path / f"{method}{len(models)}"
+                result = _invoke(runner, ["train", "--data", str(path), "--method", method, "--seed", "11",
+                                          "--out", str(out)])
+                assert result.exit_code == 0, result.output
+                models.append(Path(f"{out}.model.json").read_bytes())
+            assert models == [models[0]] * 4, method
 
     def test_jobs_is_read_from_the_command_line_only(self, runner, tmp_path):
         """An ``ECNN_JOBS`` in the environment neither fails a run that
@@ -363,9 +382,13 @@ class TestFamilyFlags:
             assert param.default == fields[param.name][0].default, param.opts[0]
         assert sorted(param.name for param in flags) == sorted(fields)
 
-    def test_method_choices_are_the_family_table(self):
+    def test_method_choices_are_the_family_table(self, runner, tmp_path):
         [method] = [p for p in cli.commands["train"].params if p.name == "method"]
         assert list(method.type.choices) == list(harness.FAMILIES)
+        data = _make_data(tmp_path, n=60, m=4)
+        result = runner.invoke(cli, ["train", "--data", str(data), "--method", "nn", "--out", str(tmp_path / "nn")])
+        assert result.exit_code == 2, result.output
+        assert list(tmp_path.glob("nn.*")) == []
 
     def test_trainer_flags_are_checked_first(self, runner, tmp_path):
         data = _make_data(tmp_path, n=60, m=4)
@@ -395,11 +418,12 @@ class TestFamilyFlags:
                                   "--out", str(out)] + flags)
         assert result.exit_code == 0, result.output
         _assert_manifest_config(json.loads(Path(f"{out}.manifest.json").read_text()), cfg, method, 2, 0)
-        model = Path(f"{out}.model.json")
-        model_bytes = model.read_bytes()
-        model.unlink()
+        written = [Path(f"{out}.{name}") for name in ["model.json", *(f"{r}.csv" for r in harness.RESTART_REPORTS)]]
+        written_bytes = [path.read_bytes() for path in written]
+        for path in written:
+            path.unlink()
         assert replay_manifest(f"{out}.manifest.json") == 0
-        assert model.read_bytes() == model_bytes
+        assert [path.read_bytes() for path in written] == written_bytes
 
     def test_chi_sweep_trainer_flags_reach_the_config_and_replay(self, runner, tmp_path):
         data = _make_data(tmp_path, n=60, m=4)
@@ -580,6 +604,7 @@ DOC_EDITS = {
     "gmdh_infinite_index": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a", "index",
                                                      float("inf"))),
     "gmdh_infinite_coeff": ("gmdh", lambda doc: _set(doc, "neurons", 0, "coeffs", 0, float("inf"))),
+    "gmdh_nan_coeff": ("gmdh", lambda doc: _set(doc, "neurons", 0, "coeffs", 0, float("nan"))),
     "gmdh_negative_infinite_coeff": ("gmdh", lambda doc: _set(doc, "neurons", 0, "coeffs", 1, -float("inf"))),
     "gmdh_null_parent_a": ("gmdh", lambda doc: _set(doc, "neurons", 0, "parent_a", None)),
     "gmdh_duplicate_id": ("gmdh", lambda doc: doc["neurons"].append(
@@ -683,6 +708,10 @@ class TestCompareCommand:
             assert all(0 <= int(j) < 4 for j in r["features"].split(";") if j), r
         assert _invoke(runner, args + ["--out", str(out2)]).exit_code == 0
         assert Path(f"{out1}.cv_report.csv").read_bytes() == Path(f"{out2}.cv_report.csv").read_bytes()
+        # two worker processes write the serial run's bytes
+        out3 = tmp_path / "c3"
+        assert _invoke(runner, args + ["--jobs", "2", "--out", str(out3)]).exit_code == 0
+        assert Path(f"{out3}.cv_report.csv").read_bytes() == Path(f"{out1}.cv_report.csv").read_bytes()
         manifest = json.loads(Path(f"{out1}.manifest.json").read_text())
         assert manifest["config"] == {"folds": 3, "inner_runs": 2, "methods": {
             "ecnn": dataclasses.asdict(cascade.GrowthConfig()),
@@ -952,6 +981,25 @@ class TestManifestReplay:
         result = runner.invoke(cli, ["replay", str(manifest)])
         assert result.exit_code == 3, result.output
         assert str(manifest) in result.output
+
+    @pytest.mark.parametrize("version", [7, None], ids=["other_version", "no_version"])
+    def test_manifest_of_another_format_version_exit_code(self, runner, tmp_path, version):
+        out = tmp_path / "task"
+        assert _invoke(runner, ["synth", "--n", "60", "--m", "4", "--relevant", "0",
+                                "--out", str(out)]).exit_code == 0
+        doc = json.loads(Path(f"{out}.manifest.json").read_text())
+        for path in tmp_path.iterdir():
+            path.unlink()
+        if version is None:
+            del doc["format_version"]
+        else:
+            doc["format_version"] = version
+        manifest = tmp_path / "edited.manifest.json"
+        manifest.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["replay", str(manifest)])
+        assert result.exit_code == 3, result.output
+        assert f"data error: manifest {manifest} has format_version {version!r}, not 1" in result.output
+        assert list(tmp_path.iterdir()) == [manifest]
 
     def test_self_replaying_manifest_exit_code(self, runner, tmp_path):
         manifest = tmp_path / "loop.manifest.json"

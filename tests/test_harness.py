@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from ecnn import cascade, dtree, gmdh
+from ecnn import cascade, dtree, gmdh, harness
 from ecnn.dataset import Dataset, synth_generate
 from ecnn.errors import ConfigError, DataError
 from ecnn.harness import (
@@ -69,6 +69,34 @@ class TestMultiRestart:
         assert [r.criterion for r in serial.records] == [r.criterion for r in parallel.records]
         assert [r.test_error for r in serial.records] == [r.test_error for r in parallel.records]
         assert serial.best_run == parallel.best_run
+
+    def test_pool_has_at_most_one_worker_per_run(self, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def records(jobs):
+            rep = multi_restart(Method("dt", dtree.DtConfig()), _task(4), _task(5), runs=runs, base_seed=3,
+                                jobs=jobs)
+            return [(r.seed, r.criterion, r.test_error, r.model.to_json()) for r in rep.records]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        for runs, jobs, pools in ((1, 4, []), (3, 8, [3])):
+            requested.clear()
+            pooled = records(jobs)
+            assert requested == pools
+            assert pooled == records(1)
 
     def test_zero_runs_rejected(self):
         with pytest.raises(ConfigError):

@@ -15,6 +15,7 @@ from reference import (
     bias,
     error_vector,
     input_weights,
+    naive_projection_step,
     neuron_forward,
     projection_step,
     rse,
@@ -26,22 +27,6 @@ class ZeroInit:
 
     def normal(self, loc, scale, size):
         return np.zeros(size)
-
-
-def naive_projection_step(w, inputs, errors, chi):
-    """Element-by-element reference for the update rule."""
-    p, q = inputs.shape
-    fro = 0.0
-    for i in range(p):
-        for t in range(q):
-            fro += inputs[i][t] * inputs[i][t]
-    out = [float(v) for v in w]
-    for i in range(p):
-        acc = 0.0
-        for t in range(q):
-            acc += inputs[i][t] * errors[t]
-        out[i] = out[i] - chi * acc / fro
-    return np.asarray(out)
 
 
 class TestSigmoid:
