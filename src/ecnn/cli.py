@@ -26,7 +26,7 @@ import numpy as np
 from . import cascade, dtree, gmdh, harness
 from .dataset import Dataset, load_csv, save_csv, synth_generate
 from .errors import ConfigError, DataError, EcnnError
-from .model import FORMAT_VERSION, read_json_doc
+from .model import FORMAT_VERSION, is_format_version, read_json_doc
 from .projection import TrainConfig
 from .util import atomic_write_text, json_text
 
@@ -166,7 +166,8 @@ _SHARED_OPTIONS = dict([
     _field_option("--max-steps", TrainConfig, "max_steps"),
     _field_option("--candidate-restarts", cascade.GrowthConfig, "restarts_per_candidate"),
     _field_option("--max-failed-attempts", cascade.GrowthConfig, "max_failed_attempts", type=int),
-    _field_option("--offspring", gmdh.GmdhConfig, "offspring_per_generation"),
+    _field_option("--offspring", gmdh.GmdhConfig, "offspring_per_generation", type=int,
+                  help="Offspring per generation [default: min(500, 2*m*(m-1)) for m features]."),
     _field_option("--max-failures", gmdh.GmdhConfig, "max_serial_failures"),
     _field_option("--subsample", gmdh.GmdhConfig, "fit_subsample"),
     _field_option("--ns", dtree.DtConfig, "n_s"),
@@ -342,7 +343,7 @@ def replay_manifest(path: str | Path) -> int:
     if argv[:1] == ["replay"]:
         raise DataError(f"manifest {path} records a replay, not a command to rerun")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if not is_format_version(version):
         raise DataError(f"manifest {path} has format_version {version!r}, not {FORMAT_VERSION}")
     try:
         cli.main(args=argv, standalone_mode=False)

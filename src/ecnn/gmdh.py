@@ -21,7 +21,7 @@ the fitting rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,17 +48,23 @@ _MIN_SCALED_DET = 1e-8
 
 @dataclass
 class GmdhConfig:
-    offspring_per_generation: int = 500
+    offspring_per_generation: int | None = None  # None: ``offspring(m)``'s rule
     max_serial_failures: int = 3  # flat generations that end a run; 5 ran 45% longer, no better
     fit_subsample: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.offspring_per_generation < 1:
+        if self.offspring_per_generation is not None and self.offspring_per_generation < 1:
             raise ConfigError("offspring_per_generation must be >= 1")
         if self.max_serial_failures < 1:
             raise ConfigError("max_serial_failures must be >= 1")
         if not 0.0 < self.fit_subsample <= 1.0:
             raise ConfigError(f"fit_subsample must be in (0,1], got {self.fit_subsample}")
+
+    def offspring(self, m: int) -> int:
+        """Offspring per generation on ``m`` features: by default twice the
+        number of ordered pairs of seed neurons, up to 500."""
+        k = self.offspring_per_generation
+        return min(500, 2 * m * (m - 1)) if k is None else k
 
 
 @dataclass
@@ -252,7 +258,7 @@ def evolve(
     ``d_train`` fits coefficients (through the configured subsampling);
     ``d_valid`` scores each neuron's classification performance at
     threshold 0.5 on the raw polynomial output. A generation is a batch of
-    ``offspring_per_generation`` matings of distinct population members;
+    ``cfg.offspring(m)`` matings of distinct population members;
     offspring join the population only when they beat both parents, and
     the run ends after ``max_serial_failures`` consecutive generations
     that leave the population best unchanged. ``norm`` is the
@@ -283,10 +289,12 @@ def evolve(
 
 
 def fit(d: Dataset, cfg: GmdhConfig, seed: int) -> tuple[GmdhModel, float, tuple[float, ...]]:
-    """``evolve`` on normalized ``d``, half fitting and half validating: the
-    model, its validation error and each generation's best performance."""
+    """``evolve`` on normalized ``d``, half fitting and half validating, with
+    the offspring count resolved for d's width (a tracer of ``evolve`` reads
+    it): the model, its validation error and each generation's best."""
     dn, norm = fit_normalize(d)
     d_fit, d_valid = split(dn, 0.5, derive_seed(seed, "gmdh-split"))
+    cfg = replace(cfg, offspring_per_generation=cfg.offspring(d.m))
     model = evolve(d_fit, d_valid, cfg, seed=seed, norm=norm)
     return model, 1.0 - model.validation_performance, tuple(best for _, best, _ in model.generation_log)
 
@@ -390,7 +398,7 @@ def _grow_population(
     coeff_blocks, parent_blocks = [seed_coeffs], [np.full((size, 2), -1)]
     performance = np.count_nonzero((outs[:size, valid_cols] >= 0.5) == yv_true, axis=1) / len(yv_true)
 
-    k = cfg.offspring_per_generation
+    k = cfg.offspring(d_train.m)
     best_perf = float(performance.max())
     log = [(0, best_perf, size)]
     failures = 0

@@ -49,6 +49,12 @@ def read_json_doc(path: str | Path, kind: str = "model file", hashes: dict[str, 
     return doc
 
 
+def is_format_version(version) -> bool:
+    """Whether a document's version is this program's: the JSON integer,
+    not ``true`` or ``1.0``, which compare equal to it."""
+    return type(version) is int and version == FORMAT_VERSION
+
+
 def require(ok: bool, message: str) -> None:
     if not ok:
         raise DataError(f"malformed model file: {message}")
@@ -93,7 +99,7 @@ class Model:
         require(isinstance(doc, dict), "not a JSON object")
         try:
             version = doc["format_version"]
-            require(version == FORMAT_VERSION, f"format_version {version!r} is not {FORMAT_VERSION}")
+            require(is_format_version(version), f"format_version {version!r} is not {FORMAT_VERSION}")
             return cls._decode(doc)
         except (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError,
                 RecursionError) as exc:

@@ -640,6 +640,21 @@ class TestMalformedModelFiles:
         assert result.exit_code == 3, (result.output, result.exception)
         assert "data error" in result.output
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+    @pytest.mark.parametrize("family", ["ecnn", "gmdh", "dt"])
+    def test_format_version_must_be_the_integer_1(self, runner, tmp_path, saved_models, family, version):
+        # JSON true and 1.0 compare equal to 1 in Python, but are not its version
+        data, paths = saved_models
+        doc = json.loads(paths[family].read_text())
+        doc["format_version"] = version
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["evaluate", "--model", str(bad), "--data", str(data),
+                                     "--out", str(tmp_path / "m")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert f"format_version {version!r} is not 1" in result.output
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_saved_models_still_load(self, saved_models):
         _, paths = saved_models
         for family, path in paths.items():
@@ -789,6 +804,7 @@ class TestNonFiniteAndOutOfRangeFlags:
         ("train", ["--delta", "inf"]),
         ("train", ["--jobs", "0"]),
         ("train", ["--jobs", "-4"]),
+        ("train", ["--method", "gmdh", "--offspring", "0"]),
         ("compare", ["--jobs", "0"]),
         ("chi-sweep", ["--delta", "nan"]),
         ("synth", ["--noise-std", "nan"]),
@@ -982,7 +998,8 @@ class TestManifestReplay:
         assert result.exit_code == 3, result.output
         assert str(manifest) in result.output
 
-    @pytest.mark.parametrize("version", [7, None], ids=["other_version", "no_version"])
+    @pytest.mark.parametrize("version", [7, None, True, 1.0, "1"],
+                             ids=["other_version", "no_version", "true", "float", "string"])
     def test_manifest_of_another_format_version_exit_code(self, runner, tmp_path, version):
         out = tmp_path / "task"
         assert _invoke(runner, ["synth", "--n", "60", "--m", "4", "--relevant", "0",

@@ -313,9 +313,9 @@ def _reference_evolve(d_train, d_valid, cfg, base_seed):
     while failures < cfg.max_serial_failures:
         generation += 1
         rng = derive_rng(base_seed, "generation", generation)
-        pool = len(neurons)
-        first = rng.integers(pool, size=cfg.offspring_per_generation)
-        second = (first + rng.integers(1, pool, size=cfg.offspring_per_generation)) % pool
+        pool, k = len(neurons), cfg.offspring(d_train.m)
+        first = rng.integers(pool, size=k)
+        second = (first + rng.integers(1, pool, size=k)) % pool
         accepted = []
         for i, j in zip(first.tolist(), second.tolist()):
             assert i != j
@@ -547,6 +547,31 @@ class TestBatchedGenerations:
             _assert_same_population(population, populations[0])
 
 
+class TestOffspringRule:
+    def test_count_per_width(self):
+        rule = GmdhConfig()
+        assert [rule.offspring(m) for m in (2, 3, 12, 16, 17, 24, 72)] == [4, 12, 264, 480, 500, 500, 500]
+        assert [GmdhConfig(7).offspring(m) for m in (2, 72)] == [7, 7]
+        with pytest.raises(ConfigError, match="offspring_per_generation must be >= 1"):
+            GmdhConfig(0)
+
+    @pytest.mark.parametrize("m, count", [(12, 264), (24, 500)])
+    def test_default_writes_the_bytes_of_its_count(self, tmp_path, m, count):
+        # the loop reads only the count, so the default at m features is
+        # `--offspring 2*m*(m-1)` below 17 features and the former 500 above
+        d, _ = synth_generate(200, m, [0, m - 1], 0.2, 0.05, seed=m)
+        save_csv(d, tmp_path / "task.csv")
+        args = ["train", "--data", str(tmp_path / "task.csv"), "--method", "gmdh", "--seed", "3"]
+        runner = CliRunner()
+        for out, flags in (("default", []), ("explicit", ["--offspring", str(count)])):
+            result = runner.invoke(cli, args + flags + ["--out", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output
+        assert (tmp_path / "default.model.json").read_bytes() == (tmp_path / "explicit.model.json").read_bytes()
+        manifest = json.loads((tmp_path / "default.manifest.json").read_text())
+        assert manifest["config"]["offspring_per_generation"] is None
+        assert "--offspring" not in manifest["argv"]
+
+
 class TestStoppingRule:
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -564,19 +589,21 @@ class TestStoppingRule:
         assert all(b - a <= patience for a, b in zip(raised, raised[1:]))
 
     def test_patience_5_is_the_sequential_reference_at_5(self, tmp_path):
-        # 5 was the default before 3: `--max-failures 5` still runs the
-        # same loop, so the CLI's model is the reference's at patience 5
+        # 5 was the default before 3, and 500 offspring before the rule:
+        # `--offspring 500 --max-failures 5` still runs the same loop, so
+        # the CLI's model is the reference's at those settings
         d, _ = synth_generate(160, 5, [0, 3], 0.3, 0.1, seed=5)
         save_csv(d, tmp_path / "task.csv")
         out = tmp_path / "g"
         result = CliRunner().invoke(cli, ["train", "--data", str(tmp_path / "task.csv"), "--method", "gmdh",
-                                          "--max-failures", "5", "--seed", "5", "--out", str(out)])
+                                          "--offspring", "500", "--max-failures", "5", "--seed", "5",
+                                          "--out", str(out)])
         assert result.exit_code == 0, result.output
         doc = json.loads((tmp_path / "g.model.json").read_text())
         seed = derive_seed(5, "restart", 0)
         d_fit, d_valid = split(fit_normalize(d)[0], 0.5, derive_seed(seed, "gmdh-split"))
         ref_neurons, ref_log, ref_output, ref_selected = _reference_evolve(
-            d_fit, d_valid, GmdhConfig(max_serial_failures=5), seed)
+            d_fit, d_valid, GmdhConfig(500, 5), seed)
         assert len({best for _, best, _ in ref_log[-6:]}) == 1
         assert (doc["output_id"], [n["id"] for n in doc["neurons"]]) == (ref_output, ref_selected)
         for n in doc["neurons"]:

@@ -1,0 +1,44 @@
+"""The quality record's paired test, checked on cases worked by hand, and
+the shape of its tasks."""
+
+import numpy as np
+import pytest
+
+from quality_record import TASKS, wilcoxon_worse_p
+
+
+@pytest.mark.parametrize("diffs, p", [
+    # ranks 1-5 all positive: the largest of 2**5 equally likely sums
+    ([0.01, 0.02, 0.03, 0.04, 0.05], 1 / 32),
+    # the zero takes rank 1 and adds 0.5; signs of ranks 2-4 give 9.5
+    # only when all three are positive
+    ([0.0, 0.01, 0.02, 0.03], 1 / 8),
+    # four tied ranks of 2.5, three positive: 3 or 4 positive in 5 of 16
+    ([0.01, 0.01, -0.01, 0.01], 5 / 16),
+    # no nonzero difference, so no pattern other than the observed one
+    ([0.0, 0.0, 0.0], 1.0),
+    # ranks 1-5 all negative: every pattern is at least as large
+    ([-0.01, -0.02, -0.03, -0.04, -0.05], 1.0),
+    # a tie that rounding in the errors would break: ranks 1.5 and 1.5
+    ([0.1 - 0.09, 0.01], 1 / 4),
+])
+def test_exact_one_sided_p(diffs, p):
+    assert wilcoxon_worse_p(diffs) == p
+
+
+def test_more_than_20_differences_refused():
+    with pytest.raises(ValueError, match="at most 20"):
+        wilcoxon_worse_p(np.ones(21))
+
+
+def test_tasks_have_their_stated_shapes():
+    widths = {"linear": 12, "interaction": 12, "redundant": 18, "imbalanced": 12, "m2": 2, "m20": 20}
+    for name, make in TASKS.items():
+        d = make(0)
+        assert d.x.shape == (600, widths[name]), name
+        low, high = (0.10, 0.20) if name == "imbalanced" else (0.4, 0.6)
+        assert low < d.y.mean() < high, name
+    # columns 12-17 of the redundant task are noisy copies of x0, x0, x4, x4, x9, x9
+    x = TASKS["redundant"](0).x
+    corr = np.corrcoef(x.T)[12:, [0, 0, 4, 4, 9, 9]].diagonal()
+    assert (corr > 0.9).all(), corr
