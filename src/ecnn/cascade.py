@@ -59,18 +59,11 @@ class GrowthConfig:
     """Growth policy wrapped around the single-neuron trainer config."""
 
     trainer: TrainConfig = field(default_factory=TrainConfig)
-    max_failed_attempts: int | None = None
-    restarts_per_candidate: int = 1
+    max_failed_attempts: int = 3
 
     def __post_init__(self) -> None:
-        if self.restarts_per_candidate < 1:
-            raise ConfigError(
-                f"restarts_per_candidate must be >= 1, got {self.restarts_per_candidate}"
-            )
-        if self.max_failed_attempts is not None and self.max_failed_attempts < 1:
-            raise ConfigError(
-                f"max_failed_attempts must be >= 1 when set, got {self.max_failed_attempts}"
-            )
+        if self.max_failed_attempts < 1:
+            raise ConfigError(f"max_failed_attempts must be >= 1, got {self.max_failed_attempts}")
 
 
 @dataclass
@@ -217,8 +210,8 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
     features are ranked by single-input criterion. Starting from the
     second-ranked feature, candidates are fitted layer by layer; one is
     accepted only if its criterion strictly beats the previous layer's.
-    Growth ends when the ranked list is exhausted (or after
-    ``cfg.max_failed_attempts`` consecutive rejections, when configured).
+    Growth ends after ``cfg.max_failed_attempts`` consecutive rejections,
+    or when the ranked list is exhausted.
     If nothing is ever accepted, the best rejected two-input candidate is
     kept so the model can still predict.
     """
@@ -251,22 +244,19 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
         layer = len(neurons) + 1
         u_a = assemble_candidate_inputs(hidden_a, xa, base_feature, feature_j)
         u_b = assemble_candidate_inputs(hidden_b, xb, base_feature, feature_j)
-        fits = (
-            fit_neuron(u_a, ya, u_b, yb, cfg.trainer, derive_rng(seed, "candidate", layer, feature_j, attempt))
-            for attempt in range(cfg.restarts_per_candidate)
-        )
-        best = min(fits, key=lambda res: res.criterion)  # the first of equal criteria wins
-        neuron = CascadeNeuron(feature_j, best.weights, best.criterion)
-        if best.criterion < (neurons[-1].criterion if neurons else c0):
+        # the trailing 0 keeps the stream, and so the bytes, of earlier versions' models
+        res = fit_neuron(u_a, ya, u_b, yb, cfg.trainer, derive_rng(seed, "candidate", layer, feature_j, 0))
+        neuron = CascadeNeuron(feature_j, res.weights, res.criterion)
+        if res.criterion < (neurons[-1].criterion if neurons else c0):
             neurons.append(neuron)
             hidden_a.append(neuron.output(u_a))
             hidden_b.append(neuron.output(u_b))
             failures = 0
         else:
-            if not neurons and (fallback is None or best.criterion < fallback.criterion):
+            if not neurons and (fallback is None or res.criterion < fallback.criterion):
                 fallback = neuron
             failures += 1
-            if cfg.max_failed_attempts is not None and failures >= cfg.max_failed_attempts:
+            if failures >= cfg.max_failed_attempts:
                 break
 
     if not neurons:

@@ -164,8 +164,7 @@ _SHARED_OPTIONS = dict([
     _field_option("--init-std", TrainConfig, "init_std"),
     _field_option("--split-a", TrainConfig, "split_fraction", help="Fitting-part fraction."),
     _field_option("--max-steps", TrainConfig, "max_steps"),
-    _field_option("--candidate-restarts", cascade.GrowthConfig, "restarts_per_candidate"),
-    _field_option("--max-failed-attempts", cascade.GrowthConfig, "max_failed_attempts", type=int),
+    _field_option("--max-failed-attempts", cascade.GrowthConfig, "max_failed_attempts"),
     _field_option("--offspring", gmdh.GmdhConfig, "offspring_per_generation", type=int,
                   help="Offspring per generation [default: min(500, 2*m*(m-1)) for m features]."),
     _field_option("--max-failures", gmdh.GmdhConfig, "max_serial_failures"),

@@ -292,6 +292,8 @@ def fit(d: Dataset, cfg: GmdhConfig, seed: int) -> tuple[GmdhModel, float, tuple
     """``evolve`` on normalized ``d``, half fitting and half validating, with
     the offspring count resolved for d's width (a tracer of ``evolve`` reads
     it): the model, its validation error and each generation's best."""
+    if d.m < 2:
+        raise DataError(f"need at least 2 features, got {d.m}")
     dn, norm = fit_normalize(d)
     d_fit, d_valid = split(dn, 0.5, derive_seed(seed, "gmdh-split"))
     cfg = replace(cfg, offspring_per_generation=cfg.offspring(d.m))

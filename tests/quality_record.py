@@ -1,5 +1,6 @@
-"""Quality record of GMDH: a paired test of a candidate configuration
-against a base one, the gate a default that changes GMDH's models passes.
+"""Quality record of a model family: a paired test of a candidate
+configuration against a base one, the gate a default that changes the
+family's models passes.
 
 Each task is a 600-row dataset of standard-normal features labelled by a
 rule of the clean features; every feature then gets Gaussian noise of
@@ -14,24 +15,28 @@ deviation 0.2, and 5% of the labels are flipped:
 - ``m2`` and ``m20``, reported only: ``synth_generate(600, m, [0, m-1],
   0.2, 0.05, seed)``.
 
-For each seed, GMDH runs through ``harness.kfold`` (5 folds, 5 inner runs,
-fold seed = data seed) under each configuration, and the seed's error is
-the mean held-out error of its folds. Per task and configuration the
-record gives the mean error, the median size of the best model of each
-fold, the mean generations of every run and the CPU seconds of the process
-and its workers; then the seeds where the candidate is better, tied and
-worse, and the exact one-sided p of the paired Wilcoxon signed-rank test
-(Demsar, JMLR 2006) that the candidate is worse. Seeds 0-9 choose a
-default, and seeds 100-119 confirm it.
+For each seed, the family (``--method``, GMDH by default) runs through
+``harness.kfold`` (5 folds, 5 inner runs, fold seed = data seed) under
+each configuration, and the seed's error is the mean held-out error of its
+folds. Per task and configuration the record gives the mean error, the
+median size of the best model of each fold, the mean depth of every run
+(GMDH's generations, the cascade's layers) and the CPU seconds of the
+process and its workers; then the seeds where the candidate is better,
+tied and worse, and the exact one-sided p of the paired Wilcoxon
+signed-rank test (Demsar, JMLR 2006) that the candidate is worse. Seeds
+0-9 choose a default, and seeds 100-119 confirm it.
 
 Usage, from the repository root::
 
     PYTHONPATH=src python3 tests/quality_record.py --seeds 100-119 \\
         --base offspring_per_generation=500 [field=value ...]
+    PYTHONPATH=src python3 tests/quality_record.py --method ecnn --seeds 100-119 \\
+        --base max_failed_attempts=1000
 
-``--base field=value`` (repeatable) sets a field of the base
-``GmdhConfig()``, and each positional ``field=value`` one of the
-candidate's; a value is a Python literal (``None``, ``500``, ``0.5``).
+``--base field=value`` (repeatable) sets a field of the family's default
+config (``GmdhConfig()``, ``GrowthConfig()``), and each positional
+``field=value`` one of the candidate's; a value is a Python literal
+(``None``, ``500``, ``0.5``).
 pytest does not collect this file; ``tests/test_quality_record.py`` checks
 its test statistic.
 """
@@ -49,11 +54,11 @@ import numpy as np
 
 from ecnn import harness
 from ecnn.dataset import Dataset, synth_generate
-from ecnn.gmdh import GmdhConfig
 
 ROWS, NOISE, FLIP = 600, 0.2, 0.05
 FOLDS, INNER_RUNS = 5, 5
 GATED = ("linear", "interaction", "redundant", "imbalanced")
+DEPTH = {"gmdh": "generations", "ecnn": "layers"}
 
 
 def _score(x: np.ndarray) -> np.ndarray:
@@ -121,9 +126,9 @@ def _cpu_s() -> float:
                                                    resource.getrusage(resource.RUSAGE_CHILDREN)))
 
 
-def run_task(task: str, seeds: list[int], cfg: GmdhConfig, jobs: int = 1) -> dict:
-    """GMDH's k-fold record of ``task`` on each seed: per-seed errors, the
-    best model size of every fold, each run's generation count and CPU."""
+def run_task(task: str, seeds: list[int], method: harness.Method, jobs: int = 1) -> dict:
+    """The k-fold record of ``method`` on ``task`` for each seed: per-seed
+    errors, the best model size of every fold, each run's depth and CPU."""
     runs: list[harness.RunRecord] = []
     multi_restart = harness.multi_restart
 
@@ -137,7 +142,7 @@ def run_task(task: str, seeds: list[int], cfg: GmdhConfig, jobs: int = 1) -> dic
     harness.multi_restart = keep_runs
     try:
         for seed in seeds:
-            report = harness.kfold(TASKS[task](seed), FOLDS, harness.Method("gmdh", cfg), INNER_RUNS, seed, jobs)
+            report = harness.kfold(TASKS[task](seed), FOLDS, method, INNER_RUNS, seed, jobs)
             errors.append(1.0 - report.mean_performance)
             sizes.extend(r.model_size for r in report.folds)
     finally:
@@ -145,24 +150,24 @@ def run_task(task: str, seeds: list[int], cfg: GmdhConfig, jobs: int = 1) -> dic
     return {
         "errors": errors,
         "sizes": sizes,
-        "generations": [len(r.criterion_trace) - 1 for r in runs],
+        "depths": [len(r.criterion_trace) - 1 for r in runs],
         "cpu_s": _cpu_s() - start,
     }
 
 
 def _summary(rec: dict) -> str:
     return (f"{statistics.fmean(rec['errors']):.4f}, {statistics.median(rec['sizes']):g}, "
-            f"{statistics.fmean(rec['generations']):.1f}, {rec['cpu_s']:.1f} s")
+            f"{statistics.fmean(rec['depths']):.1f}, {rec['cpu_s']:.1f} s")
 
 
-def _config(assignments: list[str]) -> GmdhConfig:
+def _method(family: str, assignments: list[str]) -> harness.Method:
     fields = {}
     for item in assignments:
         name, sep, value = item.partition("=")
         if not sep:
             raise SystemExit(f"expected field=value, got {item!r}")
         fields[name] = ast.literal_eval(value)
-    return dataclasses.replace(GmdhConfig(), **fields)
+    return harness.Method(family, dataclasses.replace(harness.FAMILIES[family][0](), **fields))
 
 
 def _seeds(spec: str) -> list[int]:
@@ -176,14 +181,16 @@ def _seeds(spec: str) -> list[int]:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("candidate", nargs="*", metavar="field=value")
+    parser.add_argument("--method", choices=DEPTH, default="gmdh")
     parser.add_argument("--base", action="append", default=[], metavar="field=value")
     parser.add_argument("--seeds", default="0-9", help="e.g. 0-9 or 100-119 or 1,3,5")
     parser.add_argument("--tasks", default=",".join(TASKS))
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    base, cand, seeds = _config(args.base), _config(args.candidate), _seeds(args.seeds)
-    print(f"base {base}\ncandidate {cand}\nseeds {args.seeds}, {FOLDS} folds x {INNER_RUNS} inner runs")
-    print("task: base (mean error, median best-fold size, mean generations, CPU) / candidate; "
+    base, cand = _method(args.method, args.base), _method(args.method, args.candidate)
+    seeds = _seeds(args.seeds)
+    print(f"base {base.cfg}\ncandidate {cand.cfg}\nseeds {args.seeds}, {FOLDS} folds x {INNER_RUNS} inner runs")
+    print(f"task: base (mean error, median best-fold size, mean {DEPTH[args.method]}, CPU) / candidate; "
           "seeds better/tied/worse; one-sided p that the candidate is worse")
     for task in args.tasks.split(","):
         old = run_task(task, seeds, base, args.jobs)

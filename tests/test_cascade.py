@@ -168,13 +168,14 @@ class TestKeptOutputs:
     candidate's inputs must equal, bit for bit, those found by running the
     cascade of the neurons accepted before it."""
 
-    @pytest.mark.parametrize("case", ["default", "restarts", "max_failed", "fallback"])
+    @pytest.mark.parametrize("case", ["default", "max_failed", "fallback"])
     def test_every_call_matches_a_run_of_the_cascade(self, monkeypatch, case):
         if case == "fallback":
             d, cfg, seed = _perfect_single_feature_task(), GrowthConfig(), 1
         else:
             d, _ = synth_generate(400, 12, [0, 4, 7, 9], 0.2, 0.05, seed=0)
-            cfg = {"default": GrowthConfig(), "restarts": GrowthConfig(restarts_per_candidate=2),
+            # a count of d.m rejections never stops growth, so every feature is tried
+            cfg = {"default": GrowthConfig(max_failed_attempts=d.m),
                    "max_failed": GrowthConfig(max_failed_attempts=2)}[case]
             seed = 0
         model, calls = _recorded_calls(monkeypatch, d, cfg, seed)
@@ -257,7 +258,7 @@ class TestTrain:
 
     def test_max_failed_attempts_limits_growth(self):
         d, _ = synth_generate(600, 20, [0, 1], 0.2, 0.1, seed=9)
-        unlimited = train(d, GrowthConfig(), seed=9)
+        unlimited = train(d, GrowthConfig(max_failed_attempts=d.m), seed=9)
         limited = train(d, GrowthConfig(max_failed_attempts=2), seed=9)
         assert len(limited.neurons) <= len(unlimited.neurons)
 
@@ -281,9 +282,10 @@ class TestTrain:
         assert sorted(best.feature_set) == features
         assert best.model.size() == layers
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            GrowthConfig(restarts_per_candidate=0)
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_config_validation(self, count):
+        with pytest.raises(ConfigError, match=f"^max_failed_attempts must be >= 1, got {count}$"):
+            GrowthConfig(max_failed_attempts=count)
 
 
 class TestPredictEvaluate:

@@ -123,6 +123,25 @@ class TestTrainCommand:
         assert manifest["results"]["train_error"] >= 0.0
         _assert_manifest_config(manifest, cascade.GrowthConfig(), "ecnn", 1, 0)
 
+    @pytest.mark.parametrize("counts, layers", [((None, 3), 1), ((11, 12, 1000), 4)],
+                             ids=["default_is_3", "every_feature"])
+    def test_rejection_counts_that_write_the_same_bytes(self, runner, tmp_path, counts, layers):
+        # the default is `--max-failed-attempts 3`, and on 12 features any
+        # count from 11, the number of candidates, up tries every feature;
+        # on this task 3 rejections in a row end growth after layer 1
+        data = _make_data(tmp_path, seed=9, n=400, m=12)
+        models = []
+        for count in counts:
+            out = tmp_path / f"count{count}"
+            flags = [] if count is None else ["--max-failed-attempts", str(count)]
+            result = _invoke(runner, ["train", "--data", str(data), "--seed", "3", "--out", str(out)] + flags)
+            assert result.exit_code == 0, result.output
+            models.append(Path(f"{out}.model.json").read_bytes())
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["config"]["max_failed_attempts"] == (count or 3)
+            assert manifest["results"]["model_size"] == layers
+        assert models == [models[0]] * len(counts)
+
     def test_dt_defaults(self, runner, tmp_path):
         data = _make_data(tmp_path)
         out = tmp_path / "dtrun"
@@ -392,18 +411,17 @@ class TestFamilyFlags:
 
     def test_trainer_flags_are_checked_first(self, runner, tmp_path):
         data = _make_data(tmp_path, n=60, m=4)
-        result = runner.invoke(cli, ["train", "--data", str(data), "--chi", "0", "--candidate-restarts", "0",
+        result = runner.invoke(cli, ["train", "--data", str(data), "--chi", "0", "--max-failed-attempts", "0",
                                      "--out", str(tmp_path / "x")])
         assert result.exit_code == 2, result.output
         assert "config error: chi must be positive, got 0.0" in result.output
 
     @pytest.mark.parametrize("method,flags,cfg", [
         ("ecnn", ["--chi", "1.7", "--delta", "0.002", "--epsilon", "0.01", "--init-std", "0.2",
-                  "--split-a", "0.4", "--max-steps", "300", "--candidate-restarts", "2",
-                  "--max-failed-attempts", "3"],
+                  "--split-a", "0.4", "--max-steps", "300", "--max-failed-attempts", "2"],
          cascade.GrowthConfig(trainer=TrainConfig(chi=1.7, delta=0.002, epsilon=0.01, max_steps=300, init_std=0.2,
                                                   split_fraction=0.4),
-                              max_failed_attempts=3, restarts_per_candidate=2)),
+                              max_failed_attempts=2)),
         ("gmdh", ["--offspring", "40", "--max-failures", "2", "--subsample", "0.8"],
          gmdh.GmdhConfig(offspring_per_generation=40, max_serial_failures=2, fit_subsample=0.8)),
         ("dt", ["--ns", "10", "--pmin", "0.1"], dtree.DtConfig(n_s=10, p_min=0.1)),
@@ -805,6 +823,7 @@ class TestNonFiniteAndOutOfRangeFlags:
         ("train", ["--jobs", "0"]),
         ("train", ["--jobs", "-4"]),
         ("train", ["--method", "gmdh", "--offspring", "0"]),
+        ("train", ["--max-failed-attempts", "0"]),
         ("compare", ["--jobs", "0"]),
         ("chi-sweep", ["--delta", "nan"]),
         ("synth", ["--noise-std", "nan"]),
@@ -985,18 +1004,30 @@ class TestManifestReplay:
         result = runner.invoke(cli, ["replay", str(tmp_path / "ghost.json")])
         assert result.exit_code == 3
 
-    @pytest.mark.parametrize("text", [
-        pytest.param('{"argv": ["synth"', id="truncated_json"),
-        pytest.param('["synth", "--n", "10"]', id="not_an_object"),
-        pytest.param('{"command": "synth"}', id="no_argv"),
-        pytest.param('{"argv": "synth --n 10"}', id="argv_not_a_list"),
+    @pytest.mark.parametrize("text, code, named", [
+        pytest.param('{"argv": ["synth"', 3, None, id="truncated_json"),
+        pytest.param('["synth", "--n", "10"]', 3, None, id="not_an_object"),
+        pytest.param('{"command": "synth"}', 3, None, id="no_argv"),
+        pytest.param('{"argv": "synth --n 10"}', 3, None, id="argv_not_a_list"),
+        # the argv of a default train run recorded while --candidate-restarts
+        # existed: refused, never retrained under another config
+        pytest.param(json.dumps({"format_version": 1, "argv": [
+            "train", "--data", "train.csv", "--target", "target", "--chi", "1.9", "--delta", "0.0015",
+            "--init-std", "0.1", "--split-a", "0.5", "--max-steps", "200", "--candidate-restarts", "1",
+            "--max-failures", "3", "--subsample", "0.5", "--ns", "25", "--pmin", "0.06", "--seed", "0",
+            "--method", "ecnn", "--restarts", "1", "--out", "old"]}),
+            2, "No such option '--candidate-restarts'", id="removed_flag"),
     ])
-    def test_malformed_manifest_exit_code(self, runner, tmp_path, text):
+    def test_malformed_manifest_exit_code(self, runner, tmp_path, monkeypatch, text, code, named):
+        monkeypatch.chdir(tmp_path)
+        data = _make_data(tmp_path)
         manifest = tmp_path / "bad.manifest.json"
         manifest.write_text(text)
         result = runner.invoke(cli, ["replay", str(manifest)])
-        assert result.exit_code == 3, result.output
-        assert str(manifest) in result.output
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert (named or str(manifest)) in result.output
+        assert sorted(tmp_path.iterdir()) == [manifest, data]
 
     @pytest.mark.parametrize("version", [7, None, True, 1.0, "1"],
                              ids=["other_version", "no_version", "true", "float", "string"])

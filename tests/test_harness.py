@@ -167,6 +167,14 @@ class TestMethod:
         assert (best.criterion, best.criterion_trace) == (criterion, trace)
         assert best.model.to_json() == model.to_json()
 
+    @pytest.mark.parametrize("method", ["ecnn", "gmdh"])
+    def test_one_feature_refused(self, method):
+        x = np.random.default_rng(0).normal(size=(100, 1))
+        d = Dataset(x, (x[:, 0] > 0).astype(np.int64), ["a"])
+        cfg_cls, fit = FAMILIES[method]
+        with pytest.raises(DataError, match="^need at least 2 features, got 1$"):
+            fit(d, cfg_cls(), 0)
+
     def test_ecnn_adapter_is_the_ecnn_method(self):
         cfg = cascade.GrowthConfig(max_failed_attempts=2)
         assert ecnn_adapter(cfg) == Method("ecnn", cfg)

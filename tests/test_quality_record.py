@@ -1,10 +1,10 @@
-"""The quality record's paired test, checked on cases worked by hand, and
-the shape of its tasks."""
+"""The quality record's paired test, checked on cases worked by hand, the
+shape of its tasks, and a whole run of the script for each family."""
 
 import numpy as np
 import pytest
 
-from quality_record import TASKS, wilcoxon_worse_p
+from quality_record import TASKS, main, wilcoxon_worse_p
 
 
 @pytest.mark.parametrize("diffs, p", [
@@ -42,3 +42,19 @@ def test_tasks_have_their_stated_shapes():
     x = TASKS["redundant"](0).x
     corr = np.corrcoef(x.T)[12:, [0, 0, 4, 4, 9, 9]].diagonal()
     assert (corr > 0.9).all(), corr
+
+
+@pytest.mark.parametrize("method, field, depth", [
+    ("gmdh", "max_serial_failures=3", "generations"),
+    ("ecnn", "max_failed_attempts=3", "layers"),
+])
+def test_main_runs_each_family_end_to_end(capsys, method, field, depth):
+    # the base sets its field to the default, so the one seed ties
+    main(["--method", method, "--seeds", "0", "--tasks", "m2", "--base", field])
+    lines = capsys.readouterr().out.splitlines()
+    cfg_cls = {"gmdh": "GmdhConfig(", "ecnn": "GrowthConfig("}[method]
+    assert lines[0].startswith(f"base {cfg_cls}") and lines[1].startswith(f"candidate {cfg_cls}")
+    assert field in lines[0]
+    assert f"mean {depth}, CPU" in lines[3]
+    assert lines[4].startswith("m2 (reported only): ") and lines[4].endswith("; 0/1/0; p 1.000")
+    assert len(lines) == 5
