@@ -210,6 +210,8 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
     features are ranked by single-input criterion. Starting from the
     second-ranked feature, candidates are fitted layer by layer; one is
     accepted only if its criterion strictly beats the previous layer's.
+    Each candidate is fitted on 2z - 1 of the earlier hidden outputs z,
+    and its weights are stored to read z.
     Growth ends after ``cfg.max_failed_attempts`` consecutive rejections,
     or when the ranked list is exhausted.
     If nothing is ever accepted, the best rejected two-input candidate is
@@ -244,9 +246,18 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
         layer = len(neurons) + 1
         u_a = assemble_candidate_inputs(hidden_a, xa, base_feature, feature_j)
         u_b = assemble_candidate_inputs(hidden_b, xb, base_feature, feature_j)
+        # hidden outputs z lie around 0.5, close to the bias row, where the
+        # projection rule crawls; the fit reads them as 2z - 1, and since
+        # w * (2z - 1) = 2w * z - w, the stored weights read z itself
+        k = layer - 1
         # the trailing 0 keeps the stream, and so the bytes, of earlier versions' models
-        res = fit_neuron(u_a, ya, u_b, yb, cfg.trainer, derive_rng(seed, "candidate", layer, feature_j, 0))
-        neuron = CascadeNeuron(feature_j, res.weights, res.criterion)
+        res = fit_neuron(np.vstack([2.0 * u_a[:k] - 1.0, u_a[k:]]), ya,
+                         np.vstack([2.0 * u_b[:k] - 1.0, u_b[k:]]), yb,
+                         cfg.trainer, derive_rng(seed, "candidate", layer, feature_j, 0))
+        weights = res.weights.copy()
+        weights[:k] *= 2.0
+        weights[-1] -= res.weights[:k].sum()
+        neuron = CascadeNeuron(feature_j, weights, res.criterion)
         if res.criterion < (neurons[-1].criterion if neurons else c0):
             neurons.append(neuron)
             hidden_a.append(neuron.output(u_a))

@@ -347,6 +347,9 @@ def replay_manifest(path: str | Path) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
+    except click.ClickException as exc:  # a usage error, such as a flag since removed
+        exc.show()
+        return exc.exit_code
     except SystemExit as exc:  # raised by the error-mapping decorator
         return int(exc.code or 0)
 

@@ -37,6 +37,16 @@ Usage, from the repository root::
 config (``GmdhConfig()``, ``GrowthConfig()``), and each positional
 ``field=value`` one of the candidate's; a value is a Python literal
 (``None``, ``500``, ``0.5``).
+
+``--save PATH`` writes the candidate's record (its family, config and
+seeds, and each task's per-seed errors, sizes, depths and CPU) as JSON;
+``--against PATH`` takes such a record as the base instead of running
+one, so that the gate can judge a change of code, not only of config::
+
+    PYTHONPATH=src python3 tests/quality_record.py --method ecnn --seeds 100-119 --save parent.json
+    # then, on the changed code
+    PYTHONPATH=src python3 tests/quality_record.py --method ecnn --seeds 100-119 --against parent.json
+
 pytest does not collect this file; ``tests/test_quality_record.py`` checks
 its test statistic.
 """
@@ -46,6 +56,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import json
 import resource
 import statistics
 import sys
@@ -178,28 +189,57 @@ def _seeds(spec: str) -> list[int]:
     return seeds
 
 
+def _saved_base(path: str, method: str, seeds: list[int], tasks: list[str]) -> dict:
+    """The record at ``path``, refused unless it holds ``method`` on exactly
+    ``seeds`` for every task in ``tasks``, so that its seeds pair with the run's."""
+    with open(path, encoding="utf-8") as f:
+        record = json.load(f)
+    if record["method"] != method or record["seeds"] != seeds:
+        raise SystemExit(f"{path} holds {record['method']} on seeds {record['seeds']}, "
+                         f"not {method} on seeds {seeds}")
+    missing = [t for t in tasks if t not in record["tasks"]]
+    if missing:
+        raise SystemExit(f"{path} has no record of {', '.join(missing)}")
+    return record
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("candidate", nargs="*", metavar="field=value")
     parser.add_argument("--method", choices=DEPTH, default="gmdh")
     parser.add_argument("--base", action="append", default=[], metavar="field=value")
+    parser.add_argument("--against", metavar="PATH", help="a saved record to use as the base")
+    parser.add_argument("--save", metavar="PATH", help="write the candidate's record here as JSON")
     parser.add_argument("--seeds", default="0-9", help="e.g. 0-9 or 100-119 or 1,3,5")
     parser.add_argument("--tasks", default=",".join(TASKS))
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
-    base, cand = _method(args.method, args.base), _method(args.method, args.candidate)
-    seeds = _seeds(args.seeds)
-    print(f"base {base.cfg}\ncandidate {cand.cfg}\nseeds {args.seeds}, {FOLDS} folds x {INNER_RUNS} inner runs")
+    if args.against and args.base:
+        parser.error("--base and --against both set the base")
+    cand = _method(args.method, args.candidate)
+    seeds, tasks = _seeds(args.seeds), args.tasks.split(",")
+    if args.against:
+        saved = _saved_base(args.against, args.method, seeds, tasks)
+        base_name = f"{saved['config']} from {args.against}"
+    else:
+        base = _method(args.method, args.base)
+        base_name = str(base.cfg)
+    print(f"base {base_name}\ncandidate {cand.cfg}\nseeds {args.seeds}, {FOLDS} folds x {INNER_RUNS} inner runs")
     print(f"task: base (mean error, median best-fold size, mean {DEPTH[args.method]}, CPU) / candidate; "
           "seeds better/tied/worse; one-sided p that the candidate is worse")
-    for task in args.tasks.split(","):
-        old = run_task(task, seeds, base, args.jobs)
-        new = run_task(task, seeds, cand, args.jobs)
+    record = {"method": args.method, "config": str(cand.cfg), "seeds": seeds, "tasks": {}}
+    for task in tasks:
+        old = saved["tasks"][task] if args.against else run_task(task, seeds, base, args.jobs)
+        new = record["tasks"][task] = run_task(task, seeds, cand, args.jobs)
         diffs = np.round(np.subtract(new["errors"], old["errors"]), 12)
         counts = "/".join(str(int(n)) for n in ((diffs < 0).sum(), (diffs == 0).sum(), (diffs > 0).sum()))
         gate = "" if task in GATED else " (reported only)"
         print(f"{task}{gate}: {_summary(old)} / {_summary(new)}; {counts}; p {wilcoxon_worse_p(diffs):.3f}",
               flush=True)
+    if args.save:
+        with open(args.save, "w", encoding="utf-8") as f:
+            json.dump(record, f)
+            f.write("\n")
 
 
 if __name__ == "__main__":

@@ -123,12 +123,12 @@ class TestTrainCommand:
         assert manifest["results"]["train_error"] >= 0.0
         _assert_manifest_config(manifest, cascade.GrowthConfig(), "ecnn", 1, 0)
 
-    @pytest.mark.parametrize("counts, layers", [((None, 3), 1), ((11, 12, 1000), 4)],
+    @pytest.mark.parametrize("counts, layers", [((None, 3), 5), ((11, 12, 1000), 6)],
                              ids=["default_is_3", "every_feature"])
     def test_rejection_counts_that_write_the_same_bytes(self, runner, tmp_path, counts, layers):
         # the default is `--max-failed-attempts 3`, and on 12 features any
         # count from 11, the number of candidates, up tries every feature;
-        # on this task 3 rejections in a row end growth after layer 1
+        # on this task 3 rejections in a row end growth after layer 5
         data = _make_data(tmp_path, seed=9, n=400, m=12)
         models = []
         for count in counts:
@@ -972,6 +972,15 @@ def test_utf8_files_under_an_ascii_locale(tmp_path):
     assert "0,gr\u00f6\u00dfe," in freq
 
 
+# the argv of a default train run recorded while --candidate-restarts
+# existed: refused, never retrained under another config
+_REMOVED_FLAG_MANIFEST = json.dumps({"format_version": 1, "argv": [
+    "train", "--data", "train.csv", "--target", "target", "--chi", "1.9", "--delta", "0.0015",
+    "--init-std", "0.1", "--split-a", "0.5", "--max-steps", "200", "--candidate-restarts", "1",
+    "--max-failures", "3", "--subsample", "0.5", "--ns", "25", "--pmin", "0.06", "--seed", "0",
+    "--method", "ecnn", "--restarts", "1", "--out", "old"]})
+
+
 class TestManifestReplay:
     def test_replay_reproduces_artifacts(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1009,14 +1018,7 @@ class TestManifestReplay:
         pytest.param('["synth", "--n", "10"]', 3, None, id="not_an_object"),
         pytest.param('{"command": "synth"}', 3, None, id="no_argv"),
         pytest.param('{"argv": "synth --n 10"}', 3, None, id="argv_not_a_list"),
-        # the argv of a default train run recorded while --candidate-restarts
-        # existed: refused, never retrained under another config
-        pytest.param(json.dumps({"format_version": 1, "argv": [
-            "train", "--data", "train.csv", "--target", "target", "--chi", "1.9", "--delta", "0.0015",
-            "--init-std", "0.1", "--split-a", "0.5", "--max-steps", "200", "--candidate-restarts", "1",
-            "--max-failures", "3", "--subsample", "0.5", "--ns", "25", "--pmin", "0.06", "--seed", "0",
-            "--method", "ecnn", "--restarts", "1", "--out", "old"]}),
-            2, "No such option '--candidate-restarts'", id="removed_flag"),
+        pytest.param(_REMOVED_FLAG_MANIFEST, 2, "No such option '--candidate-restarts'", id="removed_flag"),
     ])
     def test_malformed_manifest_exit_code(self, runner, tmp_path, monkeypatch, text, code, named):
         monkeypatch.chdir(tmp_path)
@@ -1027,6 +1029,15 @@ class TestManifestReplay:
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit)
         assert (named or str(manifest)) in result.output
+        assert sorted(tmp_path.iterdir()) == [manifest, data]
+
+    def test_removed_flag_returns_2_as_a_library_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        data = _make_data(tmp_path)
+        manifest = tmp_path / "old.manifest.json"
+        manifest.write_text(_REMOVED_FLAG_MANIFEST)
+        assert replay_manifest(manifest) == 2
+        assert "No such option '--candidate-restarts'" in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [manifest, data]
 
     @pytest.mark.parametrize("version", [7, None, True, 1.0, "1"],

@@ -1,6 +1,8 @@
 """The quality record's paired test, checked on cases worked by hand, the
 shape of its tasks, and a whole run of the script for each family."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -47,14 +49,33 @@ def test_tasks_have_their_stated_shapes():
 @pytest.mark.parametrize("method, field, depth", [
     ("gmdh", "max_serial_failures=3", "generations"),
     ("ecnn", "max_failed_attempts=3", "layers"),
+    pytest.param("ecnn", None, "layers", id="ecnn-against-saved"),
 ])
-def test_main_runs_each_family_end_to_end(capsys, method, field, depth):
-    # the base sets its field to the default, so the one seed ties
-    main(["--method", method, "--seeds", "0", "--tasks", "m2", "--base", field])
+def test_main_runs_each_family_end_to_end(capsys, tmp_path, method, field, depth):
+    args = ["--method", method, "--seeds", "0", "--tasks", "m2"]
+    if field:
+        # the base sets its field to the default, so the one seed ties
+        main([*args, "--base", field])
+    else:
+        # the saved record of the default is the base of the same code, so the seed ties
+        saved = tmp_path / "record.json"
+        main([*args, "--save", str(saved)])
+        record = json.loads(saved.read_text())
+        assert (record["method"], record["seeds"], list(record["tasks"])) == (method, [0], ["m2"])
+        assert {"errors", "sizes", "depths", "cpu_s"} == set(record["tasks"]["m2"])
+        capsys.readouterr()
+        main([*args, "--against", str(saved)])
     lines = capsys.readouterr().out.splitlines()
     cfg_cls = {"gmdh": "GmdhConfig(", "ecnn": "GrowthConfig("}[method]
     assert lines[0].startswith(f"base {cfg_cls}") and lines[1].startswith(f"candidate {cfg_cls}")
-    assert field in lines[0]
+    assert (field or f"from {saved}") in lines[0]
     assert f"mean {depth}, CPU" in lines[3]
     assert lines[4].startswith("m2 (reported only): ") and lines[4].endswith("; 0/1/0; p 1.000")
     assert len(lines) == 5
+
+
+def test_saved_record_of_other_seeds_refused(tmp_path):
+    saved = tmp_path / "record.json"
+    main(["--method", "ecnn", "--seeds", "0", "--tasks", "m2", "--save", str(saved)])
+    with pytest.raises(SystemExit, match="holds ecnn on seeds \\[0\\], not ecnn on seeds \\[1\\]"):
+        main(["--method", "ecnn", "--seeds", "1", "--tasks", "m2", "--against", str(saved)])
