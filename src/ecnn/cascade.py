@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, NormParams, fit_normalize, split
 from .errors import ConfigError, DataError
-from .model import Model, require
+from .model import Model, json_array, json_list, json_value, require
 from .projection import TrainConfig, fit_neuron, sigmoid
 from .util import derive_rng, derive_seed
 
@@ -137,26 +137,28 @@ class CascadeModel(Model):
 
     @classmethod
     def _decode(cls, d: dict) -> "CascadeModel":
-        names = list(d["feature_names"])
-        base_feature = int(d["base_feature"])
+        names = json_list(d["feature_names"], str, "feature_names")
+        base_feature = json_value(d["base_feature"], int, "base_feature")
         require(0 <= base_feature < len(names), f"base feature {base_feature} out of range")
         # the neuron at layer r is wired in the cascade pattern to a
         # feature in range, and has a weight for each of its r + 1 inputs
         neurons = []
         for r, nd in enumerate(d["neurons"], start=1):
-            feature = int(nd["inputs"][-1]["index"])
-            wired = nd["layer"] == r and nd["inputs"] == _wiring(r, base_feature, feature)
+            # integers, so that the wiring comparison does not take true or 1.0 for 1
+            layer = json_value(nd["layer"], int, "layer")
+            *_, feature = [json_value(src["index"], int, "input index") for src in nd["inputs"]]
+            wired = layer == r and nd["inputs"] == _wiring(r, base_feature, feature)
             require(wired and 0 <= feature < len(names), f"neuron {r} is not wired as cascade layer {r}")
-            weights = np.asarray([*nd["weights"], nd["bias"]], dtype=np.float64)
+            weights = np.append(json_array(nd["weights"], float, "weights"), json_value(nd["bias"], float, "bias"))
             require(weights.shape == (r + 2,), f"neuron {r} needs {r + 1} weights and a bias")
-            neurons.append(CascadeNeuron(feature, weights, float(nd["criterion"])))
+            neurons.append(CascadeNeuron(feature, weights, json_value(nd["criterion"], float, "criterion")))
         return cls(
             base_feature=base_feature,
             neurons=neurons,
-            c0=float(d["c0"]),
+            c0=json_value(d["c0"], float, "c0"),
             norm=NormParams.from_dict(d["norm"], len(names)),
             feature_names=names,
-            threshold=float(d["threshold"]),
+            threshold=json_value(d["threshold"], float, "threshold"),
         )
 
 

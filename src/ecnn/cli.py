@@ -160,7 +160,6 @@ _SHARED_OPTIONS = dict([
     ("target", click.option("--target", default="target", show_default=True, help="Target column name or index.")),
     _field_option("--chi", TrainConfig, "chi"),
     _field_option("--delta", TrainConfig, "delta"),
-    _field_option("--epsilon", TrainConfig, "epsilon", type=float, help="Known noise level stop (off by default)."),
     _field_option("--init-std", TrainConfig, "init_std"),
     _field_option("--split-a", TrainConfig, "split_fraction", help="Fitting-part fraction."),
     _field_option("--max-steps", TrainConfig, "max_steps"),

@@ -20,6 +20,7 @@ import numpy as np
 import orjson
 
 from .errors import ConfigError, DataError
+from .model import json_array
 from .util import atomic_write_text, atomic_writer, csv_text, json_text, read_file
 
 CONSTANT_STD_EPS = 1e-12
@@ -120,7 +121,8 @@ class NormParams:
     @classmethod
     def from_dict(cls, d: dict, m: int) -> "NormParams":
         """Parameters for ``m`` columns; anything else is a DataError."""
-        params = cls(d["mean"], d["std"], d["constant_flags"])
+        params = cls(json_array(d["mean"], float, "norm mean"), json_array(d["std"], float, "norm std"),
+                     json_array(d["constant_flags"], bool, "constant_flags"))
         if any(a.shape != (m,) for a in (params.mean, params.std, params.constant)):
             raise DataError(f"normalization parameters do not match {m} features")
         if not (np.all(np.isfinite(params.mean)) and np.all(np.isfinite(params.std) & (params.std > 0))):

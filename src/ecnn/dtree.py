@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import Dataset, split
 from .errors import ConfigError, DataError
-from .model import Model, require
+from .model import Model, json_value, require
 from .util import derive_rng, derive_seed
 
 # features whose thresholds ``best_partition`` scores together; a node of
@@ -114,18 +114,20 @@ class DtModel(Model):
 
     @classmethod
     def _decode(cls, d: dict) -> "DtModel":
-        n_features = int(d["n_features"])
+        n_features = json_value(d["n_features"], int, "n_features")
 
         def decode(nd: dict) -> DtNode:
             if "leaf" in nd:
                 leaf = nd["leaf"]
-                label = int(leaf["class"])
+                label = json_value(leaf["class"], int, "leaf class")
                 require(label in (0, 1), f"leaf class {label} is not 0 or 1")
-                return Leaf(label, (int(leaf["counts"][0]), int(leaf["counts"][1])))
+                counts = leaf["counts"]
+                return Leaf(label, (json_value(counts[0], int, "leaf count"), json_value(counts[1], int, "leaf count")))
             sp = nd["split"]
-            feature = int(sp["feature"])
+            feature = json_value(sp["feature"], int, "split feature")
             require(0 <= feature < n_features, f"split on feature {feature} of {n_features}")
-            return Split(feature, float(sp["threshold"]), decode(sp["left"]), decode(sp["right"]))
+            return Split(feature, json_value(sp["threshold"], float, "split threshold"),
+                         decode(sp["left"]), decode(sp["right"]))
 
         return cls(decode(d["root"]), n_features)
 

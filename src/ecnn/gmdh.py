@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import Dataset, NormParams, fit_normalize, split
 from .errors import ConfigError, DataError, NumericError
-from .model import Model, require
+from .model import Model, json_array, json_value, require
 from .util import derive_rng, derive_seed
 
 # offspring fitted, scored and accepted together; no draw depends on it
@@ -149,7 +149,7 @@ class GmdhModel(Model):
 
     @classmethod
     def _decode(cls, d: dict) -> "GmdhModel":
-        n_features = int(d["n_features"])
+        n_features = json_value(d["n_features"], int, "n_features")
         docs = d["neurons"]
         # ids are unique, and a neuron reads features in range and only the
         # neurons before it
@@ -157,7 +157,7 @@ class GmdhModel(Model):
         inputs = []
 
         def source(nid: int, src: dict) -> int:
-            index = int(src["index"])
+            index = json_value(src["index"], int, "parent index")
             if src["kind"] == "feature":
                 require(0 <= index < n_features, f"neuron {nid} reads feature {index}")
                 return index
@@ -165,21 +165,21 @@ class GmdhModel(Model):
             return n_features + rows[index]
 
         for nd in docs:
-            nid = int(nd["id"])
+            nid = json_value(nd["id"], int, "neuron id")
             require(nid not in rows, f"neuron id {nid} repeats")
             b = nd["parent_b"]
             inputs.append((source(nid, nd["parent_a"]), -1 if b is None else source(nid, b)))
             rows[nid] = len(rows)
-        coeffs = np.asarray([nd["coeffs"] for nd in docs], dtype=np.float64)
-        require(coeffs.shape == (len(docs), 4), "coeffs must be 4-vectors")
+        coeffs = [json_array(nd["coeffs"], float, "coeffs") for nd in docs]
+        require(all(c.shape == (4,) for c in coeffs), "coeffs must be 4-vectors")
         ids = list(rows)
-        output_id = int(d["output_id"])
+        output_id = json_value(d["output_id"], int, "output_id")
         require(ids[-1:] == [output_id], f"output_id {output_id} is not the last neuron's id")
         return cls(
             neurons=np.array(ids, dtype=np.int64),
             inputs=np.array(inputs, dtype=np.int64).reshape(-1, 2),
-            coeffs=coeffs,
-            performance=np.array([float(nd["performance"]) for nd in docs]),
+            coeffs=np.array(coeffs),
+            performance=np.array([json_value(nd["performance"], float, "performance") for nd in docs]),
             generation_log=[],
             norm=NormParams.from_dict(d["norm"], n_features),
             n_features=n_features,

@@ -60,6 +60,33 @@ def require(ok: bool, message: str) -> None:
         raise DataError(f"malformed model file: {message}")
 
 
+# the JSON types each kind of field accepts, and what the error calls them
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), bool: ((bool,), "true or false"),
+               str: ((str,), "a string")}
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` as ``kind`` (``int``, ``float``, ``bool`` or ``str``),
+    refused unless it is of the JSON type that ``kind`` stands for: an
+    integer is not ``true`` or ``1.5``, a number is not ``true`` or
+    ``"0.5"``, and a flag is not ``0``, though ``int``, ``float`` and numpy
+    read them all."""
+    types, name = _JSON_TYPES[kind]
+    require(type(value) in types, f"{what} must be {name}, got {type(value).__name__}")
+    return kind(value)
+
+
+def json_list(values, kind: type, what: str) -> list:
+    """A JSON list whose every item is ``json_value``'s ``kind``."""
+    require(type(values) is list, f"{what} must be a list, got {type(values).__name__}")
+    return [json_value(v, kind, what) for v in values]
+
+
+def json_array(values, kind: type, what: str) -> np.ndarray:
+    """``json_list`` of ``int``, ``float`` or ``bool`` as a 1-D array."""
+    return np.array(json_list(values, kind, what), dtype=kind)
+
+
 class Model:
     """Base of the model classes; a subclass sets ``n_features``."""
 

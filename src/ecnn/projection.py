@@ -2,7 +2,7 @@
 
 The weights are adjusted on a fitting part of the data while a residual
 square error is monitored on a held-out validation part; training stops
-once the validation error stalls (or drops below a known noise level).
+once the validation error stalls.
 The final validation error is the neuron's regularity criterion, used by
 the cascade builder to accept or reject the neuron.
 """
@@ -32,9 +32,6 @@ class TrainConfig:
         Minimal decrease of the validation error between consecutive
         steps; training stops once the decrease falls below it (this also
         covers the case of the error going back up).
-    epsilon : float or None
-        Known noise level. When set, training stops as soon as the
-        validation error drops to it, and ``delta`` is not consulted.
     max_steps : int
         Safety cap on update steps.
     init_std : float
@@ -46,15 +43,14 @@ class TrainConfig:
 
     chi: float = 1.9
     delta: float = 0.0015
-    epsilon: float | None = None
     max_steps: int = 200
     init_std: float = 0.1
     split_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("chi", "delta", "epsilon", "init_std"):
+        for name in ("chi", "delta", "init_std"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.chi <= 0:
             raise ConfigError(f"chi must be positive, got {self.chi}")
@@ -70,8 +66,6 @@ class TrainConfig:
             raise ConfigError(f"init_std must be positive, got {self.init_std}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0,1), got {self.split_fraction}")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 @dataclass
@@ -125,11 +119,9 @@ def fit_neuron(
     Returns
     -------
     FitResult
-        Weights at the stopping step and the validation-error trace. When
-        ``cfg.epsilon`` is set, stops at the first step whose validation
-        error is at or below it; otherwise stops once the step-to-step
-        decrease falls under ``cfg.delta``; always stops at
-        ``cfg.max_steps``.
+        Weights at the stopping step and the validation-error trace. Stops
+        at the first step whose decrease of the validation error falls
+        under ``cfg.delta``, or at ``cfg.max_steps``.
     """
     inputs_a = np.asarray(inputs_a, dtype=np.float64)
     inputs_b = np.asarray(inputs_b, dtype=np.float64)
@@ -182,13 +174,9 @@ def fit_neuron(
         np.subtract(eta, s, out=eta)
         return 0.5 * math.sqrt(eta_b.dot(eta_b))
 
-    epsilon, delta = cfg.epsilon, cfg.delta
+    delta = cfg.delta
     e_b = validation_error()
     trace = [e_b]
-    steps = 0
-    if epsilon is not None and e_b <= epsilon:
-        return FitResult(w, e_b, 0, np.asarray(trace))
-
     for k in range(1, cfg.max_steps + 1):
         h_a.dot(eta_a, out=delta_w)
         delta_w *= step
@@ -199,11 +187,7 @@ def fit_neuron(
             raise NumericError(f"non-finite weights at step {k}")
         prev, e_b = e_b, validation_error()
         trace.append(e_b)
-        steps = k
-        if epsilon is not None:
-            if e_b <= epsilon:
-                break
-        elif prev - e_b < delta:
+        if prev - e_b < delta:
             break
 
-    return FitResult(w, e_b, steps, np.asarray(trace))
+    return FitResult(w, e_b, len(trace) - 1, np.asarray(trace))

@@ -32,11 +32,14 @@ Usage, from the repository root::
         --base offspring_per_generation=500 [field=value ...]
     PYTHONPATH=src python3 tests/quality_record.py --method ecnn --seeds 100-119 \\
         --base max_failed_attempts=1000
+    PYTHONPATH=src python3 tests/quality_record.py --method ecnn --seeds 100-119 \\
+        trainer.max_steps=1000 trainer.delta=3e-4
 
 ``--base field=value`` (repeatable) sets a field of the family's default
 config (``GmdhConfig()``, ``GrowthConfig()``), and each positional
 ``field=value`` one of the candidate's; a value is a Python literal
-(``None``, ``500``, ``0.5``).
+(``None``, ``500``, ``0.5``). A dotted name sets a field of a field:
+``trainer.max_steps`` is the cascade's ``TrainConfig.max_steps``.
 
 ``--save PATH`` writes the candidate's record (its family, config and
 seeds, and each task's per-seed errors, sizes, depths and CPU) as JSON;
@@ -171,14 +174,20 @@ def _summary(rec: dict) -> str:
             f"{statistics.fmean(rec['depths']):.1f}, {rec['cpu_s']:.1f} s")
 
 
+def _replaced(cfg, name: str, value):
+    """``cfg`` with field ``name`` set to ``value``; ``a.b`` names field ``b`` of field ``a``."""
+    head, dot, rest = name.partition(".")
+    return dataclasses.replace(cfg, **{head: _replaced(getattr(cfg, head), rest, value) if dot else value})
+
+
 def _method(family: str, assignments: list[str]) -> harness.Method:
-    fields = {}
+    cfg = harness.FAMILIES[family][0]()
     for item in assignments:
         name, sep, value = item.partition("=")
         if not sep:
             raise SystemExit(f"expected field=value, got {item!r}")
-        fields[name] = ast.literal_eval(value)
-    return harness.Method(family, dataclasses.replace(harness.FAMILIES[family][0](), **fields))
+        cfg = _replaced(cfg, name, ast.literal_eval(value))
+    return harness.Method(family, cfg)
 
 
 def _seeds(spec: str) -> list[int]:

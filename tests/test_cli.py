@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -401,6 +402,21 @@ class TestFamilyFlags:
             assert param.default == fields[param.name][0].default, param.opts[0]
         assert sorted(param.name for param in flags) == sorted(fields)
 
+    def test_readme_flag_table_matches_train(self):
+        # rows of the form | `--flag` | `Class.field` | default |
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(--[\w-]+)` \| `(\w+)\.(\w+)` \| (.+?) \|$", readme, re.MULTILINE)
+        owner = {f.name: cls.__name__ for cls in _CONFIGS for f in dataclasses.fields(cls) if f.name != "trainer"}
+        flags = [p for p in cli.commands["train"].params if p.opts[0] not in _COMMAND_OPTIONS]
+        assert sorted(row[0] for row in rows) == sorted(p.opts[0] for p in flags)
+        for param in flags:
+            [(_, cls_name, field, default)] = [row for row in rows if row[0] == param.opts[0]]
+            assert (cls_name, field) == (owner[param.name], param.name), param.opts[0]
+            if param.default is None:
+                assert default.startswith("none"), param.opts[0]
+            else:
+                assert default == str(param.default), param.opts[0]
+
     def test_method_choices_are_the_family_table(self, runner, tmp_path):
         [method] = [p for p in cli.commands["train"].params if p.name == "method"]
         assert list(method.type.choices) == list(harness.FAMILIES)
@@ -417,9 +433,9 @@ class TestFamilyFlags:
         assert "config error: chi must be positive, got 0.0" in result.output
 
     @pytest.mark.parametrize("method,flags,cfg", [
-        ("ecnn", ["--chi", "1.7", "--delta", "0.002", "--epsilon", "0.01", "--init-std", "0.2",
+        ("ecnn", ["--chi", "1.7", "--delta", "0.002", "--init-std", "0.2",
                   "--split-a", "0.4", "--max-steps", "300", "--max-failed-attempts", "2"],
-         cascade.GrowthConfig(trainer=TrainConfig(chi=1.7, delta=0.002, epsilon=0.01, max_steps=300, init_std=0.2,
+         cascade.GrowthConfig(trainer=TrainConfig(chi=1.7, delta=0.002, max_steps=300, init_std=0.2,
                                                   split_fraction=0.4),
                               max_failed_attempts=2)),
         ("gmdh", ["--offspring", "40", "--max-failures", "2", "--subsample", "0.8"],
@@ -442,6 +458,16 @@ class TestFamilyFlags:
             path.unlink()
         assert replay_manifest(f"{out}.manifest.json") == 0
         assert [path.read_bytes() for path in written] == written_bytes
+
+    def test_removed_epsilon_flag_exits_2(self, runner, tmp_path, monkeypatch):
+        # the fit stops only on delta or max_steps; a noise level is refused, never ignored
+        monkeypatch.chdir(tmp_path)
+        _make_data(tmp_path, n=60, m=4, name="data.csv")
+        result = runner.invoke(cli, ["train", "--data", "data.csv", "--epsilon", "0.1", "--out", "x"])
+        assert result.exit_code == 2, result.output
+        assert "No such option '--epsilon'" in result.output
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     def test_chi_sweep_trainer_flags_reach_the_config_and_replay(self, runner, tmp_path):
         data = _make_data(tmp_path, n=60, m=4)
@@ -633,6 +659,48 @@ DOC_EDITS = {
     "tree_nan_threshold": ("dt", lambda doc: _set(_first_split(doc["root"]), "threshold", float("nan"))),
     "tree_no_features": ("dt", lambda doc: _set(doc, "n_features", "five")),
 }
+
+
+def _first_leaf(node):
+    while "split" in node:
+        node = node["split"]["left"]
+    return node["leaf"]
+
+
+def _last(items, key, change):
+    items[-1][key] = change(items[-1][key])
+
+
+# case -> (family, edit): a field of the wrong JSON type, which int(),
+# float() or numpy would read as a value
+WRONG_TYPE_EDITS = {
+    "cascade_base_feature_fraction": ("ecnn", lambda doc: _set(doc, "base_feature", doc["base_feature"] + 0.9)),
+    "cascade_layer_true": ("ecnn", lambda doc: _set(doc, "neurons", 0, "layer", True)),
+    "cascade_layer_float": ("ecnn", lambda doc: _set(doc, "neurons", 0, "layer", 1.0)),
+    "cascade_input_index_float": ("ecnn", lambda doc: _last(doc["neurons"][0]["inputs"], "index", float)),
+    "cascade_norm_mean_strings": ("ecnn", lambda doc: _set(doc, "norm", "mean", list(map(str, doc["norm"]["mean"])))),
+    "cascade_weights_strings_bias_true": ("ecnn", lambda doc: doc["neurons"][0].update(
+        weights=list(map(str, doc["neurons"][0]["weights"])), bias=True)),
+    "cascade_threshold_string": ("ecnn", lambda doc: _set(doc, "threshold", "0.5")),
+    "cascade_c0_string": ("ecnn", lambda doc: _set(doc, "c0", "1")),
+    # a string of one letter per feature, which list() would take for the names
+    "cascade_feature_names_string": ("ecnn", lambda doc: _set(doc, "feature_names",
+                                                              "abcdefgh"[:len(doc["feature_names"])])),
+    "gmdh_n_features_fraction": ("gmdh", lambda doc: _set(doc, "n_features", doc["n_features"] + 0.5)),
+    "gmdh_ids_fraction": ("gmdh", lambda doc: [_last(doc["neurons"], "id", lambda v: v + 0.25),
+                                               _set(doc, "output_id", doc["output_id"] + 0.25)]),
+    "gmdh_constant_flags_0": ("gmdh", lambda doc: _set(doc, "norm", "constant_flags",
+                                                       [0] * len(doc["norm"]["constant_flags"]))),
+    "gmdh_coeffs_strings": ("gmdh", lambda doc: _set(doc, "neurons", 0, "coeffs",
+                                                     list(map(str, doc["neurons"][0]["coeffs"])))),
+    "gmdh_performance_string": ("gmdh", lambda doc: _set(doc, "neurons", 0, "performance", "0.5")),
+    "tree_split_feature_fraction": ("dt", lambda doc: _set(_first_split(doc["root"]), "feature",
+                                                           _first_split(doc["root"])["feature"] + 0.5)),
+    "tree_leaf_class_1.7": ("dt", lambda doc: _set(_first_leaf(doc["root"]), "class", 1.7)),
+    "tree_leaf_class_0.3": ("dt", lambda doc: _set(_first_leaf(doc["root"]), "class", 0.3)),
+    "tree_threshold_string": ("dt", lambda doc: _set(_first_split(doc["root"]), "threshold",
+                                                     str(_first_split(doc["root"])["threshold"]))),
+}
 # case -> (family, edit of the saved model's JSON text); each must exit 3
 MALFORMED = {
     "truncated": ("ecnn", lambda text: text[: len(text) // 2]),
@@ -671,6 +739,18 @@ class TestMalformedModelFiles:
                                      "--out", str(tmp_path / "m")])
         assert result.exit_code == 3, (result.output, result.exception)
         assert f"format_version {version!r} is not 1" in result.output
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("case", sorted(WRONG_TYPE_EDITS))
+    def test_field_of_the_wrong_json_type_exit_code_3(self, runner, tmp_path, saved_models, case):
+        data, paths = saved_models
+        family, edit = WRONG_TYPE_EDITS[case]
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(_doc_edit(edit)(paths[family].read_text()))
+        result = runner.invoke(cli, ["evaluate", "--model", str(bad), "--data", str(data),
+                                     "--out", str(tmp_path / "m")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "data error: malformed model file" in result.output
         assert list(tmp_path.iterdir()) == [bad]
 
     def test_saved_models_still_load(self, saved_models):
@@ -815,7 +895,6 @@ class TestUnreadableData:
 class TestNonFiniteAndOutOfRangeFlags:
     @pytest.mark.parametrize("command, flags", [
         ("train", ["--delta", "nan"]),
-        ("train", ["--epsilon", "nan"]),
         ("train", ["--chi", "nan"]),
         ("train", ["--chi", "inf"]),
         ("train", ["--init-std", "nan"]),
@@ -979,6 +1058,12 @@ _REMOVED_FLAG_MANIFEST = json.dumps({"format_version": 1, "argv": [
     "--init-std", "0.1", "--split-a", "0.5", "--max-steps", "200", "--candidate-restarts", "1",
     "--max-failures", "3", "--subsample", "0.5", "--ns", "25", "--pmin", "0.06", "--seed", "0",
     "--method", "ecnn", "--restarts", "1", "--out", "old"]})
+# the argv of a train run recorded with the noise-level stop --epsilon set
+_REMOVED_EPSILON_MANIFEST = json.dumps({"format_version": 1, "argv": [
+    "train", "--data", "train.csv", "--target", "target", "--chi", "1.9", "--delta", "0.0015",
+    "--epsilon", "0.1", "--init-std", "0.1", "--split-a", "0.5", "--max-steps", "200",
+    "--max-failed-attempts", "3", "--max-failures", "3", "--subsample", "0.5", "--ns", "25", "--pmin", "0.06",
+    "--seed", "0", "--method", "ecnn", "--restarts", "1", "--out", "old"]})
 
 
 class TestManifestReplay:
@@ -1019,6 +1104,7 @@ class TestManifestReplay:
         pytest.param('{"command": "synth"}', 3, None, id="no_argv"),
         pytest.param('{"argv": "synth --n 10"}', 3, None, id="argv_not_a_list"),
         pytest.param(_REMOVED_FLAG_MANIFEST, 2, "No such option '--candidate-restarts'", id="removed_flag"),
+        pytest.param(_REMOVED_EPSILON_MANIFEST, 2, "No such option '--epsilon'", id="removed_epsilon"),
     ])
     def test_malformed_manifest_exit_code(self, runner, tmp_path, monkeypatch, text, code, named):
         monkeypatch.chdir(tmp_path)

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from quality_record import TASKS, main, wilcoxon_worse_p
+from ecnn.cascade import GrowthConfig
+from ecnn.projection import TrainConfig
+from quality_record import TASKS, _method, main, wilcoxon_worse_p
 
 
 @pytest.mark.parametrize("diffs, p", [
@@ -72,6 +74,11 @@ def test_main_runs_each_family_end_to_end(capsys, tmp_path, method, field, depth
     assert f"mean {depth}, CPU" in lines[3]
     assert lines[4].startswith("m2 (reported only): ") and lines[4].endswith("; 0/1/0; p 1.000")
     assert len(lines) == 5
+
+
+def test_dotted_names_set_the_trainer_fields():
+    method = _method("ecnn", ["trainer.max_steps=1000", "trainer.delta=3e-4", "max_failed_attempts=5"])
+    assert method.cfg == GrowthConfig(trainer=TrainConfig(max_steps=1000, delta=3e-4), max_failed_attempts=5)
 
 
 def test_saved_record_of_other_seeds_refused(tmp_path):
