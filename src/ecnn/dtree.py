@@ -21,6 +21,8 @@ from .util import derive_rng, derive_seed
 # n rows holds an (n, _FEATURE_BLOCK, n_s) comparison mask, about 2 MB at
 # 5000 rows and 25 draws
 _FEATURE_BLOCK = 16
+# threshold draws per variable at most; the mask above is then 160 KB a row
+_MAX_DRAWS = 10**4
 
 
 @dataclass
@@ -29,8 +31,8 @@ class DtConfig:
     p_min: float = 0.06  # minimal node fraction still worth splitting
 
     def __post_init__(self) -> None:
-        if self.n_s < 1:
-            raise ConfigError(f"n_s must be >= 1, got {self.n_s}")
+        if not 1 <= self.n_s <= _MAX_DRAWS:
+            raise ConfigError(f"n_s must be >= 1 and <= {_MAX_DRAWS}, got {self.n_s}")
         if not 0.0 < self.p_min < 1.0:
             raise ConfigError(f"p_min must be in (0,1), got {self.p_min}")
 
@@ -205,7 +207,8 @@ def build(d: Dataset, cfg: DtConfig, seed: int) -> DtModel:
     A node becomes a leaf when it holds at most ``p_min`` of the training
     rows, is pure, or the best sampled split has zero gain. Rows with the
     split variable equal to the threshold go left. Leaf label is the
-    majority class, ties to class 0.
+    majority class, ties to class 0. A split search too large for memory
+    is a config error: its size is ``n_s`` times the node's rows.
     """
     if d.n < 2:
         raise DataError(f"need at least 2 rows to build a tree, got {d.n}")
@@ -221,7 +224,11 @@ def build(d: Dataset, cfg: DtConfig, seed: int) -> DtModel:
         ys = d.y[idx]
         if len(idx) <= floor or len(np.unique(ys)) < 2:
             return leaf_for(ys)
-        feature, threshold, gain = best_partition(d.x[idx], ys, cfg, rng)
+        try:
+            feature, threshold, gain = best_partition(d.x[idx], ys, cfg, rng)
+        except MemoryError:
+            raise ConfigError(f"{cfg.n_s} threshold draws on {len(idx)} rows by {d.m} features "
+                              "do not fit in memory (--ns)") from None
         if gain <= 0.0:
             return leaf_for(ys)
         go_left = d.x[idx, feature] <= threshold

@@ -10,13 +10,13 @@ best neuron (smallest ancestor subgraph on ties) becomes the output. The
 population grows as arrays; the model is the output's ancestor subgraph.
 
 A generation draws its pairs and subsamples from one random stream and
-fits all its offspring in batched 4x4 normal-equation solves
-(``fit_ls_batch``); ``fit_ls`` fits the seed neurons and every offspring
-whose system is too close to singular for the normal equations. Neuron
-outputs are kept in one array, a row per neuron: offspring read their
-parents' outputs on their fitting subsample straight from it, are scored
-on the validation rows first, and only the accepted ones are run on all
-the fitting rows.
+fits its offspring in blocks sized by its rows, each block in batched
+4x4 normal-equation solves built from row sums (``fit_ls_batch``);
+``fit_ls`` fits the seed neurons and every offspring whose system is too
+close to singular for the normal equations. Neuron outputs are kept in
+one array, a row per neuron: offspring read their parents' outputs on
+their fitting subsample straight from it, are scored on the validation
+rows first, and only the accepted ones are run on all the fitting rows.
 """
 
 from __future__ import annotations
@@ -30,8 +30,12 @@ from .errors import ConfigError, DataError, NumericError
 from .model import Model, json_array, json_value, require
 from .util import derive_rng, derive_seed
 
-# offspring fitted, scored and accepted together; no draw depends on it
-_BLOCK = 128
+# offspring per generation at most: a generation holds a few arrays of
+# its offspring count, about 24 MB at this bound
+_MAX_OFFSPRING = 10**6
+# a generation draws a random key per offspring and fitting row, in
+# equal blocks of offspring of about this many keys; no draw depends on it
+_BLOCK_KEYS = 1 << 17
 # bytes reserved for the output array; no byte of a model depends on it.
 # It is above glibc's largest dynamic mmap threshold (32 MiB), so the
 # array is mapped on its own and unmapped when freed, and freeing it does
@@ -53,8 +57,9 @@ class GmdhConfig:
     fit_subsample: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.offspring_per_generation is not None and self.offspring_per_generation < 1:
-            raise ConfigError("offspring_per_generation must be >= 1")
+        k = self.offspring_per_generation
+        if k is not None and not 1 <= k <= _MAX_OFFSPRING:
+            raise ConfigError(f"offspring_per_generation must be >= 1 and <= {_MAX_OFFSPRING}, got {k}")
         if self.max_serial_failures < 1:
             raise ConfigError("max_serial_failures must be >= 1")
         if not 0.0 < self.fit_subsample <= 1.0:
@@ -308,21 +313,15 @@ def fit_ls_batch(u1: np.ndarray, u2: np.ndarray, targets: np.ndarray) -> np.ndar
     u1[r]*u2[r]) to ``targets[r]`` (or to ``targets``, when it is one
     vector for all k). Each fit solves the 4x4 normal equations of the
     same basis over the centred inputs, which spans the same functions,
-    with its columns scaled to unit length, and maps the answer back. A
-    fit whose scaled system is singular or nearly so (determinant below
-    ``_MIN_SCALED_DET``) is left to ``fit_ls``, whose ``lstsq`` gives the
-    minimum-norm answer.
+    built from row sums (``_normal_equations``), with its columns scaled
+    to unit length, and maps the answer back. A fit whose scaled system
+    is singular or nearly so (determinant below ``_MIN_SCALED_DET``) is
+    left to ``fit_ls``, whose ``lstsq`` gives the minimum-norm answer.
     """
-    k, count = u1.shape
+    k = len(u1)
     m1 = u1.mean(axis=1)
     m2 = u2.mean(axis=1)
-    basis = np.empty((k, 4, count))
-    basis[:, 0] = 1.0
-    np.subtract(u1, m1[:, None], out=basis[:, 1])
-    np.subtract(u2, m2[:, None], out=basis[:, 2])
-    np.multiply(basis[:, 1], basis[:, 2], out=basis[:, 3])
-    gram = basis @ basis.transpose(0, 2, 1)
-    rhs = (basis @ targets[..., None])[..., 0]
+    gram, rhs = _normal_equations(u1 - m1[:, None], u2 - m2[:, None], targets)
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         raise NumericError("least-squares fit produced non-finite coefficients")
     scale = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
@@ -339,6 +338,37 @@ def fit_ls_batch(u1: np.ndarray, u2: np.ndarray, targets: np.ndarray) -> np.ndar
     for r in np.flatnonzero(~direct).tolist():
         coeffs[r] = fit_ls(u1[r], u2[r], targets if targets.ndim == 1 else targets[r])
     return coeffs
+
+
+def _normal_equations(c1: np.ndarray, c2: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 4, 4) matrices ``basis @ basis.T`` and (k, 4) vectors
+    ``basis @ targets`` of the k bases (1, c1[r], c2[r], c1[r]*c2[r]), from
+    batched row sums: one per distinct entry, with no (k, 4, rows) basis."""
+    k, count = c1.shape
+    c12 = c1 * c2
+    t = np.broadcast_to(targets, c1.shape)
+
+    def dot(a, b):
+        return np.einsum("kr,kr->k", a, b)
+
+    s1, s2, s12 = c1.sum(axis=1), c2.sum(axis=1), c12.sum(axis=1)
+    s112, s122 = dot(c12, c1), dot(c12, c2)
+    gram = np.stack([
+        np.full(k, float(count)), s1, s2, s12,
+        s1, dot(c1, c1), s12, s112,
+        s2, s12, dot(c2, c2), s122,
+        s12, s112, s122, dot(c12, c12),
+    ], axis=1).reshape(k, 4, 4)
+    rhs = np.stack([t.sum(axis=1), dot(c1, t), dot(c2, t), dot(c12, t)], axis=1)
+    return gram, rhs
+
+
+def _block_size(k: int, q: int) -> int:
+    """Offspring per block of a generation of ``k`` offspring on ``q``
+    fitting rows: its k·q random keys make ceil(k·q / ``_BLOCK_KEYS``)
+    blocks of equal size, the last one smaller if they do not divide k."""
+    blocks = -(-k * q // _BLOCK_KEYS)
+    return -(-k // blocks)
 
 
 def _with_room(outs: np.ndarray, used: int, extra: int) -> np.ndarray:
@@ -367,9 +397,11 @@ def _grow_population(
     g)``: first the K ordered pairs of distinct parents, ``i`` uniform and
     ``(i + U{1..P-1}) mod P``, then one row of random keys per offspring,
     whose ``count`` smallest pick its rows. The offspring are fitted
-    (``fit_ls_batch``), scored and accepted ``_BLOCK`` at a time, which
-    bounds the working memory; the keys are drawn block by block in
-    offspring order, so the block size does not change any draw.
+    (``fit_ls_batch``), scored and accepted a block at a time. A block
+    holds about ``_BLOCK_KEYS`` keys (``_block_size``), which bounds the
+    working memory: a narrow generation is one block, and a wide one on
+    many rows is cut into equal blocks. The keys are drawn block by block
+    in offspring order, so the block size does not change any draw.
 
     Neuron outputs sit in one array, a row per id holding the outputs on
     the fitting rows and then on the validation rows. It is reserved at
@@ -401,6 +433,7 @@ def _grow_population(
     performance = np.count_nonzero((outs[:size, valid_cols] >= 0.5) == yv_true, axis=1) / len(yv_true)
 
     k = cfg.offspring(d_train.m)
+    block = _block_size(k, q)
     best_perf = float(performance.max())
     log = [(0, best_perf, size)]
     failures = 0
@@ -412,8 +445,8 @@ def _grow_population(
         second = (first + rng.integers(1, size, size=k)) % size
         beaten = np.maximum(performance[first], performance[second])
         accepted = []
-        for start in range(0, k, _BLOCK):
-            pairs = np.stack([first[start : start + _BLOCK], second[start : start + _BLOCK]])
+        for start in range(0, k, block):
+            pairs = np.stack([first[start : start + block], second[start : start + block]])
             if count == q:
                 rows = every_row
             else:
@@ -422,7 +455,7 @@ def _grow_population(
             w = fit_ls_batch(u1, u2, yt.take(rows))
             out_valid = _forward_rows(w, *outs[pairs, valid_cols])
             perf = np.count_nonzero((out_valid >= 0.5) == yv_true, axis=1) / len(yv_true)
-            t = np.flatnonzero(perf > beaten[start : start + _BLOCK])
+            t = np.flatnonzero(perf > beaten[start : start + block])
             if t.size:
                 new = slice(size, size + t.size)
                 outs = _with_room(outs, size, t.size)

@@ -892,6 +892,28 @@ class TestUnreadableData:
         assert f"cannot read dataset file {data}" in result.output
 
 
+class TestHugeSizes:
+    """A size no run could allocate is a config error before any work,
+    not an allocation traceback after it."""
+
+    @pytest.mark.parametrize("value", ["1125899906842624", "4611686018427387904"])
+    @pytest.mark.parametrize("flags", [["--method", "gmdh", "--offspring"], ["--method", "dt", "--ns"]],
+                             ids=["offspring", "ns"])
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_exit_2_without_training(self, runner, tmp_path, monkeypatch, command, flags, value):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cascade, "train", lambda *args, **kwargs: pytest.fail("a cascade was trained"))
+        _make_data(tmp_path, n=60, m=4, name="data.csv")
+        if command == "compare":
+            flags = flags[2:]  # compare trains every family
+        result = runner.invoke(cli, [command, "--data", "data.csv", "--out", "x"] + flags + [value])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("config error: ")
+        assert value in result.output
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
 class TestNonFiniteAndOutOfRangeFlags:
     @pytest.mark.parametrize("command, flags", [
         ("train", ["--delta", "nan"]),

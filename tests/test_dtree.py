@@ -276,6 +276,20 @@ class TestBuild:
             DtConfig(n_s=0)
         with pytest.raises(ConfigError):
             DtConfig(p_min=0.0)
+        assert DtConfig(n_s=dtree._MAX_DRAWS).n_s == 10**4
+        with pytest.raises(ConfigError, match="^n_s must be >= 1 and <= 10000, got 10001$"):
+            DtConfig(n_s=dtree._MAX_DRAWS + 1)
+
+    def test_split_search_out_of_memory_names_the_flag(self, monkeypatch):
+        # the search's size depends on the rows, so only the build can tell
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(dtree, "best_partition", no_memory)
+        d = Dataset(np.random.default_rng(13).normal(size=(30, 2)), np.arange(30) % 2, ["a", "b"])
+        with pytest.raises(ConfigError, match=r"^25 threshold draws on 30 rows by 2 features do not fit "
+                                              r"in memory \(--ns\)$"):
+            build(d, DtConfig(), seed=0)
 
 
 class TestPredictAndSerialize:

@@ -369,6 +369,23 @@ class TestFitLsBatch:
             assert np.linalg.matrix_rank(basis) == 4
             _assert_close_fit(got[r], fit_ls(u1[r], u2[r], targets[r]))
 
+    @pytest.mark.parametrize("offset, spread", [(0.0, 1.0), (0.5, 0.1), (-3.0, 2.0)])
+    def test_row_sums_give_the_basis_gram(self, offset, spread):
+        # the same nearly collinear inputs as above, centred: the normal
+        # equations from row sums are the explicit basis @ basis.T and
+        # basis @ targets, to roundoff relative to the column norms
+        rng = np.random.default_rng(7)
+        u1 = offset + spread * rng.normal(size=(40, 60))
+        u2 = offset + spread * (0.9 * (u1 - offset) / spread + 0.3 * rng.normal(size=(40, 60)))
+        targets = rng.integers(0, 2, size=(40, 60)).astype(np.float64)
+        c1, c2 = u1 - u1.mean(axis=1, keepdims=True), u2 - u2.mean(axis=1, keepdims=True)
+        gram, rhs = gmdh._normal_equations(c1, c2, targets)
+        for r in range(40):
+            basis = np.stack([np.ones(60), c1[r], c2[r], c1[r] * c2[r]])
+            norms = np.linalg.norm(basis, axis=1)
+            assert (np.abs(gram[r] - basis @ basis.T) <= 1e-12 * np.outer(norms, norms)).all()
+            assert (np.abs(rhs[r] - basis @ targets[r]) <= 1e-12 * norms * np.linalg.norm(targets[r])).all()
+
     def test_one_target_vector_for_all_rows(self):
         rng = np.random.default_rng(8)
         u1, u2 = rng.normal(size=(2, 5, 30))
@@ -516,16 +533,26 @@ class TestBatchedGenerations:
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
     def test_block_size_changes_no_byte(self, monkeypatch, subsample):
         d_train, d_valid = _small_task(3)
+        q = d_train.n
         cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample)
         models, populations = [], []
-        for block in (1, 7, 64, 90, 500):
-            monkeypatch.setattr(gmdh, "_BLOCK", block)
+        # key budgets that give blocks of 1 offspring, 7 (the last one 6),
+        # 45, and the whole generation
+        for budget, block in ((1, 1), (7 * q, 7), (64 * q, 45), (90 * q, 90), (10**9, 90)):
+            monkeypatch.setattr(gmdh, "_BLOCK_KEYS", budget)
+            assert gmdh._block_size(90, q) == block
             models.append(evolve(d_train, d_valid, cfg, 3, identity_norm(d_train.m)))
             populations.append(gmdh._grow_population(d_train, d_valid, cfg, 3))
         for model, population in zip(models[1:], populations[1:]):
             assert model.to_json() == models[0].to_json()
             assert model.generation_log == models[0].generation_log
             _assert_same_population(population, populations[0])
+
+    @pytest.mark.parametrize("k, q, block", [(264, 240, 264), (500, 240, 500), (500, 1000, 125)])
+    def test_block_split(self, k, q, block):
+        # a 12-column compare fold and a 20-column one are one block each;
+        # 72 columns on 1,000 fitting rows make four blocks of 125
+        assert gmdh._block_size(k, q) == block
 
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
     def test_growth_changes_no_byte(self, monkeypatch, subsample):
@@ -554,6 +581,9 @@ class TestOffspringRule:
         assert [GmdhConfig(7).offspring(m) for m in (2, 72)] == [7, 7]
         with pytest.raises(ConfigError, match="offspring_per_generation must be >= 1"):
             GmdhConfig(0)
+        assert GmdhConfig(gmdh._MAX_OFFSPRING).offspring(72) == 10**6
+        with pytest.raises(ConfigError, match="^offspring_per_generation must be >= 1 and <= 1000000, got 1000001$"):
+            GmdhConfig(gmdh._MAX_OFFSPRING + 1)
 
     @pytest.mark.parametrize("m, count", [(12, 264), (24, 500)])
     def test_default_writes_the_bytes_of_its_count(self, tmp_path, m, count):
