@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import Dataset, NormParams, fit_normalize, split
 from .errors import ConfigError, DataError
 from .model import Model, json_array, json_list, json_value, require
-from .projection import TrainConfig, fit_neuron, sigmoid
+from .projection import TrainConfig, fit_augmented, fit_neuron, sigmoid
 from .util import derive_rng, derive_seed
 
 
@@ -165,30 +165,26 @@ class CascadeModel(Model):
 def rank_features(d_a: Dataset, d_b: Dataset, cfg: GrowthConfig, seed: int) -> list[tuple[int, float]]:
     """Score every feature with a single-input neuron and order them.
 
-    Each feature is fitted on part A and scored by its validation
-    criterion on part B, every fit starting from an identical random init
-    so the ranking is equivariant under column permutations. Returns
-    (feature index, criterion) pairs sorted ascending by criterion, ties
-    to the lower index. Features that carry no signal at all (all-zero
+    Each feature is fitted alone on part A, by :func:`fit_neuron`'s step
+    loop, and scored by its validation criterion on part B. Every fit
+    starts from one shared random init, so the ranking is equivariant
+    under column permutations. Returns (feature index, criterion) pairs
+    sorted ascending by criterion, ties to the lower index. Features that carry no signal at all (all-zero
     columns, e.g. flagged constants) rank last with an infinite score.
     """
-    ya = d_a.y.astype(np.float64)
-    yb = d_b.y.astype(np.float64)
+    # what every fit shares: the init, the 2t - 1 targets, and the input
+    # buffers of parts A and B, whose row 0 takes each feature in turn
+    # and whose row 1 is the bias row
+    w0 = derive_rng(seed, "rank").normal(0.0, cfg.trainer.init_std, 2)
+    s = np.concatenate([2.0 * d_a.y - 1.0, 2.0 * d_b.y - 1.0])
+    u_a, u_b = np.ones((2, d_a.n)), np.ones((2, d_b.n))
     scores: list[tuple[int, float]] = []
     for j in range(d_a.m):
-        col_a = d_a.x[:, j][None, :]
-        if not np.any(col_a):
+        u_a[0], u_b[0] = d_a.x[:, j], d_b.x[:, j]
+        if not u_a[0].any():
             scores.append((j, math.inf))
             continue
-        res = fit_neuron(
-            col_a,
-            ya,
-            d_b.x[:, j][None, :],
-            yb,
-            cfg.trainer,
-            derive_rng(seed, "rank"),
-        )
-        scores.append((j, res.criterion))
+        scores.append((j, fit_augmented(u_a, u_b, s, w0.copy(), cfg.trainer).criterion))
     return sorted(scores, key=lambda t: (t[1], t[0]))
 
 

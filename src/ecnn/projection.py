@@ -137,19 +137,46 @@ def fit_neuron(
         raise ValueError("both data parts must be non-empty")
     if targets_a.shape != (inputs_a.shape[1],) or targets_b.shape != (inputs_b.shape[1],):
         raise ValueError("target lengths do not match input columns")
-    if not np.any(inputs_a):
+    if not inputs_a.any():
         raise NumericError("cannot fit a neuron on an all-zero input matrix")
 
-    # a constant-1 row, so that the bias trains like any other weight
-    u_a = np.vstack([inputs_a, np.ones((1, inputs_a.shape[1]))])
-    u_b = np.vstack([inputs_b, np.ones((1, inputs_b.shape[1]))])
-    p_aug = u_a.shape[0]
+    u_a, u_b = _with_bias_row(inputs_a), _with_bias_row(inputs_b)
+    w = rng.normal(0.0, cfg.init_std, size=u_a.shape[0])
+    s = np.concatenate([2.0 * targets_a - 1.0, 2.0 * targets_b - 1.0])
+    return fit_augmented(u_a, u_b, s, w, cfg)
+
+
+def _with_bias_row(x: np.ndarray) -> np.ndarray:
+    """``x`` with a constant-1 row appended, so that the bias trains like
+    any other weight.
+
+    The rows are in Fortran order where ``np.vstack([x, ones])`` would put
+    them, and in C order elsewhere: the matrix-vector products of the fit
+    round differently in the two orders, so this keeps the bytes of fits
+    on transposed tables (as the learning-rate sweep passes them).
+    """
+    p, n = x.shape
+    fortran = p > 1 and n > 1 and abs(x.strides[0]) < abs(x.strides[1])
+    u = np.empty((p + 1, n), order="F" if fortran else "C")
+    u[:-1], u[-1] = x, 1.0
+    return u
+
+
+def fit_augmented(u_a: np.ndarray, u_b: np.ndarray, s: np.ndarray, w: np.ndarray,
+                  cfg: TrainConfig) -> FitResult:
+    """The step loop of :func:`fit_neuron`, from its init ``w``, which it
+    updates in place.
+
+    ``u_a`` and ``u_b`` are the input matrices of parts A and B with the
+    constant-1 bias row last, and ``s`` holds ``2t - 1`` of part A's
+    targets followed by part B's. Only ``cfg.chi``, ``cfg.delta`` and
+    ``cfg.max_steps`` are read.
+    """
     with np.errstate(over="ignore"):
         norm_sq = float(np.sum(u_a * u_a))
     if not math.isfinite(norm_sq):
         raise NumericError("the squared norm of the fitting inputs overflows")
     step = cfg.chi / norm_sq
-    w = rng.normal(0.0, cfg.init_std, size=p_aug)
     # The loop works on the doubled residual 2 * (sigmoid(z) - t), which
     # is tanh(z / 2) - (2t - 1). Halving the inputs is exact, so
     # ``w @ h_a`` is ``z / 2`` and ``h_a @ eta_a`` is ``u_a @ (eta_a / 2)``
@@ -162,10 +189,9 @@ def fit_neuron(
     # the next update. The two gemvs stay separate, because one gemv over
     # [h_a | h_b] rounds differently.
     n_a = u_a.shape[1]
-    s = np.concatenate([2.0 * targets_a - 1.0, 2.0 * targets_b - 1.0])
     eta = np.empty(s.shape[0])
     eta_a, eta_b = eta[:n_a], eta[n_a:]
-    delta_w = np.empty(p_aug)
+    delta_w = np.empty(w.shape[0])
 
     def validation_error() -> float:
         w.dot(h_a, out=eta_a)

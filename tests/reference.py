@@ -3,7 +3,8 @@ residuals written from their definitions, one projection update as its
 formula reads, the bias row a fit appends, the parts of a fitted weight
 vector, the identity normalization and the inverse of a normalization,
 the labels of a synthetic task's generating rule and its ``truth.json``
-read back, a cascade candidate's inputs found by running the whole
+read back, the cascade's feature ranking with one ``fit_neuron`` per
+feature, a cascade candidate's inputs found by running the whole
 cascade, a GMDH neuron's ancestors found by walking its parent links, the
 information gain of one split, one threshold draw of the tree, the tree's
 split search one feature at a time, one row routed down the tree node by
@@ -24,7 +25,8 @@ import numpy as np
 from ecnn.dataset import NormParams, SynthTruth
 from ecnn.dtree import Split, _entropy_per_split, entropy
 from ecnn.errors import DataError, NumericError
-from ecnn.projection import sigmoid
+from ecnn.projection import fit_neuron, sigmoid
+from ecnn.util import derive_rng
 
 
 def neuron_forward(u, w, bias: float = 0.0):
@@ -138,6 +140,23 @@ def read_truth(path: str | Path) -> SynthTruth:
         int(d["seed"]),
         int(d["flip_count"]),
     )
+
+
+def ranking_by_fit_neuron(d_a, d_b, cfg, seed: int) -> list[tuple[int, float]]:
+    """``cascade.rank_features`` one ``fit_neuron`` per feature: each
+    nonzero column of part A is fitted alone from a fresh
+    ``derive_rng(seed, "rank")``, an all-zero one scores infinity, and
+    the (feature, criterion) pairs are sorted by criterion, then index."""
+    ya, yb = d_a.y.astype(np.float64), d_b.y.astype(np.float64)
+    scores = []
+    for j in range(d_a.m):
+        col_a = d_a.x[:, j][None, :]
+        if not np.any(col_a):
+            scores.append((j, math.inf))
+            continue
+        res = fit_neuron(col_a, ya, d_b.x[:, j][None, :], yb, cfg.trainer, derive_rng(seed, "rank"))
+        scores.append((j, res.criterion))
+    return sorted(scores, key=lambda t: (t[1], t[0]))
 
 
 def candidate_inputs(model, feature_j: int, xn: np.ndarray) -> np.ndarray:

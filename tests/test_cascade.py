@@ -13,10 +13,10 @@ from ecnn.cascade import (
     train,
 )
 from ecnn.dataset import Dataset, fit_normalize, split, synth_generate
-from ecnn.errors import ConfigError, DataError
+from ecnn.errors import ConfigError, DataError, NumericError
 from ecnn.projection import TrainConfig, sigmoid
 from ecnn.util import derive_seed
-from reference import candidate_inputs, error_vector, identity_norm, rse
+from reference import candidate_inputs, error_vector, identity_norm, ranking_by_fit_neuron, rse
 
 
 def _normalized_halves(d, fraction=0.5, seed=0):
@@ -40,6 +40,25 @@ def _toy_model(m=4, base=1, layers=2, fill=0.0):
         "format_version": 1, "base_feature": base, "feature_names": [f"f{j}" for j in range(m)],
         "norm": identity_norm(m).to_dict(), "c0": 2.0, "neurons": neurons, "threshold": 0.5,
     })
+
+
+def _ranking_parts(n_a, n_b, positive, seed=0):
+    """Normalized parts A and B of ``n_a`` and ``n_b`` rows and 6 features,
+    labelled 1 for the top ``positive`` share of a noisy linear score of
+    features 0 and 1. Feature 3 is all zero, and feature 4 is constant
+    before normalization, so it is flagged constant and zeroed."""
+    rng = np.random.default_rng([n_a, n_b, seed])
+    x = rng.normal(size=(n_a + n_b, 6))
+    x[:, 3], x[:, 4] = 0.0, 7.5
+    score = x[:, 0] - 0.5 * x[:, 1] + 0.5 * rng.normal(size=n_a + n_b)
+    y = (score >= np.quantile(score, 1.0 - positive)).astype(np.int64)
+    dn, norm = fit_normalize(Dataset(x, y, [f"f{j}" for j in range(6)]))
+    assert norm.constant[4]
+    return dn.subset(np.arange(n_a)), dn.subset(np.arange(n_a, n_a + n_b))
+
+
+# part lengths on and off a multiple of 4 and 8, from 2 rows up to 1,340
+_RANKING_PARTS = [(2, 2), (3, 2), (7, 5), (240, 240), (241, 239), (659, 1339), (660, 1340)]
 
 
 class TestRankFeatures:
@@ -82,6 +101,23 @@ class TestRankFeatures:
         assert ranking[-1][0] == 2
         assert math.isinf(ranking[-1][1])
 
+    @pytest.mark.parametrize("positive", [0.5, 0.1], ids=["balanced", "unbalanced"])
+    @pytest.mark.parametrize("n_a, n_b", _RANKING_PARTS)
+    def test_same_bytes_as_one_fit_neuron_per_feature(self, n_a, n_b, positive):
+        d_a, d_b = _ranking_parts(n_a, n_b, positive)
+        cfg = GrowthConfig()
+        got = rank_features(d_a, d_b, cfg, seed=n_a)
+        want = ranking_by_fit_neuron(d_a, d_b, cfg, seed=n_a)
+        assert [(j, s.hex()) for j, s in got] == [(j, s.hex()) for j, s in want]
+        assert [j for j, _ in got[-2:]] == [3, 4]
+
+    def test_overflowing_column_raises_as_fit_neuron_does(self):
+        d_a, d_b = _ranking_parts(240, 240, 0.5)
+        d_a.x[:, 2] = 1e200  # its squared norm overflows; the column itself is finite
+        for ranking in (rank_features, ranking_by_fit_neuron):
+            with pytest.raises(NumericError, match="^the squared norm of the fitting inputs overflows$"):
+                ranking(d_a, d_b, GrowthConfig(), seed=0)
+
 
 def _perfect_single_feature_task():
     rng = np.random.default_rng(3)
@@ -105,8 +141,8 @@ def _recorded_calls(monkeypatch, d, cfg, seed, fits=None):
     """Train with ``assemble_candidate_inputs`` and ``fit_neuron`` wrapped;
     returns the model and every assembly's (hidden row count, xn, base,
     feature, result). Each candidate fit's (part A rows, part B rows,
-    result) is appended to ``fits`` when it is a list; ranking fits, which
-    read one row, are not."""
+    result) is appended to ``fits`` when it is a list; the ranking's fits
+    run the step kernel without ``fit_neuron``, so none is."""
     calls = []
     assemble, fit_neuron = cascade.assemble_candidate_inputs, cascade.fit_neuron
 
@@ -117,7 +153,7 @@ def _recorded_calls(monkeypatch, d, cfg, seed, fits=None):
 
     def fitted(inputs_a, targets_a, inputs_b, targets_b, trainer, rng):
         res = fit_neuron(inputs_a, targets_a, inputs_b, targets_b, trainer, rng)
-        if fits is not None and len(inputs_a) > 1:
+        if fits is not None:
             fits.append((inputs_a, inputs_b, res))
         return res
 

@@ -322,6 +322,16 @@ def _assert_same_bytes_as_reference(task, cfg, init) -> int:
 
 _TAIL_PARTS = [(660, 1340), (659, 1341), (240, 240), (241, 239), (7, 5)]
 _TAIL_WIDTHS = [1, 3, 12, 20]
+# Inputs that fit_neuron copies into its own matrices with the bias row:
+# as given, as a strided view (the first p columns of a row-major table of
+# 2p columns, read as rows, as ``x[:, j][None, :]`` reads one feature), in
+# Fortran order, and as integers.
+_LAYOUTS = (
+    lambda x: x,
+    lambda x: np.ascontiguousarray(np.hstack([x.T, x.T]))[:, :x.shape[0]].T,
+    np.asfortranarray,
+    lambda x: np.rint(4.0 * x).astype(np.int64),
+)
 
 
 class TestFitNeuronBytes:
@@ -334,12 +344,15 @@ class TestFitNeuronBytes:
 
     # Shapes where BLAS leaves its unrolled blocks for a tail: part lengths
     # off a multiple of 4 and 8, one input row, and parts of a few columns.
+    # Each shape is fitted from each of _LAYOUTS of its inputs.
     @pytest.mark.parametrize("n_a, n_b", _TAIL_PARTS)
     @pytest.mark.parametrize("p", _TAIL_WIDTHS)
     def test_same_bytes_at_blas_tail_shapes(self, p, n_a, n_b):
-        task = _noisy_linear_task(np.random.default_rng([p, n_a, n_b]), p, n_a, n_b)
-        _assert_same_bytes_as_reference(task, TrainConfig(max_steps=400, delta=1e-5),
-                                        lambda: derive_rng(p, n_a, "init"))
+        xa, ya, xb, yb = _noisy_linear_task(np.random.default_rng([p, n_a, n_b]), p, n_a, n_b)
+        for layout in _LAYOUTS:
+            _assert_same_bytes_as_reference((layout(xa), ya, layout(xb), yb),
+                                            TrainConfig(max_steps=400, delta=1e-5),
+                                            lambda: derive_rng(p, n_a, "init"))
 
     # The same shapes, each run to a cap of 20 steps. At 400 steps only 10 of
     # them reach the cap; the other fits stop on delta, every p = 1 fit after
