@@ -14,7 +14,7 @@ from .dataset import (
     split,
     synth_generate,
 )
-from .dtree import DtConfig, DtModel, dt_predict
+from .dtree import DtConfig, DtModel
 from .errors import ConfigError, DataError, EcnnError, NumericError
 from .gmdh import GmdhConfig, GmdhModel
 from .harness import CvReport, RestartReport, chi_sweep, kfold, multi_restart
@@ -44,7 +44,6 @@ __all__ = [
     "cascade",
     "chi_sweep",
     "dataset",
-    "dt_predict",
     "dtree",
     "fit_neuron",
     "fit_normalize",

@@ -169,8 +169,9 @@ def rank_features(d_a: Dataset, d_b: Dataset, cfg: GrowthConfig, seed: int) -> l
     loop, and scored by its validation criterion on part B. Every fit
     starts from one shared random init, so the ranking is equivariant
     under column permutations. Returns (feature index, criterion) pairs
-    sorted ascending by criterion, ties to the lower index. Features that carry no signal at all (all-zero
-    columns, e.g. flagged constants) rank last with an infinite score.
+    sorted ascending by criterion, ties to the lower index. Features that
+    carry no signal at all (all-zero columns, e.g. flagged constants) rank
+    last with an infinite score.
     """
     # what every fit shares: the init, the 2t - 1 targets, and the input
     # buffers of parts A and B, whose row 0 takes each feature in turn
@@ -228,9 +229,6 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
     if not math.isfinite(c0):
         raise DataError("every feature is degenerate; nothing to train on")
 
-    xa, ya = d_a.x, d_a.y.astype(np.float64)
-    xb, yb = d_b.x, d_b.y.astype(np.float64)
-
     # an accepted neuron is frozen, so its outputs on parts A and B are
     # kept instead of recomputed for every later candidate
     neurons: list[CascadeNeuron] = []
@@ -242,15 +240,15 @@ def train(d: Dataset, cfg: GrowthConfig, seed: int) -> CascadeModel:
         if not math.isfinite(score_j):
             break  # degenerate features sort last; nothing usable remains
         layer = len(neurons) + 1
-        u_a = assemble_candidate_inputs(hidden_a, xa, base_feature, feature_j)
-        u_b = assemble_candidate_inputs(hidden_b, xb, base_feature, feature_j)
+        u_a = assemble_candidate_inputs(hidden_a, d_a.x, base_feature, feature_j)
+        u_b = assemble_candidate_inputs(hidden_b, d_b.x, base_feature, feature_j)
         # hidden outputs z lie around 0.5, close to the bias row, where the
         # projection rule crawls; the fit reads them as 2z - 1, and since
         # w * (2z - 1) = 2w * z - w, the stored weights read z itself
         k = layer - 1
         # the trailing 0 keeps the stream, and so the bytes, of earlier versions' models
-        res = fit_neuron(np.vstack([2.0 * u_a[:k] - 1.0, u_a[k:]]), ya,
-                         np.vstack([2.0 * u_b[:k] - 1.0, u_b[k:]]), yb,
+        res = fit_neuron(np.vstack([2.0 * u_a[:k] - 1.0, u_a[k:]]), d_a.y,
+                         np.vstack([2.0 * u_b[:k] - 1.0, u_b[k:]]), d_b.y,
                          cfg.trainer, derive_rng(seed, "candidate", layer, feature_j, 0))
         weights = res.weights.copy()
         weights[:k] *= 2.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -119,7 +120,8 @@ def multi_restart(
     if d_test is not None and d_test.m != d_train.m:
         raise DataError(f"test data has {d_test.m} features but training data has {d_train.m}")
     worker = partial(_run_one, method, d_train, d_test, base_seed)
-    workers = min(jobs, runs)  # a pool starts every worker it may use, busy or not
+    # a pool starts every worker it may use, busy or not
+    workers = min(jobs, runs, len(os.sched_getaffinity(0)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(worker, range(runs)))
@@ -240,7 +242,9 @@ def chi_sweep(
             raise ConfigError(f"sweep learning rates must be in (0, 2], got {chi}")
     if len(set(chis)) < len(chis):  # results are keyed by rate
         raise ConfigError(f"sweep learning rates must differ, got {chis}")
-    dn, _ = fit_normalize(d)
+    dn, norm = fit_normalize(d)
+    if norm.constant.all():
+        raise DataError("every feature is degenerate; nothing to train on")
     d_a, d_b = split(dn, cfg.split_fraction, derive_seed(seed, "split"))
     results: dict[float, FitResult] = {}
     for chi in chis:

@@ -140,26 +140,12 @@ def fit_neuron(
     if not inputs_a.any():
         raise NumericError("cannot fit a neuron on an all-zero input matrix")
 
-    u_a, u_b = _with_bias_row(inputs_a), _with_bias_row(inputs_b)
+    # a constant-1 row lets the bias train like any other weight
+    u_a = np.vstack([inputs_a, np.ones((1, inputs_a.shape[1]))])
+    u_b = np.vstack([inputs_b, np.ones((1, inputs_b.shape[1]))])
     w = rng.normal(0.0, cfg.init_std, size=u_a.shape[0])
     s = np.concatenate([2.0 * targets_a - 1.0, 2.0 * targets_b - 1.0])
     return fit_augmented(u_a, u_b, s, w, cfg)
-
-
-def _with_bias_row(x: np.ndarray) -> np.ndarray:
-    """``x`` with a constant-1 row appended, so that the bias trains like
-    any other weight.
-
-    The rows are in Fortran order where ``np.vstack([x, ones])`` would put
-    them, and in C order elsewhere: the matrix-vector products of the fit
-    round differently in the two orders, so this keeps the bytes of fits
-    on transposed tables (as the learning-rate sweep passes them).
-    """
-    p, n = x.shape
-    fortran = p > 1 and n > 1 and abs(x.strides[0]) < abs(x.strides[1])
-    u = np.empty((p + 1, n), order="F" if fortran else "C")
-    u[:-1], u[-1] = x, 1.0
-    return u
 
 
 def fit_augmented(u_a: np.ndarray, u_b: np.ndarray, s: np.ndarray, w: np.ndarray,

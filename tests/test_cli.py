@@ -879,17 +879,24 @@ class TestChiSweepCommand:
 
 
 class TestUnreadableData:
+    """Data that cannot be read, or whose every feature is constant, is a
+    data error: exit 3."""
+
     @pytest.mark.parametrize("command", ["train", "chi-sweep"])
-    @pytest.mark.parametrize("case", ["not_utf8", "directory"])
+    @pytest.mark.parametrize("case", ["not_utf8", "directory", "all_constant"])
     def test_exit_code_3(self, runner, tmp_path, command, case):
         data = tmp_path / "bad.csv"
+        message = f"cannot read dataset file {data}"
         if case == "not_utf8":
             data.write_bytes(b"a,b,target\n1,2,0\n\xff\xfe,3,1\n")
-        else:
+        elif case == "directory":
             data.mkdir()
+        else:
+            data.write_text("a,b,target\n1,2,0\n1,2,1\n1,2,0\n1,2,1\n")
+            message = "every feature is degenerate; nothing to train on"
         result = runner.invoke(cli, [command, "--data", str(data), "--out", str(tmp_path / "x")])
         assert result.exit_code == 3, result.output
-        assert f"cannot read dataset file {data}" in result.output
+        assert message in result.output
 
 
 class TestHugeSizes:

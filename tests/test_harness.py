@@ -92,7 +92,9 @@ class TestMultiRestart:
             return [(r.seed, r.criterion, r.test_error, r.model.to_json()) for r in rep.records]
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-        for runs, jobs, pools in ((1, 4, []), (3, 8, [3])):
+        # and at most one per usable CPU: (runs, jobs, usable CPUs, pools started)
+        for runs, jobs, cpus, pools in ((1, 4, 8, []), (3, 8, 8, [3]), (3, 8, 2, [2]), (3, 8, 1, [])):
+            monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
             requested.clear()
             pooled = records(jobs)
             assert requested == pools
