@@ -263,7 +263,9 @@ def _number_rows(chunk: bytes, width: int, target_idx: int) -> np.ndarray:
     space other than spaces and tabs, a lone ``\\r``, or a feature ``-0``."""
     chunk = chunk.replace(b"\r\n", b"\n") if b"\r" in chunk else chunk
     # checked before the brackets go in: a line "1,2,0],[3,4,1" is not two
-    # rows, and JSON would take a lone \r for white space
+    # rows, JSON would take a lone \r for white space, and with no bracket
+    # in the data orjson never parses an array deeper than two (orjson
+    # 3.8.3 crashes the process on a 1,000,000-deep one)
     if chunk.translate(None, b"0123456789+-.eE, \t\n"):
         raise ValueError("cells that are not plain JSON numbers")
     rows = orjson.loads(b"[[%s]]" % chunk.strip(b"\n").replace(b"\n", b"],["))

@@ -164,41 +164,46 @@ def best_partition(
 
     All thresholds come from one draw, feature after feature, the same
     stream values in the same order as ``n_s`` draws per feature. Their
-    left counts, entropies and gains are then scored as one (features,
-    n_s) block, ``_FEATURE_BLOCK`` features at a time, which bounds the
-    node's (rows, features, n_s) comparison mask. Ties break to the lower
-    feature index, then the smaller threshold. Returns (feature,
-    threshold, gain); a gain of 0 means no sampled split separates
-    anything (the caller should make a leaf).
+    left counts are taken ``_FEATURE_BLOCK`` features at a time, which
+    bounds the node's (rows, features, n_s) comparison mask, and then
+    every feature is scored at once. Ties break to the lower feature
+    index, then the smaller threshold. Returns (feature, threshold,
+    gain); a gain of 0 means no sampled split separates anything (the
+    caller should make a leaf).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n, m = x.shape
     if n < 2 or len(np.unique(y)) < 2:
         raise ValueError("best_partition needs at least 2 rows and 2 classes")
+    if m == 0:
+        return -1, 0.0, 0.0
     h_parent = entropy(np.bincount(y, minlength=2))
     total_pos = int(y.sum())
-    thresholds = rng.uniform(x.min(axis=0)[:, None], x.max(axis=0)[:, None], size=(m, cfg.n_s))
+    lo, hi = x.min(axis=0)[:, None], x.max(axis=0)[:, None]
+    u = rng.random((m, cfg.n_s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Generator.uniform's map where hi - lo is finite; it overflows only
+        # where lo < 0 < hi, and there the weighted form stays in [lo, hi]
+        width = hi - lo
+        thresholds = np.where(np.isinf(width), lo * (1 - u) + hi * u, lo + width * u)
 
-    best_feature, best_threshold, best_gain = -1, 0.0, -np.inf
+    left_total, left_pos = np.empty((2, m, cfg.n_s), dtype=np.int64)
     is_pos = y == 1
     for start in range(0, m, _FEATURE_BLOCK):
-        thr = thresholds[start : start + _FEATURE_BLOCK]
-        left_mask = x[:, start : start + _FEATURE_BLOCK, None] <= thr
-        left_total = left_mask.sum(axis=0)
-        left_pos = left_mask[is_pos].sum(axis=0)
-        right_total = n - left_total
-        right_pos = total_pos - left_pos
-        weighted = (left_total / n) * _entropy_per_split(left_pos, left_total) + (
-            right_total / n
-        ) * _entropy_per_split(right_pos, right_total)
-        gains = h_parent - weighted
-        tops = gains.max(axis=1)
-        i = int(tops.argmax())
-        if tops[i] > best_gain:
-            best_feature, best_gain = start + i, float(tops[i])
-            best_threshold = float(thr[i][gains[i] == tops[i]].min())
-    return best_feature, best_threshold, max(best_gain, 0.0)
+        block = slice(start, start + _FEATURE_BLOCK)
+        left_mask = x[:, block, None] <= thresholds[block]
+        left_total[block] = left_mask.sum(axis=0)
+        left_pos[block] = left_mask[is_pos].sum(axis=0)
+    right_total = n - left_total
+    right_pos = total_pos - left_pos
+    weighted = (left_total / n) * _entropy_per_split(left_pos, left_total) + (
+        right_total / n
+    ) * _entropy_per_split(right_pos, right_total)
+    gains = h_parent - weighted
+    tops = gains.max(axis=1)
+    i = int(tops.argmax())
+    return i, float(thresholds[i][gains[i] == tops[i]].min()), max(float(tops[i]), 0.0)
 
 
 def build(d: Dataset, cfg: DtConfig, seed: int) -> DtModel:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .util import atomic_write_text, json_text, read_file
 
 FORMAT_VERSION = 1
@@ -98,6 +98,13 @@ class Model:
         if not np.all(np.isfinite(x)):
             raise DataError("inputs must be finite")
         return x
+
+    def check_scores(self, score: np.ndarray) -> np.ndarray:
+        """``score``, unless it is NaN on some row."""
+        if np.isnan(score).any():
+            raise NumericError(f"the model's score is NaN on {int(np.isnan(score).sum())} of {len(score)} rows: "
+                               "not finite, and no threshold orders it")
+        return score
 
     def error_rate(self, d) -> float:
         """Fraction of rows of dataset ``d`` the model misclassifies at the

@@ -508,6 +508,24 @@ class TestEvaluateCommand:
         confusion = metrics["confusion"]
         assert sum(confusion.values()) == metrics["n"] == 180
 
+    @pytest.mark.parametrize("family", ["ecnn", "gmdh"])
+    def test_nan_scores_exit_code_4(self, runner, tmp_path, saved_models, family):
+        # a std of 5e-324 is finite and positive, so the file loads, but the
+        # rows it normalizes overflow and the scores come out NaN
+        data, paths = saved_models
+        doc = json.loads(paths[family].read_text())
+        doc["norm"]["std"] = [5e-324] * len(doc["norm"]["std"])
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, ["evaluate", "--model", str(bad), "--data", str(data),
+                                         "--out", str(tmp_path / "m")])
+        assert result.exit_code == 4, (result.output, result.exception)
+        assert re.fullmatch(r"numeric error: the model's score is NaN on \d+ of 160 rows: "
+                            r"not finite, and no threshold orders it\n", result.output)
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_missing_model_exit_code(self, runner, tmp_path):
         data = _make_data(tmp_path)
         result = runner.invoke(cli, ["evaluate", "--model", str(tmp_path / "no.json"), "--data", str(data)])
@@ -897,6 +915,27 @@ class TestUnreadableData:
         result = runner.invoke(cli, [command, "--data", str(data), "--out", str(tmp_path / "x")])
         assert result.exit_code == 3, result.output
         assert message in result.output
+
+
+class TestFullFloatRange:
+    """Data whose column ``a`` alternates -1.7e308 and 1.7e308 with the
+    class, a range wider than the largest float, trains with no warning
+    and no traceback; GMDH cannot fit 8 rows, which is a data error."""
+
+    @pytest.mark.parametrize("n, args, code", [
+        (8, ["train", "--method", "dt"], 0),
+        (8, ["train", "--method", "ecnn"], 0),
+        (8, ["train", "--method", "gmdh"], 3),
+        (60, ["compare", "--folds", "2", "--inner-runs", "2"], 0),
+    ], ids=["train-dt", "train-ecnn", "train-gmdh", "compare"])
+    def test_exit_code(self, runner, tmp_path, n, args, code):
+        data = tmp_path / "wide.csv"
+        data.write_text("a,b,target\n" + "".join(f"{(-1.7e308, 1.7e308)[i % 2]},{i % 3},{i % 2}\n" for i in range(n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(cli, args + ["--data", str(data), "--out", str(tmp_path / "x")])
+        assert result.exit_code == code, (result.output, result.exception)
+        assert "Traceback" not in result.output
 
 
 class TestHugeSizes:

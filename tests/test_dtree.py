@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,28 @@ class TestBestPartition:
         for seed in range(50):
             feature, _, gain = best_partition(x, y, DtConfig(n_s=3), derive_rng(seed, "const"))
             assert feature == 1 and gain > 0.0
+
+    def test_column_wider_than_the_float_range(self):
+        # 1.7e308 - (-1.7e308) overflows; the thresholds are still finite,
+        # in range and drawn without a warning, and the split separates
+        lo, hi = -1.7e308, 1.7e308
+        y = np.arange(8) % 2
+        x = np.column_stack([np.where(y == 1, hi, lo), np.arange(8) % 3])
+        for seed in range(20):
+            got_rng, draw_rng = derive_rng(seed, "wide"), derive_rng(seed, "wide")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                feature, threshold, gain = best_partition(x, y, DtConfig(), got_rng)
+            u = draw_rng.random((2, 25))[0]
+            thresholds = lo * (1 - u) + hi * u
+            assert np.isfinite(thresholds).all() and (lo <= thresholds).all() and (thresholds <= hi).all()
+            assert (feature, threshold, gain) == (0, float(thresholds.min()), 1.0)
+            assert got_rng.bit_generator.state == draw_rng.bit_generator.state
+
+    def test_no_feature_columns_report_zero_gain(self):
+        y = np.arange(6) % 2
+        assert best_partition(np.ones((6, 0)), y, DtConfig(), derive_rng(0, "none"))[2] == 0.0
+        assert isinstance(build(Dataset(np.ones((6, 0)), y, []), DtConfig(), seed=0).root, Leaf)
 
     def test_single_draw_single_feature_matches_the_loop(self):
         rng_data = np.random.default_rng(6)

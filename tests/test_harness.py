@@ -62,7 +62,9 @@ class TestMultiRestart:
         seeds = [r.seed for r in rep.records]
         assert len(set(seeds)) == 8
 
-    def test_parallel_jobs_match_serial(self):
+    def test_parallel_jobs_match_serial(self, monkeypatch):
+        # two usable CPUs whatever the host has, so that jobs=2 starts a real pool
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
         d_train, d_test = _task(4), _task(5)
         serial = multi_restart(Method("dt", dtree.DtConfig()), d_train, d_test, runs=4, base_seed=3, jobs=1)
         parallel = multi_restart(Method("dt", dtree.DtConfig()), d_train, d_test, runs=4, base_seed=3, jobs=2)
@@ -104,8 +106,10 @@ class TestMultiRestart:
         with pytest.raises(ConfigError):
             multi_restart(Method("ecnn", cascade.GrowthConfig()), _task(), None, runs=0, base_seed=0)
 
-    def test_all_failed_reraises_error_class(self):
-        # a subsample of 10% of 15 fitting rows is too small: a data error
+    def test_all_failed_reraises_error_class(self, monkeypatch):
+        # a subsample of 10% of 15 fitting rows is too small: a data error;
+        # two usable CPUs, so that jobs=2 fails in a real pool
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
         method = Method("gmdh", gmdh.GmdhConfig(fit_subsample=0.1))
         for jobs in (1, 2):
             with pytest.raises(DataError, match="all 2 restarts failed"):

@@ -1,13 +1,16 @@
 """The interface the three model families share: input checks, batch
 tree routing against the per-row reference walk, size and features."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from ecnn import cascade, dtree, gmdh
 from ecnn.dataset import Dataset, synth_generate
 from ecnn.dtree import DtConfig, Split, build
-from ecnn.errors import DataError
+from ecnn.errors import DataError, NumericError
 from reference import tree_walk
 
 
@@ -45,6 +48,23 @@ class TestInputCheck:
         assert model.error_rate(d) == float(np.mean(cls != d.y))
         assert model.size() >= 1
         assert model.used_features() <= set(range(d.m))
+
+
+@pytest.mark.parametrize("family", ["ecnn", "gmdh"])
+def test_nan_score_is_a_numeric_error(family):
+    # a std of 5e-324 sends the normalized rows to +-inf, and the scores to NaN
+    d, model = _train(family)
+    model.norm = dataclasses.replace(model.norm, std=np.full(d.m, 5e-324))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^the model's score is NaN on \d+ of 200 rows: not finite"):
+            model.predict_batch(d.x)
+
+
+def test_infinite_gmdh_score_still_orders(monkeypatch):
+    d, model = _train("gmdh")
+    monkeypatch.setattr(model, "forward", lambda xn: np.where(np.arange(len(xn)) % 2, np.inf, -np.inf))
+    assert model.predict_batch(d.x)[1].tolist() == (np.arange(d.n) % 2).tolist()
 
 
 def _thresholds(node):
