@@ -108,14 +108,6 @@ class CascadeModel(Model):
             raise DataError("model has no neurons")
         return self.hidden_outputs(xn)[:, -1]
 
-    def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Probabilities and classes for raw rows ``x`` (normalized internally);
-        a NaN probability is a NumericError."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            prob = self.check_scores(self.forward(self.norm.apply(self.check_rows(x))))
-        thr = self.threshold if threshold is None else threshold
-        return prob, (prob >= thr).astype(np.int64)
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -116,14 +116,6 @@ class GmdhModel(Model):
             values.append(poly_forward(coeffs, values[a], values[b] if b >= 0 else None))
         return values[-1]
 
-    def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Raw scores and classes (score at or above ``threshold``, default
-        0.5) for raw rows ``x``; a NaN score is a NumericError, while an
-        infinite one still orders."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            score = self.check_scores(self.forward(self.norm.apply(self.check_rows(x))))
-        return score, (score >= (0.5 if threshold is None else threshold)).astype(np.int64)
-
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:

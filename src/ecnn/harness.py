@@ -82,6 +82,8 @@ def _run_one(
     seed = derive_seed(base_seed, "restart", run)
     try:
         model, criterion, trace = FAMILIES[method.name][1](d_train, method.cfg, seed)
+        train_error = model.error_rate(d_train)
+        test_error = model.error_rate(d_test) if d_test is not None else math.nan
     except (DataError, NumericError) as exc:
         return RunRecord(run=run, seed=seed, status="error", error=exc)
     return RunRecord(
@@ -89,8 +91,8 @@ def _run_one(
         seed=seed,
         status="ok",
         criterion=criterion,
-        train_error=model.error_rate(d_train),
-        test_error=model.error_rate(d_test) if d_test is not None else math.nan,
+        train_error=train_error,
+        test_error=test_error,
         model_size=model.size(),
         feature_set=model.used_features(),
         criterion_trace=trace,
@@ -109,7 +111,8 @@ def multi_restart(
     """Train ``runs`` times from derived seeds and pick the best model by
     validation criterion (ties to the lower run index).
 
-    A run that raises a data or numeric error is recorded as failed rather
+    A run that raises a data or numeric error, in its fit or in scoring
+    its model on the training or test rows, is recorded as failed rather
     than aborting the whole protocol; only if every run fails does the
     report raise, with the error class of the last run.
     """

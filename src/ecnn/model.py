@@ -1,11 +1,13 @@
 """The interface the three classifier families share.
 
-``CascadeModel``, ``GmdhModel`` and ``DtModel`` each define
-``predict_batch(x, threshold=None) -> (score, cls)``, ``size()``,
+``CascadeModel``, ``GmdhModel`` and ``DtModel`` each define ``size()``,
 ``used_features()``, ``to_json_dict()`` and ``_decode(doc)``. This base
 adds what is the same for all of them: the check of input rows, the error
 rate, and the JSON file I/O with its validation, so that a malformed
-model file is a ``DataError`` and never a traceback.
+model file is a ``DataError`` and never a traceback. It also holds
+``predict_batch(x, threshold=None) -> (score, cls)`` for the families
+that normalize their rows and score them, the cascade and GMDH, each of
+which defines ``forward`` and ``norm``; the tree overrides it.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ def json_array(values, kind: type, what: str) -> np.ndarray:
 class Model:
     """Base of the model classes; a subclass sets ``n_features``."""
 
+    threshold = 0.5  # the default class threshold; the cascade stores its own
+
     def check_rows(self, x: np.ndarray) -> np.ndarray:
         """``x`` as a 2-D float array of finite rows of the model's width."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -99,12 +103,17 @@ class Model:
             raise DataError("inputs must be finite")
         return x
 
-    def check_scores(self, score: np.ndarray) -> np.ndarray:
-        """``score``, unless it is NaN on some row."""
+    def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Scores of ``forward`` on raw rows ``x`` (normalized by ``norm``),
+        and classes: score at or above ``threshold``, by default the
+        model's own. A NaN score is a NumericError; an infinite one still
+        orders."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = self.forward(self.norm.apply(self.check_rows(x)))
         if np.isnan(score).any():
             raise NumericError(f"the model's score is NaN on {int(np.isnan(score).sum())} of {len(score)} rows: "
                                "not finite, and no threshold orders it")
-        return score
+        return score, (score >= (self.threshold if threshold is None else threshold)).astype(np.int64)
 
     def error_rate(self, d) -> float:
         """Fraction of rows of dataset ``d`` the model misclassifies at the

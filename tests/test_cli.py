@@ -526,6 +526,21 @@ class TestEvaluateCommand:
                             r"not finite, and no threshold orders it\n", result.output)
         assert list(tmp_path.iterdir()) == [bad]
 
+    @pytest.mark.parametrize("family, stored", [("ecnn", 0.8), ("gmdh", None)])
+    def test_threshold_flag_overrides_the_model_s_own(self, runner, tmp_path, saved_models, family, stored):
+        data, paths = saved_models
+        doc = json.loads(paths[family].read_text())
+        if stored is not None:
+            doc["threshold"] = stored
+        path = tmp_path / "m.model.json"
+        path.write_text(json.dumps(doc))
+        d = load_csv(data, "target")
+        model = load_any_model(path)[1]
+        score, cls = model.predict_batch(d.x)
+        assert (cls != (score >= 0.3)).any()
+        result = _invoke(runner, ["evaluate", "--model", str(path), "--data", str(data), "--threshold", "0.3"])
+        assert json.loads(result.output)["error_rate"] == float(np.mean((score >= 0.3) != d.y))
+
     def test_missing_model_exit_code(self, runner, tmp_path):
         data = _make_data(tmp_path)
         result = runner.invoke(cli, ["evaluate", "--model", str(tmp_path / "no.json"), "--data", str(data)])
@@ -806,8 +821,9 @@ _json_values = st.one_of(
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_model_exits_0_or_3(saved_models, tmp_path, data):
-    """Any one-place edit of a saved model file is scored or refused with
-    a data error; it never ends in a traceback."""
+    """Any one-place edit of a saved model file is scored, refused with a
+    data error, or, where an edited number sends a score to NaN, refused
+    with that numeric error; it never ends in a traceback."""
     csv_path, paths = saved_models
     family = data.draw(st.sampled_from(sorted(paths)))
     doc = json.loads(paths[family].read_text())
@@ -819,7 +835,9 @@ def test_mutated_model_exits_0_or_3(saved_models, tmp_path, data):
     mutated = tmp_path / "mutated.model.json"
     mutated.write_text(json.dumps(doc))
     result = CliRunner().invoke(cli, ["evaluate", "--model", str(mutated), "--data", str(csv_path)])
-    assert result.exit_code in (0, 3), (result.output, result.exception)
+    nan_score = re.fullmatch(r"numeric error: the model's score is NaN on \d+ of 160 rows: "
+                             r"not finite, and no threshold orders it\n", result.output)
+    assert result.exit_code in (0, 3) or (result.exit_code == 4 and nan_score), (result.output, result.exception)
 
 
 class TestCompareCommand:

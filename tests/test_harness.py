@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from ecnn import cascade, dtree, gmdh, harness
-from ecnn.dataset import Dataset, synth_generate
-from ecnn.errors import ConfigError, DataError
+from ecnn.dataset import Dataset, NormParams, synth_generate
+from ecnn.errors import ConfigError, DataError, NumericError
 from ecnn.harness import (
     DEFAULT_CHI_LIST,
     FAMILIES,
@@ -114,6 +114,29 @@ class TestMultiRestart:
         for jobs in (1, 2):
             with pytest.raises(DataError, match="all 2 restarts failed"):
                 multi_restart(method, _task(18, n=30), None, runs=2, base_seed=0, jobs=jobs)
+
+    def test_a_restart_whose_model_scores_nan_fails_alone(self, monkeypatch):
+        # run 0's model reports the lowest criterion, but a norm.std of 5e-324
+        # makes it score NaN on the training rows: that restart fails, and
+        # the best is picked from the others
+        cfg_cls, fit = FAMILIES["ecnn"]
+        nan_seed = derive_seed(0, "restart", 0)
+
+        def fit_nan_at_run_0(d, cfg, seed):
+            model, criterion, trace = fit(d, cfg, seed)
+            if seed != nan_seed:
+                return model, criterion, trace
+            model.norm = NormParams(model.norm.mean, np.full(d.m, 5e-324), model.norm.constant)
+            return model, -1.0, trace
+
+        monkeypatch.setitem(FAMILIES, "ecnn", (cfg_cls, fit_nan_at_run_0))
+        rep = multi_restart(Method("ecnn", cascade.GrowthConfig()), _task(), _task(1), runs=3, base_seed=0)
+        assert [r.status for r in rep.records] == ["error", "ok", "ok"]
+        assert isinstance(rep.records[0].error, NumericError)
+        assert "the model's score is NaN" in str(rep.records[0].error)
+        assert rep.best_run in (1, 2)
+        assert rep.best.criterion == min(r.criterion for r in rep.records[1:])
+        assert not np.isnan(rep.best.test_error)
 
     def test_report_files_account_for_runs(self, tmp_path):
         rep = multi_restart(Method("dt", dtree.DtConfig()), _task(6), _task(7), runs=5, base_seed=4)
