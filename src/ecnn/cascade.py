@@ -76,7 +76,6 @@ class CascadeModel(Model):
     c0: float
     norm: NormParams
     feature_names: list[str]
-    threshold: float = 0.5
 
     @property
     def n_features(self) -> int:
@@ -126,11 +125,13 @@ class CascadeModel(Model):
                 }
                 for r, n in enumerate(self.neurons, start=1)
             ],
-            "threshold": self.threshold,
+            "threshold": Model.threshold,
         }
 
     @classmethod
     def _decode(cls, d: dict) -> "CascadeModel":
+        threshold = json_value(d["threshold"], float, "threshold")
+        require(threshold == Model.threshold, f"threshold {d['threshold']!r} is not {Model.threshold}")
         names = json_list(d["feature_names"], str, "feature_names")
         base_feature = json_value(d["base_feature"], int, "base_feature")
         require(0 <= base_feature < len(names), f"base feature {base_feature} out of range")
@@ -152,7 +153,6 @@ class CascadeModel(Model):
             c0=json_value(d["c0"], float, "c0"),
             norm=NormParams.from_dict(d["norm"], len(names)),
             feature_names=names,
-            threshold=json_value(d["threshold"], float, "threshold"),
         )
 
 

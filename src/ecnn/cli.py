@@ -26,7 +26,7 @@ import numpy as np
 from . import cascade, dtree, gmdh, harness
 from .dataset import Dataset, load_csv, save_csv, synth_generate
 from .errors import ConfigError, DataError, EcnnError
-from .model import FORMAT_VERSION, is_format_version, read_json_doc
+from .model import FORMAT_VERSION, Model, is_format_version, read_json_doc
 from .projection import TrainConfig
 from .util import atomic_write_text, json_text
 
@@ -261,7 +261,7 @@ def cmd_train(data_path, target, method, restarts, test_data, out, jobs, seed, *
 @cli.command("evaluate")
 @click.option("--model", "model_path", required=True)
 @_shared("data_path", "target")
-@click.option("--threshold", type=float, default=0.5, show_default=True)
+@click.option("--threshold", type=float, default=Model.threshold, show_default=True)
 @click.option("--out", default=None, help="Optional prefix for metrics JSON + manifest.")
 @_handles_errors
 def cmd_evaluate(model_path, data_path, target, threshold, out) -> None:

@@ -54,6 +54,17 @@ class Split:
 DtNode = Leaf | Split
 
 
+def _tree(nodes: list) -> DtNode:
+    """The tree whose nodes are ``nodes`` in ``DtModel.nodes()`` order, each
+    split given as (feature, threshold). From the last node back, each
+    split takes the two subtrees above it on the stack, its left one on
+    top, so that no depth of tree recurses."""
+    stack: list[DtNode] = []
+    for node in reversed(nodes):
+        stack.append(node if isinstance(node, Leaf) else Split(*node, stack.pop(), stack.pop()))
+    return stack.pop()
+
+
 @dataclass
 class DtModel(Model):
     root: DtNode
@@ -70,6 +81,15 @@ class DtModel(Model):
                 stack += [node.right, node.left]
         return out
 
+    # pickled, as a pool's workers send it, as the list ``_tree`` reads,
+    # so that no depth of tree recurses
+    def __getstate__(self):
+        return [(n.feature, n.threshold) if isinstance(n, Split) else n for n in self.nodes()], self.n_features
+
+    def __setstate__(self, state) -> None:
+        nodes, self.n_features = state
+        self.root = _tree(nodes)
+
     def size(self) -> int:
         """Number of splits."""
         return sum(isinstance(node, Split) for node in self.nodes())
@@ -77,7 +97,7 @@ class DtModel(Model):
     def used_features(self) -> frozenset[int]:
         return frozenset(node.feature for node in self.nodes() if isinstance(node, Split))
 
-    def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def predict_batch(self, x: np.ndarray, threshold: float = Model.threshold) -> tuple[np.ndarray, np.ndarray]:
         """Leaf classes for raw rows ``x``, as scores and as classes.
 
         All rows are routed at once, node by node; a value equal to a
@@ -225,7 +245,9 @@ def build(d: Dataset, cfg: DtConfig, seed: int) -> DtModel:
         label = 0 if counts[0] >= counts[1] else 1
         return Leaf(label, (int(counts[0]), int(counts[1])))
 
-    def grow(idx: np.ndarray) -> DtNode:
+    def grow(idx: np.ndarray) -> Leaf | tuple[int, float, np.ndarray]:
+        """The leaf rows ``idx`` make, or the split to make of them: its
+        feature, its threshold and the mask of the rows that go left."""
         ys = d.y[idx]
         if len(idx) <= floor or len(np.unique(ys)) < 2:
             return leaf_for(ys)
@@ -239,9 +261,22 @@ def build(d: Dataset, cfg: DtConfig, seed: int) -> DtModel:
         go_left = d.x[idx, feature] <= threshold
         if not go_left.any() or go_left.all():  # roundoff can report a hair of gain
             return leaf_for(ys)
-        return Split(feature, threshold, grow(idx[go_left]), grow(idx[~go_left]))
+        return feature, threshold, go_left
 
-    return DtModel(grow(np.arange(d.n)), d.m)
+    # the nodes in DtModel.nodes() order, grown from a stack of the rows of
+    # each node still to grow: each split, then its left subtree, then its
+    # right one, which is a recursion's order of draws, to any depth
+    nodes = []
+    stack = [np.arange(d.n)]
+    while stack:
+        idx = stack.pop()
+        node = grow(idx)
+        if isinstance(node, tuple):
+            feature, threshold, go_left = node
+            node = (feature, threshold)
+            stack += [idx[~go_left], idx[go_left]]
+        nodes.append(node)
+    return DtModel(_tree(nodes), d.m)
 
 
 def fit(d: Dataset, cfg: DtConfig, seed: int) -> tuple[DtModel, float, tuple[float, ...]]:

@@ -256,13 +256,13 @@ def evolve(
 
     ``d_train`` fits coefficients (through the configured subsampling);
     ``d_valid`` scores each neuron's classification performance at
-    threshold 0.5 on the raw polynomial output. A generation is a batch of
-    ``cfg.offspring(m)`` matings of distinct population members;
-    offspring join the population only when they beat both parents, and
-    the run ends after ``max_serial_failures`` consecutive generations
-    that leave the population best unchanged. ``norm`` is the
-    normalization both parts were made with; the model applies it to the
-    raw rows it scores.
+    ``Model.threshold``, every family's class threshold, on the raw
+    polynomial output. A generation is ``cfg.offspring(m)`` matings of
+    distinct population members; offspring join the population only when
+    they beat both parents, and the run ends after ``max_serial_failures``
+    consecutive generations that leave the population best unchanged.
+    ``norm`` is the normalization both parts were made with; the model
+    applies it to the raw rows it scores.
     """
     d_train.require_both_classes("fitting part")
     d_valid.require_both_classes("validation part")
@@ -424,7 +424,7 @@ def _grow_population(
     outs = np.empty((max(size, _RESERVE_BYTES // (8 * width)), width))
     outs[:size] = poly_forward(seed_coeffs, x).T
     coeff_blocks, parent_blocks = [seed_coeffs], [np.full((size, 2), -1)]
-    performance = np.count_nonzero((outs[:size, valid_cols] >= 0.5) == yv_true, axis=1) / len(yv_true)
+    performance = np.count_nonzero((outs[:size, valid_cols] >= Model.threshold) == yv_true, axis=1) / len(yv_true)
 
     k = cfg.offspring(d_train.m)
     block = _block_size(k, q)
@@ -448,7 +448,7 @@ def _grow_population(
             u1, u2 = outs.take((pairs * width)[..., None] + rows)
             w = fit_ls_batch(u1, u2, yt.take(rows))
             out_valid = _forward_rows(w, *outs[pairs, valid_cols])
-            perf = np.count_nonzero((out_valid >= 0.5) == yv_true, axis=1) / len(yv_true)
+            perf = np.count_nonzero((out_valid >= Model.threshold) == yv_true, axis=1) / len(yv_true)
             t = np.flatnonzero(perf > beaten[start : start + block])
             if t.size:
                 new = slice(size, size + t.size)

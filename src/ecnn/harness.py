@@ -123,8 +123,12 @@ def multi_restart(
     if d_test is not None and d_test.m != d_train.m:
         raise DataError(f"test data has {d_test.m} features but training data has {d_train.m}")
     worker = partial(_run_one, method, d_train, d_test, base_seed)
-    # a pool starts every worker it may use, busy or not
-    workers = min(jobs, runs, len(os.sched_getaffinity(0)))
+    workers = min(jobs, runs)
+    if workers > 1:
+        # a pool starts every worker it may use, busy or not; macOS and
+        # Windows have no sched_getaffinity
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        workers = min(workers, usable)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(worker, range(runs)))

@@ -5,9 +5,11 @@
 adds what is the same for all of them: the check of input rows, the error
 rate, and the JSON file I/O with its validation, so that a malformed
 model file is a ``DataError`` and never a traceback. It also holds
-``predict_batch(x, threshold=None) -> (score, cls)`` for the families
-that normalize their rows and score them, the cascade and GMDH, each of
-which defines ``forward`` and ``norm``; the tree overrides it.
+``predict_batch(x, threshold=Model.threshold) -> (score, cls)`` for the
+families that normalize their rows and score them, the cascade and GMDH,
+each of which defines ``forward`` and ``norm``; the tree overrides it.
+``Model.threshold``, 0.5, is the one class threshold of every family: a
+score at or above it is class 1.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def json_array(values, kind: type, what: str) -> np.ndarray:
 class Model:
     """Base of the model classes; a subclass sets ``n_features``."""
 
-    threshold = 0.5  # the default class threshold; the cascade stores its own
+    threshold = 0.5  # the class threshold of every family
 
     def check_rows(self, x: np.ndarray) -> np.ndarray:
         """``x`` as a 2-D float array of finite rows of the model's width."""
@@ -103,21 +105,20 @@ class Model:
             raise DataError("inputs must be finite")
         return x
 
-    def predict_batch(self, x: np.ndarray, threshold: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def predict_batch(self, x: np.ndarray, threshold: float = threshold) -> tuple[np.ndarray, np.ndarray]:
         """Scores of ``forward`` on raw rows ``x`` (normalized by ``norm``),
-        and classes: score at or above ``threshold``, by default the
-        model's own. A NaN score is a NumericError; an infinite one still
-        orders."""
+        and classes: score at or above ``threshold``. A NaN score is a
+        NumericError; an infinite one still orders."""
         with np.errstate(over="ignore", invalid="ignore"):
             score = self.forward(self.norm.apply(self.check_rows(x)))
         if np.isnan(score).any():
             raise NumericError(f"the model's score is NaN on {int(np.isnan(score).sum())} of {len(score)} rows: "
                                "not finite, and no threshold orders it")
-        return score, (score >= (self.threshold if threshold is None else threshold)).astype(np.int64)
+        return score, (score >= threshold).astype(np.int64)
 
     def error_rate(self, d) -> float:
         """Fraction of rows of dataset ``d`` the model misclassifies at the
-        default threshold."""
+        class threshold."""
         if d.n == 0:
             raise DataError("cannot evaluate on an empty dataset")
         _, cls = self.predict_batch(d.x)
@@ -125,8 +126,12 @@ class Model:
 
     def to_json(self) -> str:
         """The model document, its ``format_version`` first; a number that is
-        not finite is a NumericError."""
-        return json_text({"format_version": FORMAT_VERSION, **self.to_json_dict()})
+        not finite is a NumericError, and a model nested too deeply to write
+        (a tree some hundreds of splits deep) a DataError."""
+        try:
+            return json_text({"format_version": FORMAT_VERSION, **self.to_json_dict()})
+        except RecursionError:
+            raise DataError("the model is nested too deeply to write") from None
 
     def save(self, path: str | Path) -> None:
         atomic_write_text(path, self.to_json())

@@ -7,9 +7,10 @@ read back, the cascade's feature ranking with one ``fit_neuron`` per
 feature, a cascade candidate's inputs found by running the whole
 cascade, a GMDH neuron's ancestors found by walking its parent links, the
 information gain of one split, one threshold draw of the tree, the tree's
-split search one feature at a time, one row routed down the tree node by
-node, the cross-validation summary recomputed from its folds, and the
-report tables joined by hand, with a CSV line writer of their own."""
+split search one feature at a time, the tree grown by recursion, one row
+routed down the tree node by node, the cross-validation summary
+recomputed from its folds, and the report tables joined by hand, with a
+CSV line writer of their own."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ecnn.dataset import NormParams, SynthTruth
-from ecnn.dtree import Split, _entropy_per_split, entropy
+from ecnn.dtree import Leaf, Split, _entropy_per_split, entropy
 from ecnn.errors import DataError, NumericError
 from ecnn.projection import fit_neuron, sigmoid
 from ecnn.util import derive_rng
@@ -252,6 +253,27 @@ def best_partition(x: np.ndarray, y: np.ndarray, cfg, rng: np.random.Generator) 
         if top > best_gain:
             best_feature, best_threshold, best_gain = i, thr, top
     return best_feature, best_threshold, max(best_gain, 0.0)
+
+
+def grow_tree(d, cfg, seed: int):
+    """The root of ``dtree.build``'s tree on ``d``, grown by recursion with
+    the split search above: each node draws its thresholds, then grows its
+    left subtree, then its right one. As deep as the recursion limit allows."""
+    rng = derive_rng(seed, "tree")
+
+    def grow(idx):
+        ys = d.y[idx]
+        counts = np.bincount(ys, minlength=2)
+        leaf = Leaf(0 if counts[0] >= counts[1] else 1, (int(counts[0]), int(counts[1])))
+        if len(idx) <= cfg.p_min * d.n or len(np.unique(ys)) < 2:
+            return leaf
+        feature, threshold, gain = best_partition(d.x[idx], ys, cfg, rng)
+        go_left = d.x[idx, feature] <= threshold
+        if gain <= 0.0 or go_left.all() or not go_left.any():
+            return leaf
+        return Split(feature, threshold, grow(idx[go_left]), grow(idx[~go_left]))
+
+    return grow(np.arange(d.n))
 
 
 def tree_walk(model, x) -> int:

@@ -22,7 +22,7 @@ from ecnn import cascade, dtree, gmdh, harness
 from ecnn import cli as cli_module
 from ecnn.cli import cli, load_any_model, replay_manifest
 from ecnn.dataset import load_csv, save_csv, synth_generate
-from ecnn.errors import NumericError
+from ecnn.errors import DataError, NumericError
 from ecnn.model import read_json_doc
 from ecnn.projection import TrainConfig
 from ecnn.util import json_text
@@ -487,10 +487,11 @@ class TestFamilyFlags:
 
 
 class TestEvaluateCommand:
-    def test_matches_manifest_train_error(self, runner, tmp_path):
+    @pytest.mark.parametrize("method", ["ecnn", "gmdh", "dt"])
+    def test_matches_manifest_train_error(self, runner, tmp_path, method):
         data = _make_data(tmp_path)
         out = tmp_path / "run"
-        _invoke(runner, ["train", "--data", str(data), "--out", str(out)])
+        _invoke(runner, ["train", "--data", str(data), "--method", method, "--out", str(out)])
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         result = _invoke(runner, [
             "evaluate", "--model", f"{out}.model.json", "--data", str(data),
@@ -526,20 +527,33 @@ class TestEvaluateCommand:
                             r"not finite, and no threshold orders it\n", result.output)
         assert list(tmp_path.iterdir()) == [bad]
 
-    @pytest.mark.parametrize("family, stored", [("ecnn", 0.8), ("gmdh", None)])
-    def test_threshold_flag_overrides_the_model_s_own(self, runner, tmp_path, saved_models, family, stored):
+    @pytest.mark.parametrize("family", ["ecnn", "gmdh"])
+    def test_threshold_flag_overrides_the_model_s_own(self, runner, saved_models, family):
         data, paths = saved_models
-        doc = json.loads(paths[family].read_text())
-        if stored is not None:
-            doc["threshold"] = stored
-        path = tmp_path / "m.model.json"
-        path.write_text(json.dumps(doc))
         d = load_csv(data, "target")
-        model = load_any_model(path)[1]
+        model = load_any_model(paths[family])[1]
         score, cls = model.predict_batch(d.x)
         assert (cls != (score >= 0.3)).any()
-        result = _invoke(runner, ["evaluate", "--model", str(path), "--data", str(data), "--threshold", "0.3"])
+        result = _invoke(runner, ["evaluate", "--model", str(paths[family]), "--data", str(data),
+                                  "--threshold", "0.3"])
         assert json.loads(result.output)["error_rate"] == float(np.mean((score >= 0.3) != d.y))
+
+    @pytest.mark.parametrize("stored", [0.8, 1, True, "0.5", None], ids=["0.8", "1", "true", "string", "null"])
+    def test_stored_threshold_other_than_one_half_exit_code_3(self, runner, tmp_path, saved_models, stored):
+        # a cascade file always stores 0.5, the one class threshold; any
+        # other value would be scored at one threshold or another
+        data, paths = saved_models
+        doc = json.loads(paths["ecnn"].read_text())
+        doc["threshold"] = stored
+        bad = tmp_path / "bad.model.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(cli, ["evaluate", "--model", str(bad), "--data", str(data),
+                                     "--out", str(tmp_path / "m")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert re.fullmatch(r"data error: malformed model file: [^\n]*threshold[^\n]*\n", result.output)
+        assert list(tmp_path.iterdir()) == [bad]
+        with pytest.raises(DataError, match="^malformed model file: "):
+            cascade.CascadeModel.load(bad)
 
     def test_missing_model_exit_code(self, runner, tmp_path):
         data = _make_data(tmp_path)

@@ -1,12 +1,17 @@
+import contextlib
+import pickle
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecnn import dtree
-from ecnn.dataset import Dataset
+from ecnn.cli import cli
+from ecnn.dataset import Dataset, save_csv
 from ecnn.dtree import (
     DtConfig,
     DtModel,
@@ -21,7 +26,7 @@ from ecnn.dtree import (
 from ecnn.errors import ConfigError, DataError
 from ecnn.util import derive_rng
 import reference
-from reference import info_gain, sample_threshold
+from reference import grow_tree, info_gain, sample_threshold
 
 
 class TestEntropy:
@@ -314,6 +319,73 @@ class TestBuild:
         with pytest.raises(ConfigError, match=r"^25 threshold draws on 30 rows by 2 features do not fit "
                                               r"in memory \(--ns\)$"):
             build(d, DtConfig(), seed=0)
+
+
+def _peeling_task(n):
+    """Geometric values, so that a threshold drawn over a node's range
+    nearly always cuts off only its largest row: a tree about as deep as
+    it has rows."""
+    i = np.arange(-(n // 2), n - n // 2)
+    return Dataset(np.column_stack([1.5 ** i, np.ones(n)]), i % 2, ["a", "b"])
+
+
+@contextlib.contextmanager
+def _recursion_headroom(frames):
+    """A recursion limit ``frames`` above the current depth, so that a
+    tree a few hundred splits deep is deeper than any recursion."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestDeepTree:
+    def test_build_draws_as_the_recursion_did(self):
+        # grown from a stack, each left subtree before its right one, the
+        # tree draws every split search in the recursion's order
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(300, 4))
+            d = Dataset(x, (x[:, 0] + 0.8 * rng.normal(size=300) > 0).astype(np.int64), list("abcd"))
+            model = build(d, DtConfig(p_min=0.02), seed)
+            assert model.size() > 5
+            assert model.to_json() == DtModel(grow_tree(d, DtConfig(p_min=0.02), seed), 4).to_json()
+
+    def test_build_grows_a_tree_deeper_than_the_recursion_limit(self):
+        d = _peeling_task(400)
+        with _recursion_headroom(100):
+            with pytest.raises(RecursionError):
+                grow_tree(d, DtConfig(), 0)
+            model = build(d, DtConfig(), 0)
+            assert model.size() > 300
+            _, cls = model.predict_batch(d.x)
+            np.testing.assert_array_equal(cls, [reference.tree_walk(model, row) for row in d.x])
+            with pytest.raises(DataError, match="^the model is nested too deeply to write$"):
+                model.to_json()
+
+    def test_a_tree_deeper_than_the_recursion_limit_pickles(self):
+        # as the workers of a --jobs pool send their trees back
+        d = _peeling_task(400)
+        model = build(d, DtConfig(), 0)
+        with _recursion_headroom(100):
+            copy = pickle.loads(pickle.dumps(model))
+        assert copy.n_features == 2
+        np.testing.assert_array_equal(copy.predict_batch(d.x)[1], model.predict_batch(d.x)[1])
+        assert copy.__getstate__() == model.__getstate__()
+
+    def test_train_of_a_tree_too_deep_to_write_exits_3(self, tmp_path):
+        save_csv(_peeling_task(800), tmp_path / "deep.csv")
+        with _recursion_headroom(100):
+            result = CliRunner().invoke(cli, ["train", "--data", str(tmp_path / "deep.csv"), "--method", "dt",
+                                              "--out", str(tmp_path / "deep")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.output == "data error: the model is nested too deeply to write\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.csv"]
 
 
 class TestPredictAndSerialize:

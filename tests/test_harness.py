@@ -72,6 +72,17 @@ class TestMultiRestart:
         assert [r.test_error for r in serial.records] == [r.test_error for r in parallel.records]
         assert serial.best_run == parallel.best_run
 
+    def test_runs_where_sched_getaffinity_is_missing(self, monkeypatch):
+        # macOS and Windows have no sched_getaffinity; a pool is then sized by cpu_count
+        def records(jobs):
+            rep = multi_restart(Method("dt", dtree.DtConfig()), _task(4), _task(5), runs=2, base_seed=3, jobs=jobs)
+            return [(r.seed, r.criterion, r.test_error, r.model.to_json()) for r in rep.records]
+
+        serial = records(1)
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        assert records(1) == records(2) == serial
+
     def test_pool_has_at_most_one_worker_per_run(self, monkeypatch):
         requested = []
 

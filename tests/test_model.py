@@ -2,7 +2,7 @@
 tree routing against the per-row reference walk, size and features."""
 
 import dataclasses
-import json
+import inspect
 import warnings
 
 import numpy as np
@@ -70,23 +70,9 @@ def test_infinite_gmdh_score_still_orders(monkeypatch):
 
 
 class TestDefaultThreshold:
-    """The base's ``predict_batch`` classifies at each family's own
-    threshold when none is given, and at the given one otherwise."""
-
-    def test_cascade_classifies_at_its_stored_threshold(self, tmp_path):
-        d, model = _train("ecnn")
-        score = model.predict_batch(d.x)[0]
-        assert ((0.5 <= score) & (score < 0.8)).any() and ((0.3 <= score) & (score < 0.5)).any()
-        doc = {"format_version": 1, **model.to_json_dict(), "threshold": 0.8}
-        path = tmp_path / "cascade.model.json"
-        path.write_text(json.dumps(doc))
-        for loaded in (cascade.CascadeModel.from_json_dict(doc), cascade.CascadeModel.load(path)):
-            assert loaded.threshold == 0.8
-            got, cls = loaded.predict_batch(d.x)
-            np.testing.assert_array_equal(got, score)
-            np.testing.assert_array_equal(cls, (score >= 0.8).astype(np.int64))
-            assert loaded.error_rate(d) == float(np.mean((score >= 0.8) != d.y))
-            np.testing.assert_array_equal(loaded.predict_batch(d.x, 0.3)[1], (score >= 0.3).astype(np.int64))
+    """The base's ``predict_batch`` classifies at ``Model.threshold``, the
+    one class threshold, when none is given, and at the given one
+    otherwise."""
 
     def test_gmdh_classifies_at_one_half(self):
         d, model = _train("gmdh")
@@ -95,13 +81,12 @@ class TestDefaultThreshold:
         np.testing.assert_array_equal(cls, (score >= 0.5).astype(np.int64))
         np.testing.assert_array_equal(model.predict_batch(d.x, 0.3)[1], (score >= 0.3).astype(np.int64))
 
-    def test_only_the_cascade_stores_a_threshold(self):
-        # the base's default is a class attribute, not a field of any model class
+    def test_no_model_stores_a_threshold(self):
+        # the threshold is a class attribute of the base, and the default of every predict_batch
         assert Model.threshold == 0.5
-        fields = {cls: {f.name for f in dataclasses.fields(cls)}
-                  for cls in (cascade.CascadeModel, gmdh.GmdhModel, dtree.DtModel)}
-        assert "threshold" in fields[cascade.CascadeModel]
-        assert "threshold" not in fields[gmdh.GmdhModel] | fields[dtree.DtModel]
+        for cls in (cascade.CascadeModel, gmdh.GmdhModel, dtree.DtModel):
+            assert "threshold" not in {f.name for f in dataclasses.fields(cls)}
+            assert inspect.signature(cls.predict_batch).parameters["threshold"].default is Model.threshold
 
 
 def _thresholds(node):
