@@ -86,14 +86,26 @@ def _write_manifest(
     return path
 
 
+def _name_max(directory: Path) -> int:
+    """The longest file name, in bytes, that the file system of
+    ``directory`` takes: -1 where it sets no limit, and 255 where it cannot
+    be asked (Windows has no ``os.pathconf``)."""
+    try:
+        return os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, ValueError, OSError):
+        return 255
+
+
 def _check_out(out: str, *suffixes: str) -> list[Path]:
     """The paths of the files a command writes, ``out`` followed by each of
     ``suffixes``. Refuses, before any work, an output prefix that does not
     end in a name (a path separator, ``.`` or ``..``), whose nearest
-    existing ancestor is not a directory this process can write to, or
-    where one of those files, or the manifest, is an existing directory.
-    Nothing is created here: the first file written creates the missing
-    directories, so a refused command leaves none."""
+    existing ancestor is not a directory this process can write to, where
+    one of those files, or the manifest, is an existing directory, or where
+    the name of one of them, or of a directory still to create, is longer
+    than the ancestor's file system takes. Nothing is created here: the
+    first file written creates the missing directories, so a refused
+    command leaves none."""
     if os.path.basename(out) in ("", ".", ".."):
         raise ConfigError(f"--out must end in a file name prefix, got {out!r}")
     ancestor = Path(out).parent
@@ -101,9 +113,15 @@ def _check_out(out: str, *suffixes: str) -> list[Path]:
         ancestor = ancestor.parent
     if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
         raise ConfigError(f"--out {out!r}: {str(ancestor)!r} is not a directory this process can write to")
-    for path in (out + suffix for suffix in (*suffixes, ".manifest.json")):
+    paths = [out + suffix for suffix in (*suffixes, ".manifest.json")]
+    for path in paths:
         if os.path.isdir(path):
             raise ConfigError(f"--out {out!r}: the output file {path!r} is a directory")
+    name_max = _name_max(ancestor)
+    for name in (*Path(out).parent.relative_to(ancestor).parts, *map(os.path.basename, paths)):
+        if 0 <= name_max < len(os.fsencode(name)):
+            raise ConfigError(f"--out {out!r}: the name {name!r} is longer than the {name_max} bytes "
+                              f"a file name may have in {str(ancestor)!r}")
     return [Path(out + suffix) for suffix in suffixes]
 
 

@@ -9,6 +9,7 @@ pure, or no sampled split yields any information gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,115 +44,87 @@ class Leaf:
     counts: tuple[int, int]
 
 
-@dataclass
-class Split:
+class Split(NamedTuple):
     feature: int
     threshold: float
-    left: "Leaf | Split"
-    right: "Leaf | Split"
 
 
 DtNode = Leaf | Split
 
 
-def _tree(nodes: list) -> DtNode:
-    """The tree whose nodes are ``nodes`` in ``DtModel.nodes()`` order, each
-    split given as (feature, threshold). From the last node back, each
-    split takes the two subtrees above it on the stack, its left one on
-    top, so that no depth of tree recurses."""
-    stack: list[DtNode] = []
-    for node in reversed(nodes):
-        stack.append(node if isinstance(node, Leaf) else Split(*node, stack.pop(), stack.pop()))
-    return stack.pop()
-
-
 @dataclass
 class DtModel(Model):
-    root: DtNode
+    # the tree in preorder: each split, then its left subtree, then its
+    # right one; a flat list, so that routing and pickling take any depth
+    nodes: list[DtNode]
     n_features: int
-
-    def nodes(self) -> list[DtNode]:
-        """Every node, each parent before its children, left before right."""
-        out: list[DtNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            if isinstance(node, Split):
-                stack += [node.right, node.left]
-        return out
-
-    # pickled, as a pool's workers send it, as the list ``_tree`` reads,
-    # so that no depth of tree recurses
-    def __getstate__(self):
-        return [(n.feature, n.threshold) if isinstance(n, Split) else n for n in self.nodes()], self.n_features
-
-    def __setstate__(self, state) -> None:
-        nodes, self.n_features = state
-        self.root = _tree(nodes)
 
     def size(self) -> int:
         """Number of splits."""
-        return sum(isinstance(node, Split) for node in self.nodes())
+        return sum(isinstance(node, Split) for node in self.nodes)
 
     def used_features(self) -> frozenset[int]:
-        return frozenset(node.feature for node in self.nodes() if isinstance(node, Split))
+        return frozenset(node.feature for node in self.nodes if isinstance(node, Split))
 
     def predict_batch(self, x: np.ndarray, threshold: float = Model.threshold) -> tuple[np.ndarray, np.ndarray]:
         """Leaf classes for raw rows ``x``, as scores and as classes.
 
-        All rows are routed at once, node by node; a value equal to a
+        All rows are routed in one pass over the nodes; a value equal to a
         split threshold goes left. ``threshold`` is accepted for the shared
         interface and does not apply to trees.
         """
         x = self.check_rows(x)
         cls = np.empty(len(x), dtype=np.int64)
-        stack = [(self.root, np.arange(len(x)))]
-        while stack:
-            node, rows = stack.pop()
+        # the rows of each node still to reach, the next node's on top: a
+        # split pushes its right rows, then its left ones
+        stack = [np.arange(len(x))]
+        for node in self.nodes:
+            rows = stack.pop()
             if isinstance(node, Leaf):
                 cls[rows] = node.label
             else:
                 left = x[rows, node.feature] <= node.threshold
-                stack += [(node.left, rows[left]), (node.right, rows[~left])]
+                stack += [rows[~left], rows[left]]
         return cls.astype(np.float64), cls
 
     def to_json_dict(self) -> dict:
-        def encode(node: DtNode) -> dict:
+        # from the last node back, each split takes the two subtrees above
+        # it on the stack, its left one on top
+        stack: list[dict] = []
+        for node in reversed(self.nodes):
             if isinstance(node, Leaf):
-                return {"leaf": {"class": node.label, "counts": list(node.counts)}}
-            return {
-                "split": {
-                    "feature": node.feature,
-                    "threshold": node.threshold,
-                    "left": encode(node.left),
-                    "right": encode(node.right),
-                }
-            }
-
+                stack.append({"leaf": {"class": node.label, "counts": list(node.counts)}})
+            else:
+                stack.append({"split": {"feature": node.feature, "threshold": node.threshold,
+                                        "left": stack.pop(), "right": stack.pop()}})
         return {
             "n_features": self.n_features,
-            "root": encode(self.root),
+            "root": stack.pop(),
         }
 
     @classmethod
     def _decode(cls, d: dict) -> "DtModel":
         n_features = json_value(d["n_features"], int, "n_features")
+        nodes: list[DtNode] = []
 
-        def decode(nd: dict) -> DtNode:
+        def decode(nd: dict) -> None:
             if "leaf" in nd:
                 leaf = nd["leaf"]
                 label = json_value(leaf["class"], int, "leaf class")
                 require(label in (0, 1), f"leaf class {label} is not 0 or 1")
                 counts = leaf["counts"]
-                return Leaf(label, (json_value(counts[0], int, "leaf count"), json_value(counts[1], int, "leaf count")))
+                nodes.append(Leaf(label, (json_value(counts[0], int, "leaf count"),
+                                          json_value(counts[1], int, "leaf count"))))
+                return
             sp = nd["split"]
             feature = json_value(sp["feature"], int, "split feature")
             require(0 <= feature < n_features, f"split on feature {feature} of {n_features}")
-            return Split(feature, json_value(sp["threshold"], float, "split threshold"),
-                         decode(sp["left"]), decode(sp["right"]))
+            nodes.append(Split(feature, json_value(sp["threshold"], float, "split threshold")))
+            decode(sp["left"])
+            decode(sp["right"])
 
-        return cls(decode(d["root"]), n_features)
+        decode(d["root"])
+        return cls(nodes, n_features)
 
 
 def entropy(counts) -> float:
@@ -245,9 +218,9 @@ def build(d: Dataset, cfg: DtConfig, seed: int) -> DtModel:
         label = 0 if counts[0] >= counts[1] else 1
         return Leaf(label, (int(counts[0]), int(counts[1])))
 
-    def grow(idx: np.ndarray) -> Leaf | tuple[int, float, np.ndarray]:
-        """The leaf rows ``idx`` make, or the split to make of them: its
-        feature, its threshold and the mask of the rows that go left."""
+    def grow(idx: np.ndarray) -> Leaf | tuple[Split, np.ndarray]:
+        """The leaf rows ``idx`` make, or the split to make of them and the
+        mask of the rows that go left."""
         ys = d.y[idx]
         if len(idx) <= floor or len(np.unique(ys)) < 2:
             return leaf_for(ys)
@@ -261,22 +234,21 @@ def build(d: Dataset, cfg: DtConfig, seed: int) -> DtModel:
         go_left = d.x[idx, feature] <= threshold
         if not go_left.any() or go_left.all():  # roundoff can report a hair of gain
             return leaf_for(ys)
-        return feature, threshold, go_left
+        return Split(feature, threshold), go_left
 
-    # the nodes in DtModel.nodes() order, grown from a stack of the rows of
-    # each node still to grow: each split, then its left subtree, then its
-    # right one, which is a recursion's order of draws, to any depth
-    nodes = []
+    # the nodes in preorder, grown from a stack of the rows of each node
+    # still to grow: each split, then its left subtree, then its right
+    # one, which is a recursion's order of draws, to any depth
+    nodes: list[DtNode] = []
     stack = [np.arange(d.n)]
     while stack:
         idx = stack.pop()
         node = grow(idx)
-        if isinstance(node, tuple):
-            feature, threshold, go_left = node
-            node = (feature, threshold)
+        if not isinstance(node, Leaf):
+            node, go_left = node
             stack += [idx[~go_left], idx[go_left]]
         nodes.append(node)
-    return DtModel(_tree(nodes), d.m)
+    return DtModel(nodes, d.m)
 
 
 def fit(d: Dataset, cfg: DtConfig, seed: int) -> tuple[DtModel, float, tuple[float, ...]]:

@@ -71,10 +71,11 @@ def json_text(doc: dict) -> str:
 def atomic_writer(path: str | Path) -> Iterator[BinaryIO]:
     """A binary handle on a temp file that replaces ``path`` by a rename if
     the block ends without an error, and is removed if not. Missing parent
-    directories are created."""
+    directories are created. The temp file's name is short,
+    ``.<random>.tmp``, whatever the length of ``path``'s."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

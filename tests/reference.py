@@ -255,35 +255,44 @@ def best_partition(x: np.ndarray, y: np.ndarray, cfg, rng: np.random.Generator) 
     return best_feature, best_threshold, max(best_gain, 0.0)
 
 
-def grow_tree(d, cfg, seed: int):
-    """The root of ``dtree.build``'s tree on ``d``, grown by recursion with
-    the split search above: each node draws its thresholds, then grows its
-    left subtree, then its right one. As deep as the recursion limit allows."""
+def grow_tree(d, cfg, seed: int) -> list:
+    """The preorder node list of ``dtree.build``'s tree on ``d``, grown by
+    recursion with the split search above: each node draws its thresholds,
+    then grows its left subtree, then its right one. As deep as the
+    recursion limit allows."""
     rng = derive_rng(seed, "tree")
+    nodes = []
 
     def grow(idx):
         ys = d.y[idx]
         counts = np.bincount(ys, minlength=2)
         leaf = Leaf(0 if counts[0] >= counts[1] else 1, (int(counts[0]), int(counts[1])))
         if len(idx) <= cfg.p_min * d.n or len(np.unique(ys)) < 2:
-            return leaf
+            nodes.append(leaf)
+            return
         feature, threshold, gain = best_partition(d.x[idx], ys, cfg, rng)
         go_left = d.x[idx, feature] <= threshold
         if gain <= 0.0 or go_left.all() or not go_left.any():
-            return leaf
-        return Split(feature, threshold, grow(idx[go_left]), grow(idx[~go_left]))
+            nodes.append(leaf)
+            return
+        nodes.append(Split(feature, threshold))
+        grow(idx[go_left])
+        grow(idx[~go_left])
 
-    return grow(np.arange(d.n))
+    grow(np.arange(d.n))
+    return nodes
 
 
 def tree_walk(model, x) -> int:
-    """The leaf class of one raw input vector, found by following its
-    splits from the root; a value equal to a threshold goes left."""
+    """The leaf class of one raw input vector, found by following the
+    splits of the model's JSON document from its root; a value equal to a
+    threshold goes left."""
     x = np.asarray(x, dtype=np.float64)
-    node = model.root
-    while isinstance(node, Split):
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.label
+    node = model.to_json_dict()["root"]
+    while "split" in node:
+        split = node["split"]
+        node = split["left"] if x[split["feature"]] <= split["threshold"] else split["right"]
+    return node["leaf"]["class"]
 
 
 def recompute(report) -> tuple[float, float]:

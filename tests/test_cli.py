@@ -1093,6 +1093,86 @@ class TestBadOutPrefix:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
 
+class TestLongOutPrefix:
+    """Every name a command writes may be as long as the file system
+    takes: a prefix that makes one longer is refused before any work, even
+    when the data is missing, and one that just fits writes every file,
+    through temp files no longer."""
+
+    ARGS = {
+        "synth": ["synth", "--n", "60", "--m", "4", "--relevant", "0"],
+        "train": ["train", "--data", "data.csv", "--method", "dt"],
+        "evaluate": ["evaluate", "--model", "dt.model.json", "--data", "data.csv"],
+        "compare": ["compare", "--data", "data.csv", "--folds", "2", "--inner-runs", "1", "--offspring", "10"],
+        "chi-sweep": ["chi-sweep", "--data", "data.csv", "--chis", "1.9"],
+    }
+    SUFFIXES = {"synth": [".csv", ".truth.json"], "train": [".model.json"], "evaluate": [".metrics.json"],
+                "compare": [".cv_report.csv"], "chi-sweep": [".chi_traces.csv"]}
+
+    def prefix(self, command, name_max):
+        """The longest prefix whose every name fits in ``name_max`` bytes:
+        241 characters of 255 where the manifest's name is the longest."""
+        return "a" * (name_max - max(map(len, [*self.SUFFIXES[command], ".manifest.json"])))
+
+    @pytest.fixture
+    def name_max(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _make_data(tmp_path, n=60, m=4, name="data.csv")
+        assert _invoke(runner, self.ARGS["train"] + ["--out", "dt"]).exit_code == 0
+        return cli_module._name_max(tmp_path)
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize("over", [1, 9])
+    def test_a_name_too_long_exits_2_and_writes_nothing(self, runner, tmp_path, name_max, command, over):
+        out = self.prefix(command, name_max) + "a" * over
+        before = sorted(tmp_path.iterdir())
+        for args in (self.ARGS[command], [arg.replace("data.csv", "missing.csv") for arg in self.ARGS[command]]):
+            result = runner.invoke(cli, args + ["--out", out])
+            assert result.exit_code == 2, result.output
+            assert result.output.startswith(f"config error: --out {out!r}: the name '{out}.")
+            assert result.output.endswith(f"is longer than the {name_max} bytes a file name may have in '.'\n")
+            assert result.output.count("\n") == 1
+            assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_directory_name_too_long_exits_2(self, runner, tmp_path, name_max):
+        result = runner.invoke(cli, self.ARGS["synth"] + ["--out", "d" * (name_max + 1) + "/x"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("config error: --out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["data.csv", "dt.model.json", "dt.manifest.json"])
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_a_name_that_just_fits_writes_every_file(self, runner, tmp_path, name_max, command):
+        out = self.prefix(command, name_max)
+        before = {p.name for p in tmp_path.iterdir()}
+        result = runner.invoke(cli, self.ARGS[command] + ["--out", out])
+        assert result.exit_code == 0, (result.output, result.exception)
+        written = {p.name for p in tmp_path.iterdir()} - before
+        assert written == {out + suffix for suffix in [*self.SUFFIXES[command], ".manifest.json"]}
+        assert max(len(name) for name in written) == name_max
+
+    @pytest.mark.parametrize("pathconf", ["missing", "raises"])
+    def test_the_limit_is_255_where_it_cannot_be_asked(self, runner, tmp_path, name_max, monkeypatch, pathconf):
+        # Windows has no os.pathconf; some file systems refuse the query
+        def refuse(path, name):
+            raise OSError(22, "Invalid argument")
+
+        if pathconf == "missing":
+            monkeypatch.delattr(cli_module.os, "pathconf", raising=False)
+        else:
+            monkeypatch.setattr(cli_module.os, "pathconf", refuse)
+        assert _invoke(runner, self.ARGS["train"] + ["--out", "x"]).exit_code == 0
+        assert (tmp_path / "x.model.json").is_file() and (tmp_path / "x.manifest.json").is_file()
+        result = runner.invoke(cli, self.ARGS["train"] + ["--out", "a" * 242])
+        assert result.exit_code == 2, result.output
+        assert result.output.endswith("is longer than the 255 bytes a file name may have in '.'\n")
+
+    def test_no_name_is_too_long_where_the_file_system_sets_no_limit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_module.os, "pathconf", lambda path, name: -1)
+        out = str(tmp_path / "d" / ("a" * 300))
+        assert cli_module._check_out(out, ".model.json") == [Path(out + ".model.json")]
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_every_json_file_written_reads_back(runner, tmp_path):
     """Truth, model, metrics and manifest files all read back through
     read_json_doc."""

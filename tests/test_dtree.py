@@ -1,4 +1,5 @@
 import contextlib
+import json
 import pickle
 import sys
 import warnings
@@ -170,7 +171,7 @@ class TestBestPartition:
     def test_no_feature_columns_report_zero_gain(self):
         y = np.arange(6) % 2
         assert best_partition(np.ones((6, 0)), y, DtConfig(), derive_rng(0, "none"))[2] == 0.0
-        assert isinstance(build(Dataset(np.ones((6, 0)), y, []), DtConfig(), seed=0).root, Leaf)
+        assert build(Dataset(np.ones((6, 0)), y, []), DtConfig(), seed=0).nodes == [Leaf(0, (3, 3))]
 
     def test_single_draw_single_feature_matches_the_loop(self):
         rng_data = np.random.default_rng(6)
@@ -236,8 +237,7 @@ class TestBuild:
     def test_pure_dataset_single_leaf(self):
         d = Dataset(np.random.default_rng(0).normal(size=(20, 2)), np.zeros(20, dtype=int), ["a", "b"])
         model = build(d, DtConfig(), seed=0)
-        assert isinstance(model.root, Leaf)
-        assert model.root.label == 0
+        assert model.nodes == [Leaf(0, (20, 0))]
 
     def test_margin_task_perfect_training_accuracy(self):
         ok = 0
@@ -252,7 +252,7 @@ class TestBuild:
             rng = np.random.default_rng(seed)
             d = Dataset(rng.normal(size=(200, 3)), rng.integers(0, 2, 200), ["a", "b", "c"])
             model = build(d, DtConfig(), seed=seed)
-            total = sum(sum(node.counts) for node in model.nodes() if isinstance(node, Leaf))
+            total = sum(sum(node.counts) for node in model.nodes if isinstance(node, Leaf))
             assert total == d.n
 
     def test_leaves_obey_stopping_contract(self):
@@ -262,24 +262,27 @@ class TestBuild:
         model = build(d, cfg, seed=1)
         floor = cfg.p_min * d.n
 
-        def check(node, rows):
+        # the training rows of each node still to visit, the next node's on top
+        stack = [np.arange(d.n)]
+        for node in model.nodes:
+            rows = stack.pop()
             if isinstance(node, Leaf):
                 pure = min(node.counts) == 0
-                assert pure or rows <= floor or True  # zero-gain leaves also allowed
-                assert sum(node.counts) == rows
+                assert pure or len(rows) <= floor or True  # zero-gain leaves also allowed
+                assert node.counts == tuple(np.bincount(d.y[rows], minlength=2))
             else:
-                check(node.left, sum_counts(node.left))
-                check(node.right, sum_counts(node.right))
-
-        def sum_counts(node):
-            if isinstance(node, Leaf):
-                return sum(node.counts)
-            return sum_counts(node.left) + sum_counts(node.right)
-
-        check(model.root, d.n)
-        # nodes above the floor with both classes must have been split or
-        # stopped by zero gain, never silently truncated
-        assert sum_counts(model.root) == d.n
+                # only a node above the floor with both classes is split
+                assert len(rows) > floor and len(np.unique(d.y[rows])) == 2
+                left = d.x[rows, node.feature] <= node.threshold
+                stack += [rows[~left], rows[left]]
+        assert stack == []
+        # each subtree's leaf counts sum to its rows, the root's to all of
+        # them: nodes above the floor with both classes must have been split
+        # or stopped by zero gain, never silently truncated
+        sums = []
+        for node in reversed(model.nodes):
+            sums.append(sum(node.counts) if isinstance(node, Leaf) else sums.pop() + sums.pop())
+        assert sums == [d.n]
 
     def test_determinism(self):
         rng = np.random.default_rng(11)
@@ -345,16 +348,23 @@ def _recursion_headroom(frames):
 
 
 class TestDeepTree:
-    def test_build_draws_as_the_recursion_did(self):
+    def test_build_draws_as_the_recursion_did(self, tmp_path):
         # grown from a stack, each left subtree before its right one, the
-        # tree draws every split search in the recursion's order
+        # tree draws every split search in the recursion's order; its file
+        # and its pickle hold the same preorder list
         for seed in range(4):
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(300, 4))
             d = Dataset(x, (x[:, 0] + 0.8 * rng.normal(size=300) > 0).astype(np.int64), list("abcd"))
             model = build(d, DtConfig(p_min=0.02), seed)
             assert model.size() > 5
-            assert model.to_json() == DtModel(grow_tree(d, DtConfig(p_min=0.02), seed), 4).to_json()
+            nodes = grow_tree(d, DtConfig(p_min=0.02), seed)
+            assert model.nodes == nodes
+            assert model.to_json() == DtModel(nodes, 4).to_json()
+            model.save(tmp_path / "dt.model.json")
+            for copy in (DtModel.load(tmp_path / "dt.model.json"), pickle.loads(pickle.dumps(model))):
+                assert copy.nodes == model.nodes
+                assert copy.n_features == 4
 
     def test_build_grows_a_tree_deeper_than_the_recursion_limit(self):
         d = _peeling_task(400)
@@ -369,14 +379,16 @@ class TestDeepTree:
                 model.to_json()
 
     def test_a_tree_deeper_than_the_recursion_limit_pickles(self):
-        # as the workers of a --jobs pool send their trees back
-        d = _peeling_task(400)
+        # as the workers of a --jobs pool send their trees back; 3,290
+        # splits, each cutting off the largest row
+        d = _peeling_task(3500)
         model = build(d, DtConfig(), 0)
+        assert model.size() == 3290
         with _recursion_headroom(100):
             copy = pickle.loads(pickle.dumps(model))
         assert copy.n_features == 2
         np.testing.assert_array_equal(copy.predict_batch(d.x)[1], model.predict_batch(d.x)[1])
-        assert copy.__getstate__() == model.__getstate__()
+        assert copy.nodes == model.nodes
 
     def test_train_of_a_tree_too_deep_to_write_exits_3(self, tmp_path):
         save_csv(_peeling_task(800), tmp_path / "deep.csv")
@@ -390,11 +402,11 @@ class TestDeepTree:
 
 class TestPredictAndSerialize:
     def test_single_leaf_constant(self):
-        model = DtModel(Leaf(1, (0, 7)), 3)
+        model = DtModel([Leaf(1, (0, 7))], 3)
         assert dt_predict(model, np.zeros(3)) == 1
 
     def test_boundary_goes_left(self):
-        model = DtModel(Split(0, 1.5, Leaf(0, (3, 0)), Leaf(1, (0, 3))), 1)
+        model = DtModel([Split(0, 1.5), Leaf(0, (3, 0)), Leaf(1, (0, 3))], 1)
         assert dt_predict(model, np.array([1.5])) == 0
         assert dt_predict(model, np.array([1.5000001])) == 1
 
@@ -410,6 +422,22 @@ class TestPredictAndSerialize:
         assert loaded.to_json() == model.to_json()
 
     def test_dimension_mismatch(self):
-        model = DtModel(Leaf(0, (1, 0)), 4)
+        model = DtModel([Leaf(0, (1, 0))], 4)
         with pytest.raises(DataError):
             dt_predict(model, np.zeros(3))
+
+    def test_hand_written_nodes_write_the_nested_document(self):
+        nodes = [Split(1, 0.25), Leaf(0, (4, 0)), Split(0, -1.5), Leaf(1, (0, 2)), Leaf(0, (3, 1))]
+        doc = {"format_version": 1, "n_features": 2, "root": {"split": {
+            "feature": 1, "threshold": 0.25,
+            "left": {"leaf": {"class": 0, "counts": [4, 0]}},
+            "right": {"split": {
+                "feature": 0, "threshold": -1.5,
+                "left": {"leaf": {"class": 1, "counts": [0, 2]}},
+                "right": {"leaf": {"class": 0, "counts": [3, 1]}},
+            }},
+        }}}
+        model = DtModel(nodes, 2)
+        assert model.to_json() == json.dumps(doc, indent=2) + "\n"
+        assert DtModel.from_json_dict(doc) == model
+        assert model.size() == 2 and model.used_features() == {0, 1}

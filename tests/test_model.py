@@ -10,7 +10,7 @@ import pytest
 
 from ecnn import cascade, dtree, gmdh
 from ecnn.dataset import Dataset, synth_generate
-from ecnn.dtree import DtConfig, Split, build
+from ecnn.dtree import DtConfig, build
 from ecnn.errors import DataError, NumericError
 from ecnn.model import Model
 from reference import tree_walk
@@ -90,10 +90,13 @@ class TestDefaultThreshold:
 
 
 def _thresholds(node):
-    if isinstance(node, Split):
-        yield node.feature, node.threshold
-        yield from _thresholds(node.left)
-        yield from _thresholds(node.right)
+    """(feature, threshold) of every split below a node of a tree's JSON
+    document, the node's own first."""
+    if "split" in node:
+        split = node["split"]
+        yield split["feature"], split["threshold"]
+        yield from _thresholds(split["left"])
+        yield from _thresholds(split["right"])
 
 
 class TestTreeBatchRouting:
@@ -104,7 +107,7 @@ class TestTreeBatchRouting:
             model = build(d, DtConfig(), seed=seed)
             # probe rows on every split threshold, and either side of it
             probes = [rng.normal(size=(200, 3))]
-            for feature, threshold in _thresholds(model.root):
+            for feature, threshold in _thresholds(model.to_json_dict()["root"]):
                 for value in (threshold, np.nextafter(threshold, -np.inf), np.nextafter(threshold, np.inf)):
                     rows = rng.normal(size=(20, 3))
                     rows[:, feature] = value
@@ -123,8 +126,8 @@ class TestTreeBatchRouting:
 
     def test_size_and_features_count_splits(self):
         d, model = _train("dt", seed=3)
-        splits = list(_thresholds(model.root))
-        assert model.size() == len(splits) == len(model.nodes()) - len(splits) - 1
+        splits = list(_thresholds(model.to_json_dict()["root"]))
+        assert model.size() == len(splits) == len(model.nodes) - len(splits) - 1
         assert model.used_features() == {feature for feature, _ in splits}
         assert dtree.evaluate(model, d) == model.error_rate(d)
 
