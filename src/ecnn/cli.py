@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import click
@@ -32,18 +33,20 @@ from .util import atomic_write_text, json_text
 
 
 def _handles_errors(fn):
-    """End each typed error with its label and exit code; the manifest's
-    clock starts here, and so does its ``input_hashes``, which the readers
-    fill with the sha256 of each input file parsed, by the path it was
-    given as."""
+    """End each typed error with its label and exit code, and show each
+    warning as one ``warning:`` line; the manifest's clock starts here, and
+    so does its ``input_hashes``, which the readers fill with the sha256 of
+    each input file parsed, by the path it was given as."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         click.get_current_context().meta.update(started=time.time(), input_hashes={})
-        try:
-            return fn(*args, **kwargs)
-        except EcnnError as exc:
-            click.echo(f"{exc.label}: {exc}", err=True)
-            sys.exit(exc.exit_code)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+            try:
+                return fn(*args, **kwargs)
+            except EcnnError as exc:
+                click.echo(f"{exc.label}: {exc}", err=True)
+                sys.exit(exc.exit_code)
 
     return wrapper
 

@@ -365,13 +365,13 @@ def _block_size(k: int, q: int) -> int:
     return -(-k // blocks)
 
 
-def _with_room(outs: np.ndarray, used: int, extra: int) -> np.ndarray:
-    """``outs`` if it has room for ``extra`` rows after its first ``used``,
+def _with_room(a: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """``a`` if it has room for ``extra`` rows after its first ``used``,
     else a copy of those rows in an array at least twice as tall."""
-    if used + extra <= len(outs):
-        return outs
-    grown = np.empty((max(used + extra, 2 * len(outs)), outs.shape[1]))
-    grown[:used] = outs[:used]
+    if used + extra <= len(a):
+        return a
+    grown = np.empty((max(used + extra, 2 * len(a)), *a.shape[1:]), a.dtype)
+    grown[:used] = a[:used]
     return grown
 
 
@@ -397,15 +397,15 @@ def _grow_population(
     many rows is cut into equal blocks. The keys are drawn block by block
     in offspring order, so the block size does not change any draw.
 
-    Neuron outputs sit in one array, a row per id holding the outputs on
-    the fitting rows and then on the validation rows. It is reserved at
-    ``_RESERVE_BYTES``, and only a population that outgrows that doubles
-    it by copying. A block gathers from it only its parents' outputs on
-    the fitting rows it fits on, and on the validation rows it is scored
-    on; an offspring's outputs on all the fitting rows are computed only
-    once it is accepted, and written straight into the array. Every value
-    is computed as ``poly_forward`` would compute it, so neither the
-    reservation nor a growth changes any byte either.
+    The population is four arrays with a row per id: the outputs on the
+    fitting rows and then on the validation rows, the coefficients, the
+    parent ids and the performance. A block writes its accepted offspring
+    into their next rows, and an array out of rows is copied into one at
+    least twice as tall; only the outputs' array is reserved, at
+    ``_RESERVE_BYTES``. A block gathers only its parents' outputs on the
+    fitting rows it fits on and on the validation rows, and runs an
+    offspring on all the fitting rows only once it is accepted. Every value
+    is computed as ``poly_forward`` would, so no growth changes any byte.
     """
     yt = d_train.y.astype(np.float64)
     yv_true = d_valid.y == 1
@@ -417,13 +417,13 @@ def _grow_population(
     x = np.concatenate([d_train.x, d_valid.x])
     fit_cols, valid_cols = slice(0, q), slice(q, None)
     width = len(x)
-    seed_coeffs = np.empty((size, 4))
+    coeffs = np.empty((size, 4))
     for j in range(size):
         rows = every_row if count == q else derive_rng(base_seed, "seed-fit", j).choice(q, count, replace=False)
-        seed_coeffs[j] = fit_ls(d_train.x[rows, j], None, yt[rows])
+        coeffs[j] = fit_ls(d_train.x[rows, j], None, yt[rows])
+    parents = np.full((size, 2), -1)
     outs = np.empty((max(size, _RESERVE_BYTES // (8 * width)), width))
-    outs[:size] = poly_forward(seed_coeffs, x).T
-    coeff_blocks, parent_blocks = [seed_coeffs], [np.full((size, 2), -1)]
+    outs[:size] = poly_forward(coeffs, x).T
     performance = np.count_nonzero((outs[:size, valid_cols] >= Model.threshold) == yv_true, axis=1) / len(yv_true)
 
     k = cfg.offspring(d_train.m)
@@ -438,7 +438,7 @@ def _grow_population(
         first = rng.integers(size, size=k)
         second = (first + rng.integers(1, size, size=k)) % size
         beaten = np.maximum(performance[first], performance[second])
-        accepted = []
+        born = size
         for start in range(0, k, block):
             pairs = np.stack([first[start : start + block], second[start : start + block]])
             if count == q:
@@ -452,23 +452,18 @@ def _grow_population(
             t = np.flatnonzero(perf > beaten[start : start + block])
             if t.size:
                 new = slice(size, size + t.size)
-                outs = _with_room(outs, size, t.size)
+                outs, coeffs, parents, performance = (
+                    _with_room(a, size, t.size) for a in (outs, coeffs, parents, performance)
+                )
                 outs[new, fit_cols] = _forward_rows(w[t], *outs[pairs[:, t], fit_cols])
                 outs[new, valid_cols] = out_valid[t]
-                coeff_blocks.append(w[t])
-                parent_blocks.append(pairs[:, t].T)
-                accepted.append(perf[t])
+                coeffs[new] = w[t]
+                parents[new] = pairs[:, t].T
+                performance[new] = perf[t]
                 size += t.size
 
-        generation_best = -np.inf
-        if accepted:
-            perf = np.concatenate(accepted)
-            performance = np.append(performance, perf)
-            generation_best = float(perf.max())
-        if generation_best > best_perf:
-            best_perf = generation_best
-            failures = 0
-        else:
-            failures += 1
+        generation_best = float(performance[born:size].max(initial=-np.inf))
+        failures = 0 if generation_best > best_perf else failures + 1
+        best_perf = max(best_perf, generation_best)
         log.append((generation, best_perf, size))
-    return np.concatenate(coeff_blocks), np.concatenate(parent_blocks), performance, log
+    return coeffs[:size], parents[:size], performance[:size], log

@@ -928,6 +928,28 @@ class TestChiSweepCommand:
         assert not list(tmp_path.glob("s.*"))
 
 
+@pytest.mark.parametrize("warned, quiet, chi", [
+    (["train", "--chi", "2.5"], ["train"], 2.5),
+    (["compare", "--chi", "2.5", "--folds", "2", "--inner-runs", "1"],
+     ["compare", "--folds", "2", "--inner-runs", "1"], 2.5),
+    (["chi-sweep", "--chis", "0.5,1.5"], ["chi-sweep", "--chis", "1.2,1.5"], 0.5),
+])
+def test_a_warning_is_one_line(tmp_path, warned, quiet, chi):
+    """A learning rate outside (1, 2] is shown as one ``warning:`` line on
+    stderr, with no warning class and no line of the package's source, and
+    the command writes the files it writes without the warning."""
+    data = _make_data(tmp_path)
+    written, stderr = [], []
+    for tag, args in (("warned", warned), ("quiet", quiet)):
+        (tmp_path / tag).mkdir()
+        result = CliRunner().invoke(cli, args + ["--data", str(data), "--out", str(tmp_path / tag / "run")])
+        assert result.exit_code == 0, result.output
+        written.append(sorted(p.name for p in (tmp_path / tag).iterdir()))
+        stderr.append(result.stderr)
+    assert written[0] == written[1]
+    assert stderr == [f"warning: chi={chi} is outside the intended range (1, 2]\n", ""]
+
+
 class TestUnreadableData:
     """Data that cannot be read, or whose every feature is constant, is a
     data error: exit 3."""

@@ -556,8 +556,11 @@ class TestBatchedGenerations:
 
     @pytest.mark.parametrize("subsample", [0.5, 1.0])
     def test_growth_changes_no_byte(self, monkeypatch, subsample):
-        # a reservation of 1 row grows in the seed loop, and 16 and 37
-        # rows grow while a block of accepted offspring is written
+        # the outputs' array starts at no fewer than the 5 seed rows, so
+        # reservations of 1, 16 and 37 rows each grow only while a block of
+        # accepted offspring is written (1 row at the first such block).
+        # The coefficients, parent ids and accuracies start at the seed
+        # rows and grow at every reservation
         d_train, d_valid = _small_task(4)
         row_bytes = 8 * (d_train.n + d_valid.n)
         cfg = GmdhConfig(offspring_per_generation=90, max_serial_failures=3, fit_subsample=subsample)
